@@ -1,9 +1,10 @@
 """Compare the compiled matcher kernel against the pure-Python one.
 
-Usage: python benchmarks/bench_matcher.py [--repeat N] [--size TOKENS]
+Usage: python benchmarks/bench_matcher.py [--repeat N] [--size WORDS]
 
 Builds a synthetic corpus from the shipped lexicons, applies the two
-shipped grammars through both kernels and reports tokens/second.
+shipped grammars through both kernels and reports corpus words/second
+(the tokenizer sees about twice as many tokens, because spaces are tokens).
 """
 
 import argparse
@@ -25,9 +26,9 @@ WORDS = (
 ).split()
 
 
-def build_corpus(n_tokens: int, seed: int = 7) -> str:
+def build_corpus(n_words: int, seed: int = 7) -> str:
     rng = random.Random(seed)
-    return " ".join(rng.choice(WORDS) for _ in range(n_tokens))
+    return " ".join(rng.choice(WORDS) for _ in range(n_words))
 
 
 def run(engine, gs, text, lex, repeat):
@@ -48,7 +49,7 @@ def run(engine, gs, text, lex, repeat):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--size", type=int, default=20_000, help="corpus size in tokens")
+    ap.add_argument("--size", type=int, default=20_000, help="corpus size in words")
     args = ap.parse_args()
 
     lex = merge_lexicons(
@@ -67,14 +68,14 @@ def main():
     else:
         print("compiled engine not available; only timing the pure kernel")
 
-    print(f"corpus: {args.size} tokens, best of {args.repeat} runs\n")
+    print(f"corpus: {args.size} words, best of {args.repeat} runs\n")
     for gname, gs in (("titled-names", g1), ("lexicon-names", g2)):
         results = {}
         for ename, engine in engines:
             secs, occs = run(engine, gs, text, lex, args.repeat)
             results[ename] = (secs, occs)
             rate = args.size / secs
-            print(f"{gname:14s} {ename:9s} {secs * 1000:8.1f} ms  {rate:10.0f} tok/s  "
+            print(f"{gname:14s} {ename:9s} {secs * 1000:8.1f} ms  {rate:10.0f} words/s  "
                   f"{len(occs)} occurrence(s)")
         if len(results) == 2:
             assert results["pure"][1] == results["compiled"][1], "engines disagree"

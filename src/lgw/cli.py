@@ -115,10 +115,10 @@ def cmd_apply(args) -> int:
     files = [(Path(p).stem, _read(p)) for p in args.grammar]
     main = args.main or parse_graph(files[0][1]).name
     gs = load_grammar_set(files, main)
-    errors = [d for d in validate_set(gs) if d.severity == "error"]
-    for d in validate_set(gs):
+    diags = validate_set(gs)
+    for d in diags:
         print(f"{d.severity}: {d.code}: {d.detail}", file=sys.stderr)
-    if errors:
+    if any(d.severity == "error" for d in diags):
         return 2
     corpus = sorted(args.corpus, key=lambda p: Path(p).name)
     text = "\n".join(_read(p) for p in corpus)

@@ -34,17 +34,47 @@ class Lexicon:
     name: str = ""
     case_policy: str = CASE_EXACT_THEN_LOWERCASE
     _symidx: dict = field(default=None, repr=False, compare=False)
+    _heads: tuple = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return sum(len(v) for v in self.entries.values())
 
     def symbol_index(self) -> dict:
-        """surface -> tuple of symbol sets, the matcher's probe structure."""
+        """surface -> tuple of symbol sets, the matcher's probe structure.
+        Builds ``head_index()`` along with it."""
         if self._symidx is None:
             self._symidx = {
                 s: tuple(e.symbols for e in es) for s, es in self.entries.items()
             }
+            self._heads = _head_index(self._symidx)
         return self._symidx
+
+    def head_index(self) -> tuple:
+        """(first token -> most non-space tokens of an entry starting with
+        it, most non-space tokens of any entry): the matcher's probe window."""
+        self.symbol_index()
+        return self._heads
+
+
+def _head_index(surfaces) -> tuple:
+    # imported here because lgw.matcher imports this module
+    from .matcher._engine import SPACE, tokenize_raw
+
+    heads = {}
+    for s in surfaces:
+        if s.isalpha():
+            head, width = s, 1
+        else:
+            # letter runs joined by single spaces are tokenized by split()
+            words = s.split(" ")
+            if not all(w.isalpha() for w in words):
+                words = [t[0] for t in tokenize_raw(s) if t[3] != SPACE]
+                if not words:
+                    continue
+            head, width = words[0], len(words)
+        if width > heads.get(head, 0):
+            heads[head] = width
+    return heads, max(heads.values(), default=0)
 
 
 def _find_unescaped(s: str, sep: str, start: int = 0) -> int:

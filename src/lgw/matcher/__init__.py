@@ -73,26 +73,107 @@ def _compile_atom(atom):
     return ("mask", atom.mask.required, atom.mask.builtin or "", filt)
 
 
+def _compile_box(output, alts):
+    """(output, rest, exact, folded): literal-first alternatives indexed by
+    their first piece, the others kept in file order."""
+    rest, exact, folded = [], {}, {}
+    for alt in alts:
+        if alt and alt[0][0] == "lit" and alt[0][1]:
+            index = folded if alt[0][2] else exact
+            piece = alt[0][1][0]
+            index[piece] = index.get(piece, ()) + (alt,)
+        else:
+            rest.append(alt)
+    return (output, tuple(rest), exact, folded)
+
+
+_PENDING = object()
+
+
+def _first_set(graphs, name, memo):
+    """(first, nullable) of a compiled graph, memoized in ``memo``.
+
+    ``first`` is the kernel's FIRST set (see ``_engine``); ``nullable`` is
+    true when initial reaches final consuming nothing.  A subgraph call
+    back into a graph still being computed (a cycle through a nullable
+    prefix) makes the caller's FIRST "any token".
+    """
+    got = memo.get(name)
+    if got is _PENDING:
+        return None, True
+    if got is not None:
+        return got
+    memo[name] = _PENDING
+    g = graphs[name]
+    exact, folded, flags = set(), set(), set()
+    any_token = nullable = False
+    seen = set()
+    stack = [g["initial"]]
+    while stack:
+        box_id = stack.pop()
+        if box_id in seen:
+            continue
+        seen.add(box_id)
+        if box_id == g["final"]:
+            nullable = True
+            continue
+        _, rest, box_exact, box_folded = g["boxes"][box_id]
+        exact.update(box_exact)
+        folded.update(box_folded)
+        passable = False
+        for alt in rest:
+            for atom in alt:
+                if atom[0] == "eps":
+                    continue
+                if atom[0] == "lit":
+                    if atom[1]:  # a literal without pieces never matches
+                        (folded if atom[2] else exact).add(atom[1][0])
+                    break
+                if atom[0] == "mask":
+                    flags.add(atom[2] or "dict")
+                    break
+                sub, sub_nullable = _first_set(graphs, atom[1], memo)
+                if sub is None:
+                    any_token = True
+                else:
+                    exact.update(sub[0])
+                    folded.update(sub[1])
+                    flags.update(sub[2])
+                if not sub_nullable:
+                    break
+            else:
+                passable = True
+        if passable:
+            stack.extend(g["succ"].get(box_id, ()))
+    first = None if any_token else (frozenset(exact), frozenset(folded), frozenset(flags))
+    memo[name] = (first, nullable)
+    return memo[name]
+
+
 def compile_grammar_set(gs: GrammarSet) -> dict:
-    """Lower a GrammarSet to the primitive dict form the kernel interprets."""
+    """Lower a GrammarSet to the primitive dict form the kernel interprets,
+    with each box's literal dispatch and each graph's FIRST set."""
     graphs = {}
     for name, g in gs.graphs.items():
         boxes = {
-            b.id: (
+            b.id: _compile_box(
                 b.output,
                 tuple(tuple(_compile_atom(a) for a in alt) for alt in b.alternatives),
             )
             for b in g.boxes
         }
-        boxes[g.initial] = (None, ((),))
+        boxes[g.initial] = _compile_box(None, ((),))
         if g.final not in boxes:
-            boxes[g.final] = (None, ((),))
+            boxes[g.final] = _compile_box(None, ((),))
         graphs[name] = {
             "initial": g.initial,
             "final": g.final,
             "succ": {k: tuple(v) for k, v in g.successors().items()},
             "boxes": boxes,
         }
+    memo = {}
+    for name in graphs:
+        graphs[name]["first"] = _first_set(graphs, name, memo)[0]
     return {"main": gs.main, "graphs": graphs}
 
 
@@ -120,7 +201,9 @@ def apply_grammar(
         abbreviations if abbreviations is not None else _default_abbreviations()
     )
     bounds = _impl.sentence_boundaries(toks, abbrevs)
-    raw = _impl.find_matches(cgs, text, toks, lex.symbol_index(), bounds)
+    raw = _impl.find_matches(
+        cgs, text, toks, lex.symbol_index(), lex.head_index(), bounds
+    )
     occs = [
         Occurrence(start, end, text[start:end], merged, gs.main)
         for start, end, merged in raw

@@ -1,8 +1,8 @@
 """Matching kernel: tokenization, sentence boundaries and grammar application.
 
-This module is deliberately self-contained and works on primitive tuples
-only, so the same source compiles unchanged as a C extension (see
-``setup.py``); the package falls back to this interpreter when the
+This module is deliberately self-contained and works on primitive dicts
+and tuples only, so the same source compiles unchanged as a C extension
+(see ``setup.py``); the package falls back to this interpreter when the
 extension is unavailable.
 
 Token tuples are ``(surface, start, end, kind)`` with kind 0=word,
@@ -12,23 +12,38 @@ Token tuples are ``(surface, start, end, kind)`` with kind 0=word,
     {"main": name,
      "graphs": {name: {"initial": id, "final": id,
                        "succ": {id: (id, ...)},
-                       "boxes": {id: (output_or_None, (alt, ...))}}}}
+                       "boxes": {id: (output_or_None, rest, exact, folded)},
+                       "first": first_set}}}
 
-where an alternative is a tuple of atoms:
+A box's alternatives are split for first-token dispatch: ``exact`` maps
+the first piece of each case-sensitive literal-first alternative to those
+alternatives, ``folded`` does the same for case-folded literals (keyed by
+the lowercased piece), and ``rest`` holds every other alternative.  An
+alternative is a tuple of atoms:
 
 * ``("lit", pieces, ci)`` -- pieces are the literal's non-space token
   surfaces (lowercased when ci is true);
 * ``("mask", required_frozenset_or_None, builtin, compiled_filter_or_None)``;
 * ``("eps",)``;
 * ``("call", graph_name)``.
+
+A graph's ``first`` is ``None`` when a match may begin with any token,
+else ``(exact_pieces, folded_pieces, mask_flags)``: a match can only begin
+with a token equal to an exact piece, whose lowercase form is a folded
+piece, or that passes one of the flagged masks ("PRE", "MOT", or "dict"
+for dictionary masks).
+
+The lexicon arrives as two structures from ``Lexicon``: the symbol index
+(surface -> tuple of symbol sets) and the head index ``(heads, longest)``,
+where ``heads`` maps the first token of every entry to the largest number
+of non-space tokens of an entry starting with it and ``longest`` is that
+number over all entries.
 """
 
 WORD = 0
 NUMBER = 1
 PUNCT = 2
 SPACE = 3
-
-MAX_MULTIWORD_TOKENS = 8
 
 
 def tokenize_raw(text):
@@ -105,7 +120,35 @@ def _skip_spaces(toks, i):
     return i
 
 
-def _match_mask(atom, toks, text, symindex, i):
+def _is_pre(symindex, surface):
+    if surface[:1].isupper():
+        return True
+    for syms in symindex.get(surface, ()):
+        if "PRE" in syms:
+            return True
+    return False
+
+
+def _probe_width(heads, surface):
+    """How many non-space tokens a lexicon entry starting at a token with
+    this surface can span (0: no entry starts there)."""
+    index, longest = heads
+    width = index.get(surface, 0)
+    if surface[:1].isupper():
+        low = surface.lower()
+        # The lowercase probe looks up lower() of the whole multi-token
+        # surface.  Its first token is this token's lower() unless lowering
+        # splits the token ("İ" -> "i" + U+0307) or a final sigma turns
+        # medial because of what follows ("ΟΔΟΣ'Α" -> "οδοσ'α"); then any
+        # entry may match, up to the longest.
+        if low.isalpha() and "ς" not in low:
+            width = max(width, index.get(low, 0))
+        else:
+            width = longest
+    return width
+
+
+def _match_mask(atom, toks, text, symindex, heads, i):
     """Match one mask atom at token i; return (next_i, last_tok) or None."""
     required = atom[1]
     builtin = atom[2]
@@ -116,21 +159,17 @@ def _match_mask(atom, toks, text, symindex, i):
     if builtin:
         surface = toks[i][0]
         if builtin == "PRE":
-            ok = surface[:1].isupper()
-            if not ok:
-                for syms in _lex_symbol_sets(symindex, surface):
-                    if "PRE" in syms:
-                        ok = True
-                        break
+            ok = _is_pre(symindex, surface)
         else:  # MOT
             ok = surface.isalpha()
         if ok and filt is not None and filt.fullmatch(surface) is None:
             ok = False
         return (i + 1, i) if ok else None
     # dictionary mask: probe the longest multi-token surface first
+    width = _probe_width(heads, toks[i][0])
     span = []
     j = i
-    while len(span) < MAX_MULTIWORD_TOKENS and j < n:
+    while len(span) < width and j < n:
         if toks[j][3] != SPACE:
             span.append(j)
         j += 1
@@ -147,7 +186,7 @@ def _match_mask(atom, toks, text, symindex, i):
     return None
 
 
-def _match_atoms(graphs, atoms, i, last_tok, visited, toks, text, symindex):
+def _match_atoms(graphs, atoms, i, last_tok, visited, toks, text, symindex, heads):
     """Match an atom sequence from token i.
 
     Yields (next_i, last_tok, first_tok, events): first_tok is the first
@@ -187,7 +226,7 @@ def _match_atoms(graphs, atoms, i, last_tok, visited, toks, text, symindex):
                     )
             elif kind == "mask":
                 j = _skip_spaces(toks, ci)
-                res = _match_mask(atom, toks, text, symindex, j)
+                res = _match_mask(atom, toks, text, symindex, heads, j)
                 if res is not None:
                     nxt, last = res
                     new_states.append(
@@ -197,7 +236,8 @@ def _match_atoms(graphs, atoms, i, last_tok, visited, toks, text, symindex):
                 sub = atom[1]
                 g = graphs[sub]
                 for (j, slast, sev) in _walk(
-                    graphs, sub, g["initial"], ci, clast, visited, toks, text, symindex
+                    graphs, sub, g["initial"], ci, clast, visited, toks, text,
+                    symindex, heads,
                 ):
                     sfirst = cfirst
                     if sfirst is None and slast != clast:
@@ -212,7 +252,7 @@ def _match_atoms(graphs, atoms, i, last_tok, visited, toks, text, symindex):
         yield st
 
 
-def _walk(graphs, gname, box_id, i, last_tok, visited, toks, text, symindex):
+def _walk(graphs, gname, box_id, i, last_tok, visited, toks, text, symindex, heads):
     """All ways to reach gname's final from box_id, matching box_id's input
     first.  Yields (next_i, last_tok, events)."""
     g = graphs[gname]
@@ -222,12 +262,19 @@ def _walk(graphs, gname, box_id, i, last_tok, visited, toks, text, symindex):
     key = (gname, box_id, i)
     if key in visited:
         return
-    out, alts = g["boxes"][box_id]
+    out, alts, exact, folded = g["boxes"][box_id]
+    if exact or folded:
+        # a literal-first alternative can only match if its first piece is
+        # the first non-space token
+        j = _skip_spaces(toks, i)
+        if j < len(toks):
+            tok = toks[j][0]
+            alts = alts + exact.get(tok, ()) + folded.get(tok.lower(), ())
     succs = g["succ"].get(box_id, ())
     nvis = visited | {key}
     for alt in alts:
         for (j, alast, afirst, aev) in _match_atoms(
-            graphs, alt, i, last_tok, nvis, toks, text, symindex
+            graphs, alt, i, last_tok, nvis, toks, text, symindex, heads
         ):
             if out is not None:
                 if afirst is not None:
@@ -244,7 +291,7 @@ def _walk(graphs, gname, box_id, i, last_tok, visited, toks, text, symindex):
             vis2 = nvis if j == i else frozenset()
             for succ in succs:
                 for (k, wlast, wev) in _walk(
-                    graphs, gname, succ, j, alast, vis2, toks, text, symindex
+                    graphs, gname, succ, j, alast, vis2, toks, text, symindex, heads
                 ):
                     yield (k, wlast, events + wev)
 
@@ -264,13 +311,26 @@ def _splice(text, start, end, events):
     return "".join(parts)
 
 
-def find_matches(cgs, text, toks, symindex, boundaries):
+def _may_start(first, surface, symindex, heads):
+    """Can a match of a graph with this FIRST set begin at this token?"""
+    exact, folded, flags = first
+    if surface in exact or surface.lower() in folded:
+        return True
+    if "MOT" in flags and surface.isalpha():
+        return True
+    if "PRE" in flags and _is_pre(symindex, surface):
+        return True
+    return "dict" in flags and _probe_width(heads, surface) > 0
+
+
+def find_matches(cgs, text, toks, symindex, heads, boundaries):
     """All matches of the main graph, as sorted (start, end, merged) tuples.
 
     A match anchored at a start token is any initial-to-final path of the
     main graph whose atoms consume a contiguous token sequence (space
     tokens are transparent between atoms); matches spanning a sentence
-    boundary are dropped.
+    boundary are dropped.  Start tokens outside the main graph's FIRST set
+    are skipped.
     """
     graphs = cgs["graphs"]
     main = cgs["main"]
@@ -280,11 +340,14 @@ def find_matches(cgs, text, toks, symindex, boundaries):
         bprefix[q + 1] = bprefix[q] + (1 if q in boundaries else 0)
     results = set()
     initial = graphs[main]["initial"]
+    first = graphs[main]["first"]
     for s in range(n):
         if toks[s][3] == SPACE:
             continue
+        if first is not None and not _may_start(first, toks[s][0], symindex, heads):
+            continue
         for (_, last, events) in _walk(
-            graphs, main, initial, s, None, frozenset(), toks, text, symindex
+            graphs, main, initial, s, None, frozenset(), toks, text, symindex, heads
         ):
             if last is None:
                 continue

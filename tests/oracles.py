@@ -184,7 +184,7 @@ def _match_path(path, text, toks, lex, start):
             else:
                 nonspace = [
                     j for j in range(i, len(toks)) if toks[j][3] != "space"
-                ][:8]
+                ]
                 hit = None
                 for k in range(len(nonspace) - 1, -1, -1):
                     last = nonspace[k]
