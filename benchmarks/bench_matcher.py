@@ -1,10 +1,10 @@
-"""Compare the compiled matcher kernel against the pure-Python one.
+"""Time the matcher kernel on the two shipped grammars.
 
 Usage: python benchmarks/bench_matcher.py [--repeat N] [--size WORDS]
 
 Builds a synthetic corpus from the shipped lexicons, applies the two
-shipped grammars through both kernels and reports corpus words/second
-(the tokenizer sees about twice as many tokens, because spaces are tokens).
+shipped grammars and reports corpus words/second (the tokenizer sees
+about twice as many tokens, because spaces are tokens).
 """
 
 import argparse
@@ -14,8 +14,7 @@ import time
 from lgw import data
 from lgw.grammar import load_grammar_set
 from lgw.lexicon import merge_lexicons, parse_lexicon
-from lgw.matcher import ALL_MATCHES, USING_COMPILED_ENGINE
-import lgw.matcher as matcher
+from lgw.matcher import ALL_MATCHES, apply_grammar
 
 G1_FILES = ("ReconheceFormasDeTratamento", "Preposicao", "Abreviacoes")
 
@@ -31,19 +30,14 @@ def build_corpus(n_words: int, seed: int = 7) -> str:
     return " ".join(rng.choice(WORDS) for _ in range(n_words))
 
 
-def run(engine, gs, text, lex, repeat):
-    prev = matcher._impl
-    matcher._impl = engine
-    try:
-        best = float("inf")
-        occs = None
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            occs = matcher.apply_grammar(gs, text, lex, ALL_MATCHES)
-            best = min(best, time.perf_counter() - t0)
-        return best, occs
-    finally:
-        matcher._impl = prev
+def run(gs, text, lex, repeat):
+    best = float("inf")
+    occs = None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        occs = apply_grammar(gs, text, lex, ALL_MATCHES)
+        best = min(best, time.perf_counter() - t0)
+    return best, occs
 
 
 def main():
@@ -62,25 +56,11 @@ def main():
     )
     text = build_corpus(args.size)
 
-    engines = [("pure", matcher._pure)]
-    if USING_COMPILED_ENGINE:
-        engines.append(("compiled", matcher._impl))
-    else:
-        print("compiled engine not available; only timing the pure kernel")
-
     print(f"corpus: {args.size} words, best of {args.repeat} runs\n")
     for gname, gs in (("titled-names", g1), ("lexicon-names", g2)):
-        results = {}
-        for ename, engine in engines:
-            secs, occs = run(engine, gs, text, lex, args.repeat)
-            results[ename] = (secs, occs)
-            rate = args.size / secs
-            print(f"{gname:14s} {ename:9s} {secs * 1000:8.1f} ms  {rate:10.0f} words/s  "
-                  f"{len(occs)} occurrence(s)")
-        if len(results) == 2:
-            assert results["pure"][1] == results["compiled"][1], "engines disagree"
-            speedup = results["pure"][0] / results["compiled"][0]
-            print(f"{gname:14s} speedup   {speedup:8.2f}x\n")
+        secs, occs = run(gs, text, lex, args.repeat)
+        print(f"{gname:14s} {secs * 1000:8.1f} ms  {args.size / secs:10.0f} words/s  "
+              f"{len(occs)} occurrence(s)")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Command-line front end: apply -> diff/relate -> compose -> eval.
 
-Exit codes: 0 success, 1 usage error, 2 input parse error, 3 semantic
-mismatch (e.g. concordances from different texts), 4 empty-result error.
+Exit codes: 0 success, 1 usage error, 2 unreadable or unparsable input,
+3 semantic mismatch (e.g. concordances from different texts), 4
+empty-result error.
 """
 
 from __future__ import annotations
@@ -88,7 +89,10 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LgwError(f"cannot read {path}: {exc}") from None
 
 
 def _write(out_dir: str, name: str, content: str) -> Path:
@@ -166,7 +170,7 @@ def cmd_diff(args) -> int:
             "</body>",
             f"<!-- generated {datetime.datetime.now(datetime.timezone.utc).isoformat()} -->\n</body>",
         )
-    report = concorddiff.infer_relation(cx, cy)
+    report = concorddiff.infer_relation(cx, cy, diff)
     print(f"HTML -> {_write(args.out, args.html, html_body)}")
     print(f"relation -> {_write(args.out, args.json, _relation_json(report, args.stamp))}")
     print(concorddiff.recommend(report))
@@ -247,9 +251,6 @@ def main(argv=None) -> int:
     except LgwError as exc:
         print(f"lgw {args.command}: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"lgw {args.command}: error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry_point():  # console_scripts hook

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from .errors import MalformedConcordanceLine, SpanOutOfBounds
 
 _NEWLINE_RE = re.compile(r"\r\n|\r|\n")
+_ESCAPE_RE = re.compile(r"\\(.)", re.S)
+_UNESCAPE = {"t": "\t", "n": "\n", "r": "\r"}
 
 
 @dataclass(frozen=True)
@@ -83,18 +85,7 @@ def _esc(s: str) -> str:
 
 
 def _unesc(s: str) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c == "\\" and i + 1 < len(s):
-            nxt = s[i + 1]
-            out.append({"t": "\t", "n": "\n", "r": "\r", "\\": "\\"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPE.get(m.group(1), m.group(1)), s)
 
 
 def _header_field(s: str) -> str:

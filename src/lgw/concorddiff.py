@@ -13,6 +13,7 @@ from __future__ import annotations
 import html
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .concordance import Concordance, ConcordanceLine
@@ -63,7 +64,10 @@ class DiffLine:
     side: str  # "x" | "y"
     line: ConcordanceLine
     cls: DiffClass
-    partner_index: int = None  # index into the other side's lines
+
+
+_OPPOSITE = {"x": "y", "y": "x"}
+_UNIQUE = {"x": DiffClass.UNIQUE_X, "y": DiffClass.UNIQUE_Y}
 
 
 @dataclass(frozen=True)
@@ -85,103 +89,81 @@ class RelationReport:
         }
 
 
-def _overlaps(a: ConcordanceLine, b: ConcordanceLine) -> bool:
-    return a.start < b.end and b.start < a.end
-
-
-def _classify_side(own, other, unique_cls):
-    """Per-line class against the opposite side, plus partner index."""
-    other_exact = {}
-    other_span = {}
-    for j, l in enumerate(other):
-        other_exact.setdefault((l.start, l.end, l.match), j)
-        other_span.setdefault((l.start, l.end), j)
-    out = []
-    for l in own:
-        j = other_exact.get((l.start, l.end, l.match))
-        if j is not None:
-            out.append((DiffClass.COMMON, j))
-            continue
-        j = other_span.get((l.start, l.end))
-        if j is not None:
-            out.append((DiffClass.OUTPUT_CONFLICT, j))
-            continue
-        partner = None
-        fallback = None
-        for j, o in enumerate(other):
-            if _overlaps(l, o):
-                if (o.start, o.end) != (l.start, l.end):
-                    partner = j
-                    break
-                if fallback is None:
-                    fallback = j
-        if partner is None:
-            partner = fallback
-        if partner is not None:
-            out.append((DiffClass.PARTIAL_OVERLAP, partner))
-        else:
-            out.append((unique_cls, None))
-    return out
-
-
 def align(cx: Concordance, cy: Concordance) -> list:
     """Classified lines of both sides, grouped by overlap component in
     positional order; within a component X and Y lines are interleaved,
-    X first."""
+    X first.
+
+    One sweep in start order finds every X-Y overlap: a line overlaps
+    exactly the lines of the other side that are still open (end past its
+    start) and pass the interval test.  Those overlaps give both the
+    PARTIAL_OVERLAP flags and the union-find components."""
     if cx.source_text_id != cy.source_text_id:
         raise TextMismatch(
             f"concordances come from different texts: "
             f"{cx.source_text_id!r} vs {cy.source_text_id!r}"
         )
-    X, Y = cx.lines, cy.lines
-    cls_x = _classify_side(X, Y, DiffClass.UNIQUE_X)
-    cls_y = _classify_side(Y, X, DiffClass.UNIQUE_Y)
+    lines = [("x", l) for l in cx.lines] + [("y", l) for l in cy.lines]
+    parent = list(range(len(lines)))
 
-    # connected components of the bipartite overlap graph, for ordering
-    parent = {}
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    overlapped = [False] * len(lines)
+    open_ = {"x": [], "y": []}
+    for k in sorted(range(len(lines)), key=lambda k: lines[k][1].start):
+        side, b = lines[k]
+        other = _OPPOSITE[side]
+        still = []
+        for j in open_[other]:
+            a = lines[j][1]
+            if b.start < a.end:
+                still.append(j)
+                if a.start < b.end:
+                    overlapped[j] = overlapped[k] = True
+                    parent[find(j)] = find(k)
+        open_[other] = still
+        open_[side].append(k)
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+    exact = {"x": set(), "y": set()}
+    spans = {"x": set(), "y": set()}
+    for side, l in lines:
+        exact[side].add((l.start, l.end, l.match))
+        spans[side].add((l.start, l.end))
 
-    for i in range(len(X)):
-        parent[("x", i)] = ("x", i)
-    for j in range(len(Y)):
-        parent[("y", j)] = ("y", j)
-    for i, xl in enumerate(X):
-        for j, yl in enumerate(Y):
-            if _overlaps(xl, yl):
-                union(("x", i), ("y", j))
+    def diff_line(k):
+        side, l = lines[k]
+        other = _OPPOSITE[side]
+        if (l.start, l.end, l.match) in exact[other]:
+            cls = DiffClass.COMMON
+        elif (l.start, l.end) in spans[other]:
+            cls = DiffClass.OUTPUT_CONFLICT
+        elif overlapped[k]:
+            cls = DiffClass.PARTIAL_OVERLAP
+        else:
+            cls = _UNIQUE[side]
+        return DiffLine(side, l, cls)
 
     groups = {}
-    for i, l in enumerate(X):
-        groups.setdefault(find(("x", i)), []).append(("x", i, l))
-    for j, l in enumerate(Y):
-        groups.setdefault(find(("y", j)), []).append(("y", j, l))
+    for k in range(len(lines)):
+        groups.setdefault(find(k), []).append(k)
 
-    def group_key(members):
-        return min((l.start, l.end, side) for side, _, l in members)
+    def position(k):
+        l = lines[k][1]
+        return (l.start, l.end, l.match)
 
     result = []
-    for members in sorted(groups.values(), key=group_key):
-        xs = sorted((m for m in members if m[0] == "x"), key=lambda m: (m[2].start, m[2].end, m[2].match))
-        ys = sorted((m for m in members if m[0] == "y"), key=lambda m: (m[2].start, m[2].end, m[2].match))
-        k = 0
-        while k < len(xs) or k < len(ys):
-            if k < len(xs):
-                _, i, l = xs[k]
-                result.append(DiffLine("x", l, cls_x[i][0], cls_x[i][1]))
-            if k < len(ys):
-                _, j, l = ys[k]
-                result.append(DiffLine("y", l, cls_y[j][0], cls_y[j][1]))
-            k += 1
+    for members in sorted(
+        groups.values(),
+        key=lambda ks: min((lines[k][1].start, lines[k][1].end, lines[k][0]) for k in ks),
+    ):
+        xs = sorted((k for k in members if lines[k][0] == "x"), key=position)
+        ys = sorted((k for k in members if lines[k][0] == "y"), key=position)
+        for pair in zip_longest(xs, ys):
+            result.extend(diff_line(k) for k in pair if k is not None)
     return result
 
 
@@ -195,7 +177,6 @@ def diff_counts(diff: list) -> DiffCounts:
 
 
 _BG = {"x": "#FFD7D7", "y": "#D7FFD7"}
-_OPPOSITE = {"x": "y", "y": "x"}
 _FG = {
     DiffClass.COMMON: "#0000CC",
     DiffClass.PARTIAL_OVERLAP: "#CC0000",
@@ -247,11 +228,13 @@ def render_html(diff: list) -> str:
     return _HTML_HEAD + "\n".join(rows) + ("\n" if rows else "") + _HTML_TAIL
 
 
-def infer_relation(cx: Concordance, cy: Concordance) -> RelationReport:
+def infer_relation(cx: Concordance, cy: Concordance, diff: list = None) -> RelationReport:
     """Set-theoretic relation between the two concordances and its
     keep/discard consequence.  Occurrence identity is (span, match with
-    outputs); geometry (overlap) looks at spans only."""
-    diff = align(cx, cy)  # also validates the text ids
+    outputs); geometry (overlap) looks at spans only.  ``diff`` is
+    ``align(cx, cy)`` when the caller already has it."""
+    if diff is None:
+        diff = align(cx, cy)  # also validates the text ids
     counts = diff_counts(diff)
     sx = {(l.start, l.end, l.match) for l in cx.lines}
     sy = {(l.start, l.end, l.match) for l in cy.lines}
@@ -289,7 +272,8 @@ def infer_relation(cx: Concordance, cy: Concordance) -> RelationReport:
         if all(a[1] - a[0] < b[1] - b[0] for a, b in zip(spans_x, spans_y)):
             return report(Relation.SIMILAR_OVERLAP, Action.KEEP_LONGER_Y)
         return report(Relation.SIMILAR_OVERLAP, Action.ANALYZE_AMBIGUITY)
-    if any(span_overlap(a, b) for a in spans_x for b in spans_y):
+    # the sets share no line here, so any X-Y overlap is a conflict or partial line
+    if counts.conflict + counts.partial > 0:
         return report(Relation.DISJOINT_WITH_SOME_OVERLAP, Action.KEEP_BOTH)
     return report(Relation.DISJOINT, Action.KEEP_BOTH)
 

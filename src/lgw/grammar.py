@@ -50,12 +50,6 @@ class MorphFilter:
 
     pattern: str
 
-    def compiled(self):
-        return compile_filter(self.pattern)
-
-    def match(self, surface: str) -> bool:
-        return compile_filter(self.pattern).fullmatch(surface) is not None
-
 
 @lru_cache(maxsize=512)
 def compile_filter(pattern: str):
@@ -423,7 +417,6 @@ def load_grammar_set(files, main: str) -> GrammarSet:
 
 def _epsilon_path_exists(g: Graph) -> bool:
     """True when initial reaches final consuming no token."""
-    box_map = g.box_map()
     succ = g.successors()
     passable = {g.initial}
     for b in g.boxes:
@@ -438,7 +431,7 @@ def _epsilon_path_exists(g: Graph) -> bool:
         seen.add(cur)
         if cur == g.final:
             return True
-        if cur in passable or cur == g.initial:
+        if cur in passable:
             frontier.extend(succ.get(cur, ()))
     return False
 

@@ -8,11 +8,12 @@ starts a comment line.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import MalformedLine
 
-CASE_EXACT_THEN_LOWERCASE = "exact-then-lowercase"
+_ESCAPE_RE = re.compile(r"\\(.)", re.S)
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,6 @@ class LexEntry:
 class Lexicon:
     entries: dict  # surface -> tuple of LexEntry
     name: str = ""
-    case_policy: str = CASE_EXACT_THEN_LOWERCASE
     _symidx: dict = field(default=None, repr=False, compare=False)
     _heads: tuple = field(default=None, repr=False, compare=False)
 
@@ -91,16 +91,7 @@ def _find_unescaped(s: str, sep: str, start: int = 0) -> int:
 
 
 def _unescape(s: str) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        if s[i] == "\\" and i + 1 < len(s):
-            out.append(s[i + 1])
-            i += 2
-        else:
-            out.append(s[i])
-            i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(lambda m: m.group(1), s)
 
 
 def _escape(s: str) -> str:
@@ -178,13 +169,15 @@ def token_has_mask(lex: Lexicon, surface: str, mask) -> bool:
     Built-in predicates: PRE is true when the first character is uppercase
     (or some entry carries the stored code PRE); MOT is true for alphabetic
     tokens.  Dictionary masks require some entry whose POS+codes cover all
-    of the mask's symbols.
+    of the mask's symbols.  The matcher kernel's predicates decide.
     """
+    # imported here because lgw.matcher imports this module
+    from .matcher._engine import _is_pre, _lex_symbol_sets
+
     if mask.builtin == "PRE":
-        if surface[:1].isupper():
-            return True
-        return any("PRE" in e.symbols for e in lookup(lex, surface))
+        return _is_pre(lex.symbol_index(), surface)
     if mask.builtin == "MOT":
         return surface.isalpha()
-    required = mask.required
-    return any(e.symbols >= required for e in lookup(lex, surface))
+    return any(
+        syms >= mask.required for syms in _lex_symbol_sets(lex.symbol_index(), surface)
+    )

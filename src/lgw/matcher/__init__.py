@@ -1,33 +1,21 @@
 """Apply grammar sets to text, producing occurrences with MERGE output.
 
-The matching kernel lives in ``_engine``; when the Cython-compiled
-``_engine_c`` extension was built it is used instead (set ``LGW_PURE=1``
-to force the pure-Python kernel).  ``benchmarks/bench_matcher.py``
-compares the two.
+The matching kernel lives in ``_engine``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ..grammar import GrammarSet, compile_filter
 from ..lexicon import Lexicon
 
-from . import _engine as _pure
+from . import _engine
 
-_impl = _pure
-if os.environ.get("LGW_PURE") != "1":
-    try:
-        from . import _engine_c as _compiled  # type: ignore[attr-defined]
-    except ImportError:
-        _compiled = None
-    if _compiled is not None and str(getattr(_compiled, "__file__", "")).endswith(
-        (".so", ".pyd")
-    ):
-        _impl = _compiled
-
-USING_COMPILED_ENGINE = _impl is not _pure
+# the kernel as apply_grammar and tokenize call it (perfbench/trace.py
+# swaps in a timed proxy); the compiler uses _engine directly
+_impl = _engine
+USING_COMPILED_ENGINE = False  # recorded by perfbench/run.py
 
 ALL_MATCHES = "all"
 LONGEST_ONLY = "longest"
@@ -61,8 +49,8 @@ def _compile_atom(atom):
         ci = not any(c.isupper() for c in atom.literal)
         pieces = tuple(
             t[0].lower() if ci else t[0]
-            for t in _pure.tokenize_raw(atom.literal)
-            if t[3] != _pure.SPACE
+            for t in _engine.tokenize_raw(atom.literal)
+            if t[3] != _engine.SPACE
         )
         return ("lit", pieces, ci)
     if atom.kind == "epsilon":

@@ -1,9 +1,7 @@
 """Matching kernel: tokenization, sentence boundaries and grammar application.
 
-This module is deliberately self-contained and works on primitive dicts
-and tuples only, so the same source compiles unchanged as a C extension
-(see ``setup.py``); the package falls back to this interpreter when the
-extension is unavailable.
+This module is self-contained and works on primitive dicts and tuples
+only.
 
 Token tuples are ``(surface, start, end, kind)`` with kind 0=word,
 1=number, 2=punct, 3=space.  Compiled grammars (built by

@@ -255,6 +255,64 @@ def oracle_classes(x_triples, y_triples):
     return classify(x_triples, y_triples), classify(y_triples, x_triples)
 
 
+def oracle_align(x_triples, y_triples):
+    """The full diff sequence by all-pairs comparison.
+
+    Triples are (start, end, match) in file order, duplicates allowed;
+    returns [(side, start, end, match, class)] with the ``DiffClass``
+    values as class.  Lines are grouped by connected component of the
+    X-Y overlap graph; components come in order of their smallest
+    (start, end, side), ties in input order; within a component the
+    X and Y lines, each sorted by (start, end, match), alternate X first.
+    """
+
+    def overlaps(a, b):
+        return a[0] < b[1] and b[0] < a[1]
+
+    def classify(own, other, unique):
+        out = []
+        for s, e, m in own:
+            if (s, e, m) in set(other):
+                out.append("common")
+            elif (s, e) in {(os_, oe) for os_, oe, _ in other}:
+                out.append("output_conflict")
+            elif any(overlaps((s, e), o) for o in other):
+                out.append("partial_overlap")
+            else:
+                out.append(unique)
+        return out
+
+    nodes = [("x", t, c) for t, c in zip(x_triples, classify(x_triples, y_triples, "unique_x"))]
+    nodes += [("y", t, c) for t, c in zip(y_triples, classify(y_triples, x_triples, "unique_y"))]
+    parent = list(range(len(nodes)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, (side_i, ti, _) in enumerate(nodes):
+        for j, (side_j, tj, _) in enumerate(nodes):
+            if side_i == "x" and side_j == "y" and overlaps(ti, tj):
+                parent[find(i)] = find(j)
+
+    groups = {}
+    for k in range(len(nodes)):
+        groups.setdefault(find(k), []).append(nodes[k])
+    result = []
+    for members in sorted(
+        groups.values(), key=lambda ms: min((t[0], t[1], side) for side, t, _ in ms)
+    ):
+        xs = sorted((m for m in members if m[0] == "x"), key=lambda m: m[1])
+        ys = sorted((m for m in members if m[0] == "y"), key=lambda m: m[1])
+        for k in range(max(len(xs), len(ys))):
+            for side_lines in (xs, ys):
+                if k < len(side_lines):
+                    side, (s, e, m), c = side_lines[k]
+                    result.append((side, s, e, m, c))
+    return result
+
+
 # ---------------------------------------------------------------------------
 # helpers for building small fixtures
 

@@ -197,6 +197,42 @@ def test_missing_file_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_diff_aligns_once(ws, monkeypatch):
+    from lgw import concorddiff
+
+    out = ws / "out"
+    _apply(ws, out, G1_FILES, "g1.cnc")
+    _apply(ws, out, ("ReconheceNomesCompostos",), "g2.cnc")
+    calls = []
+    align = concorddiff.align
+    monkeypatch.setattr(
+        concorddiff, "align", lambda cx, cy: calls.append(1) or align(cx, cy)
+    )
+    assert main(["diff", str(out / "g1.cnc"), str(out / "g2.cnc"), "--out", str(out)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("corpus", ["latin1", "directory"])
+def test_unreadable_corpus_exits_2(ws, capsys, corpus):
+    if corpus == "latin1":
+        path = ws / "latin1.txt"
+        path.write_bytes("A Sra. Joana falou à noite.".encode("latin-1"))
+    else:
+        path = ws
+    rc = main(
+        [
+            "apply",
+            "--grammar", str(ws / "ReconheceNomesCompostos.lg"),
+            "--out", str(ws / "out"),
+            str(path),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {path}" in err
+    assert "Traceback" not in err
+
+
 def test_bad_grammar_exits_2(tmp_path, capsys):
     (tmp_path / "bad.lg").write_text("graph B\nbox x ???\n", encoding="utf-8")
     (tmp_path / "c.txt").write_text("x", encoding="utf-8")

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lgw.concordance import (
     Concordance,
     ConcordanceLine,
     ContextConfig,
+    _unesc,
     build_concordance,
     parse_concordance,
     write_concordance,
@@ -84,6 +85,11 @@ def test_write_escapes_tabs_and_newlines():
     text = write_concordance(c)
     assert "a\\tb" in text and "x\\ny" in text and "c\\\\d" in text
     assert parse_concordance(text).lines == c.lines
+    # hand-written escapes: a lone trailing backslash stays, an unknown
+    # escape drops its backslash, an escaped newline is a newline
+    (line,) = parse_concordance("#concordance v1 G t 40 60\n0\t2\tab\\\t\\x\t-\n").lines
+    assert (line.left, line.match) == ("ab\\", "x")
+    assert _unesc("a\\\nb") == "a\nb"
 
 
 @pytest.mark.parametrize(
@@ -120,6 +126,7 @@ _name = st.text(st.sampled_from("GgTt19_."), min_size=1, max_size=6)
     st.one_of(st.just(""), _name),
     st.one_of(st.just(""), _name),
 )
+@example([ConcordanceLine(0, 1000, "ends\\", "\\x", "a\\\nb\\")], "G", "t")
 def test_write_parse_round_trip(lines, grammar, text_id):
     c = Concordance(lines, grammar, text_id, 40, 60)
     back = parse_concordance(write_concordance(c))

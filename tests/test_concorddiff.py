@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lgw.concorddiff import (
     Action,
@@ -11,11 +11,11 @@ from lgw.concorddiff import (
     recommend,
     render_html,
 )
-from lgw.concordance import build_concordance
+from lgw.concordance import Concordance, ConcordanceLine, build_concordance
 from lgw.errors import TextMismatch
 from lgw.matcher import LONGEST_ONLY, apply_grammar
 
-from oracles import make_concordance, oracle_classes
+from oracles import make_concordance, oracle_align, oracle_classes
 
 
 def _cnc(triples, grammar="G", text_id="t"):
@@ -108,6 +108,37 @@ def test_classes_agree_with_interval_oracle(tx, ty):
     assert got_y == want_y
 
 
+# file order, duplicates, zero-length, touching and identical spans
+_raw_triples = st.lists(
+    st.tuples(st.integers(0, 20), st.integers(0, 5), st.sampled_from("abc")).map(
+        lambda t: (t[0], t[0] + t[1], t[2])
+    ),
+    max_size=10,
+)
+
+
+def _raw_cnc(triples):
+    lines = [ConcordanceLine(s, e, "", m, "") for s, e, m in triples]
+    return Concordance(lines, source_text_id="t")
+
+
+@given(_raw_triples, _raw_triples)
+@example(
+    [(9, 12, "b"), (3, 6, "a"), (3, 6, "a"), (6, 6, "c"), (6, 9, "a")],
+    [(6, 9, "b"), (0, 3, "a"), (6, 6, "c"), (3, 6, "a"), (4, 4, "a")],
+)
+def test_align_sequence_agrees_with_all_pairs_oracle(tx, ty):
+    diff = align(_raw_cnc(tx), _raw_cnc(ty))
+    got = [(d.side, d.line.start, d.line.end, d.line.match, d.cls.value) for d in diff]
+    assert got == oracle_align(tx, ty)
+
+
+@given(_raw_triples, _raw_triples)
+def test_infer_relation_reuses_a_precomputed_diff(tx, ty):
+    cx, cy = _raw_cnc(tx), _raw_cnc(ty)
+    assert infer_relation(cx, cy, align(cx, cy)) == infer_relation(cx, cy)
+
+
 @given(_triples, _triples)
 def test_swap_symmetry(tx, ty):
     cx, cy = _cnc(tx), _cnc(ty)
@@ -167,6 +198,10 @@ def test_relation_equal_self(fig2):
          Relation.DISJOINT_WITH_SOME_OVERLAP, Action.KEEP_BOTH),
         # fully disjoint
         ([(0, 2, "a")], [(5, 7, "b")], Relation.DISJOINT, Action.KEEP_BOTH),
+        # a same-span pair touches, as its output-conflict class says,
+        # even when the span is empty
+        ([(5, 5, "a"), (10, 12, "b")], [(5, 5, "c")],
+         Relation.DISJOINT_WITH_SOME_OVERLAP, Action.KEEP_BOTH),
     ],
 )
 def test_relation_table(tx, ty, relation, action):

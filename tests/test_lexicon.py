@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lgw.errors import MalformedLine
 from lgw.grammar import LexicalMask
@@ -39,6 +39,9 @@ def test_parse_lemma_and_escapes():
     assert da.lemma == "de"
     (sr,) = lookup(lex, "Sr.")
     assert sr.surface == "Sr."
+    # an unknown escape drops its backslash
+    (ax,) = lookup(parse_lexicon("a\\x,b\\y.N"), "ax")
+    assert ax.lemma == "by"
 
 
 @pytest.mark.parametrize("bad", ["no separators", "surface,nope", ",.N"])
@@ -128,6 +131,7 @@ _code = st.text(st.characters(whitelist_categories=("Lu", "Nd")), min_size=1, ma
         max_size=10,
     )
 )
+@example([LexEntry("ends\\", "\\x", "N"), LexEntry("a\\\\b", "c\\", "N", frozenset({"PR"}))])
 def test_render_parse_round_trip(entries):
     base = {}
     for e in entries:

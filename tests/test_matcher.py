@@ -258,18 +258,6 @@ def test_oracle_agreement_with_dictionary_masks(g2, lexicon):
     assert got
 
 
-# --- engine parity -----------------------------------------------------------
-
-
-def test_pure_and_selected_engines_agree(g1, lexicon, monkeypatch):
-    import lgw.matcher as m
-
-    text = "A Sra. Joana da Silva falou com o Dr. Pedro."
-    selected = apply_grammar(g1, text, lexicon, ALL_MATCHES)
-    monkeypatch.setattr(m, "_impl", m._pure)
-    assert apply_grammar(g1, text, lexicon, ALL_MATCHES) == selected
-
-
 # --- lexicon head index: dictionary-mask probe window ------------------------
 
 
