@@ -1,8 +1,8 @@
 """Command-line front end: apply -> diff/relate -> compose -> eval.
 
-Exit codes: 0 success, 1 usage error, 2 unreadable or unparsable input,
-3 semantic mismatch (e.g. concordances from different texts), 4
-empty-result error.
+Exit codes: 0 success, 1 usage error, 2 unreadable or unparsable input
+or an unwritable output path, 3 semantic mismatch (e.g. concordances from
+different texts), 4 empty-result error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import datetime
 import json
 import os
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 from . import concorddiff, evaluator
@@ -97,8 +98,11 @@ def _read(path: str) -> str:
 
 def _write(out_dir: str, name: str, content: str) -> Path:
     target = Path(out_dir) / name
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(content, encoding="utf-8")
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(content, encoding="utf-8")
+    except OSError as exc:
+        raise LgwError(f"cannot write {target}: {exc}") from None
     return target
 
 
@@ -145,11 +149,23 @@ def cmd_apply(args) -> int:
 
 def _non_overlapping(occs):
     """Greedy maximal non-overlapping subset, longer occurrences first;
-    inline annotation cannot represent overlapping spans."""
+    inline annotation cannot represent overlapping spans.
+
+    The non-empty spans chosen are disjoint, so their ends rise with their
+    starts, and a candidate overlaps one of them exactly when it overlaps
+    the last one starting before the candidate ends.  A chosen span with
+    start >= end is empty and can never overlap a later, no longer
+    candidate, so it is not indexed."""
     chosen = []
+    starts, ends = [], []  # chosen non-empty spans, in start order
     for o in sorted(occs, key=lambda o: (o.start - o.end, o.start, o.merged)):
-        if all(o.end <= c.start or c.end <= o.start for c in chosen):
-            chosen.append(o)
+        i = bisect_left(starts, o.end)
+        if i and ends[i - 1] > o.start:
+            continue
+        chosen.append(o)
+        if o.start < o.end:
+            starts.insert(i, o.start)
+            ends.insert(i, o.end)
     return sorted(chosen, key=lambda o: o.start)
 
 

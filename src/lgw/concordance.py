@@ -132,6 +132,10 @@ def parse_concordance(s: str) -> Concordance:
             start, end = int(fields[0]), int(fields[1])
         except ValueError:
             raise MalformedConcordanceLine(line_no, "non-integer span") from None
+        if not 0 <= start < end:
+            raise MalformedConcordanceLine(
+                line_no, f"span ({start}, {end}) is not 0 <= start < end"
+            )
         conc_lines.append(
             ConcordanceLine(
                 start, end, _unesc(fields[2]), _unesc(fields[3]), _unesc(fields[4])

@@ -43,8 +43,10 @@ class Lexicon:
         """surface -> tuple of symbol sets, the matcher's probe structure.
         Builds ``head_index()`` along with it."""
         if self._symidx is None:
+            shared = _SymbolSets()
             self._symidx = {
-                s: tuple(e.symbols for e in es) for s, es in self.entries.items()
+                s: tuple([shared[e.pos, e.codes] for e in es])
+                for s, es in self.entries.items()
             }
             self._heads = _head_index(self._symidx)
         return self._symidx
@@ -54,6 +56,16 @@ class Lexicon:
         it, most non-space tokens of any entry): the matcher's probe window."""
         self.symbol_index()
         return self._heads
+
+
+class _SymbolSets(dict):
+    """(pos, codes) -> ``codes | {pos}`` (``LexEntry.symbols``), built once
+    per distinct tag and shared by every entry that has it."""
+
+    def __missing__(self, key):
+        pos, codes = key
+        syms = self[key] = codes | {pos}
+        return syms
 
 
 def _head_index(surfaces) -> tuple:
@@ -77,19 +89,6 @@ def _head_index(surfaces) -> tuple:
     return heads, max(heads.values(), default=0)
 
 
-def _find_unescaped(s: str, sep: str, start: int = 0) -> int:
-    i = start
-    while i < len(s):
-        c = s[i]
-        if c == "\\":
-            i += 2
-            continue
-        if c == sep:
-            return i
-        i += 1
-    return -1
-
-
 def _unescape(s: str) -> str:
     return _ESCAPE_RE.sub(lambda m: m.group(1), s)
 
@@ -98,36 +97,64 @@ def _escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace(",", "\\,").replace(".", "\\.")
 
 
+def _partition_escaped(s: str, sep: str) -> tuple:
+    """``str.partition`` that skips backslash-escaped characters."""
+    i = 0
+    while i < len(s):
+        c = s[i]
+        if c == "\\":
+            i += 2
+        elif c == sep:
+            return s[:i], sep, s[i + 1 :]
+        else:
+            i += 1
+    return s, "", ""
+
+
+def _parse_tag(gram: str, line_no: int) -> tuple:
+    segs = gram.strip().split("+")
+    if not segs[0]:
+        raise MalformedLine(line_no, "empty POS code")
+    if any(not s for s in segs[1:]):
+        raise MalformedLine(line_no, "empty semantic code")
+    return segs[0], frozenset(segs[1:])
+
+
+def _add_entry(entries: dict, surface: str, e: LexEntry) -> None:
+    """Append ``e`` to ``entries[surface]`` unless it is stored there
+    already: the one dedupe rule of parse and merge, which keeps
+    first-seen order."""
+    es = entries.get(surface)
+    if es is None:
+        entries[surface] = (e,)
+    elif e not in es:
+        entries[surface] = es + (e,)
+
+
 def parse_lexicon(text: str, name: str = "") -> Lexicon:
     entries: dict = {}
-    seen = set()
+    tags: dict = {}  # raw text after the period -> (pos, codes)
     for line_no, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.startswith("#"):
             continue
-        comma = _find_unescaped(raw, ",")
-        if comma < 0:
+        if "\\" in raw:
+            surface, comma, rest = _partition_escaped(raw, ",")
+            lemma, period, gram = _partition_escaped(rest, ".")
+            surface, lemma = _unescape(surface), _unescape(lemma)
+        else:
+            surface, comma, rest = raw.partition(",")
+            lemma, period, gram = rest.partition(".")
+        if not comma:
             raise MalformedLine(line_no, "missing ',' separator")
-        surface = _unescape(raw[:comma])
         if not surface:
             raise MalformedLine(line_no, "empty surface form")
-        rest = raw[comma + 1 :]
-        period = _find_unescaped(rest, ".")
-        if period < 0:
+        if not period:
             raise MalformedLine(line_no, "missing '.' separator")
-        lemma = _unescape(rest[:period]) or surface
-        gram = rest[period + 1 :].strip()
-        segs = gram.split("+")
-        if not segs[0]:
-            raise MalformedLine(line_no, "empty POS code")
-        if any(not s for s in segs[1:]):
-            raise MalformedLine(line_no, "empty semantic code")
-        entry = LexEntry(surface, lemma, segs[0], frozenset(segs[1:]))
-        if entry in seen:
-            continue
-        seen.add(entry)
-        entries.setdefault(surface, [])
-        entries[surface].append(entry)
-    return Lexicon({s: tuple(es) for s, es in entries.items()}, name=name)
+        tag = tags.get(gram)
+        if tag is None:
+            tag = tags[gram] = _parse_tag(gram, line_no)
+        _add_entry(entries, surface, LexEntry(surface, lemma or surface, *tag))
+    return Lexicon(entries, name=name)
 
 
 def render_lexicon(lex: Lexicon) -> str:
@@ -142,15 +169,11 @@ def render_lexicon(lex: Lexicon) -> str:
 
 def merge_lexicons(lexicons, name: str = "") -> Lexicon:
     entries: dict = {}
-    seen = set()
     for lex in lexicons:
         for surface, es in lex.entries.items():
             for e in es:
-                if e in seen:
-                    continue
-                seen.add(e)
-                entries.setdefault(surface, []).append(e)
-    return Lexicon({s: tuple(es) for s, es in entries.items()}, name=name)
+                _add_entry(entries, surface, e)
+    return Lexicon(entries, name=name)
 
 
 def lookup(lex: Lexicon, surface: str) -> set:

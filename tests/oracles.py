@@ -3,13 +3,19 @@
 Nothing here shares code with the package's matcher or diff classifier:
 the matcher oracle enumerates every initial-to-final path of a (cycle-free)
 grammar and tries it at every start token with its own token scanner; the
-diff oracle classifies lines by direct interval comparison.
+diff oracle classifies lines by direct interval comparison; the lexicon
+parser and the annotation subset are the original straightforward versions
+of the package's faster ones.
 """
 
 from __future__ import annotations
 
+import re
+
 from lgw.concordance import Concordance, ConcordanceLine
+from lgw.errors import MalformedLine
 from lgw.grammar import Graph, GraphBox, GrammarSet, InputAtom
+from lgw.lexicon import LexEntry, Lexicon
 
 def _char_kind(c):
     if c.isspace():
@@ -311,6 +317,75 @@ def oracle_align(x_triples, y_triples):
                     side, (s, e, m), c = side_lines[k]
                     result.append((side, s, e, m, c))
     return result
+
+
+# ---------------------------------------------------------------------------
+# lexicon parser and annotation-subset references
+
+
+def _oracle_find_unescaped(s, sep, start=0):
+    i = start
+    while i < len(s):
+        c = s[i]
+        if c == "\\":
+            i += 2
+            continue
+        if c == sep:
+            return i
+        i += 1
+    return -1
+
+
+_ORACLE_ESCAPE_RE = re.compile(r"\\(.)", re.S)
+
+
+def _oracle_unescape(s):
+    return _ORACLE_ESCAPE_RE.sub(lambda m: m.group(1), s)
+
+
+def oracle_parse_lexicon(text, name=""):
+    """The original line-by-line parser: every line through the
+    per-character separator scan, every tag split again, every entry
+    deduplicated through one global set."""
+    entries = {}
+    seen = set()
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip() or raw.startswith("#"):
+            continue
+        comma = _oracle_find_unescaped(raw, ",")
+        if comma < 0:
+            raise MalformedLine(line_no, "missing ',' separator")
+        surface = _oracle_unescape(raw[:comma])
+        if not surface:
+            raise MalformedLine(line_no, "empty surface form")
+        rest = raw[comma + 1 :]
+        period = _oracle_find_unescaped(rest, ".")
+        if period < 0:
+            raise MalformedLine(line_no, "missing '.' separator")
+        lemma = _oracle_unescape(rest[:period]) or surface
+        gram = rest[period + 1 :].strip()
+        segs = gram.split("+")
+        if not segs[0]:
+            raise MalformedLine(line_no, "empty POS code")
+        if any(not s for s in segs[1:]):
+            raise MalformedLine(line_no, "empty semantic code")
+        entry = LexEntry(surface, lemma, segs[0], frozenset(segs[1:]))
+        if entry in seen:
+            continue
+        seen.add(entry)
+        entries.setdefault(surface, [])
+        entries[surface].append(entry)
+    return Lexicon({s: tuple(es) for s, es in entries.items()}, name=name)
+
+
+def oracle_non_overlapping(occs):
+    """Greedy maximal non-overlapping subset, longer occurrences first,
+    each candidate checked against every occurrence chosen so far."""
+    chosen = []
+    for o in sorted(occs, key=lambda o: (o.start - o.end, o.start, o.merged)):
+        if all(o.end <= c.start or c.end <= o.start for c in chosen):
+            chosen.append(o)
+    return sorted(chosen, key=lambda o: o.start)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lgw import data
-from lgw.cli import main
+from lgw.cli import _non_overlapping, main
 from lgw.concordance import parse_concordance
+from lgw.matcher import Occurrence
+from oracles import oracle_non_overlapping
 
 CORPUS = (
     "A Sra. Joana da Silva falou com o Dr. Pedro.\n"
@@ -177,6 +180,28 @@ def test_relate_subcommand(ws, tmp_path):
     assert rel["relation"] == "equal" and rel["action"] == "keep_either"
 
 
+# Nested, touching, identical and same-length spans, plus empty and reversed
+# ones, with few starts and merged outputs so that sort keys tie.
+_occurrence = st.builds(
+    lambda start, length, merged: Occurrence(start, start + length, "s", merged, "G"),
+    st.integers(0, 12),
+    st.integers(-6, 6),
+    st.sampled_from(["A", "B"]),
+)
+
+
+@given(st.lists(_occurrence, max_size=14))
+@example([Occurrence(0, 4, "s", "A", "G"), Occurrence(4, 8, "s", "A", "G"),
+          Occurrence(2, 6, "s", "A", "G"), Occurrence(4, 4, "s", "A", "G"),
+          Occurrence(2, 2, "s", "A", "G"), Occurrence(6, 3, "s", "A", "G"),
+          Occurrence(0, 4, "s", "A", "G"), Occurrence(1, 3, "s", "B", "G")])
+@example([Occurrence(6, 4, "s", "B", "G"), Occurrence(9, 6, "s", "B", "G"),
+          Occurrence(4, 10, "s", "B", "G"), Occurrence(1, -1, "s", "A", "G")])
+def test_non_overlapping_agrees_with_all_pairs_reference(occs):
+    got = _non_overlapping(occs)
+    assert [id(o) for o in got] == [id(o) for o in oracle_non_overlapping(occs)]
+
+
 # --- exit codes --------------------------------------------------------------
 
 
@@ -230,6 +255,23 @@ def test_unreadable_corpus_exits_2(ws, capsys, corpus):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"cannot read {path}" in err
+    assert "Traceback" not in err
+
+
+def test_out_naming_a_file_exits_2(ws, capsys):
+    out = ws / "outfile"
+    out.write_text("not a directory", encoding="utf-8")
+    rc = main(
+        [
+            "apply",
+            "--grammar", str(ws / "ReconheceNomesCompostos.lg"),
+            "--out", str(out),
+            str(ws / "corpus.txt"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out / 'ReconheceNomesCompostos.cnc'}" in err
     assert "Traceback" not in err
 
 

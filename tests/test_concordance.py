@@ -99,6 +99,9 @@ def test_write_escapes_tabs_and_newlines():
         ("#concordance v2 G t 40 60\n", 1),
         ("#concordance v1 G t 40 60\n1\t2\tl\tm\n", 2),
         ("#concordance v1 G t 40 60\nx\t2\tl\tm\tr\n", 2),
+        ("#concordance v1 G t 40 60\n0\t2\tl\tm\tr\n7\t5\tl\tm\tr\n", 3),
+        ("#concordance v1 G t 40 60\n5\t5\tl\tm\tr\n", 2),
+        ("#concordance v1 G t 40 60\n-1\t2\tl\tm\tr\n", 2),
     ],
 )
 def test_parse_errors(bad, line_no):

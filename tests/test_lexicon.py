@@ -5,12 +5,14 @@ from lgw.errors import MalformedLine
 from lgw.grammar import LexicalMask
 from lgw.lexicon import (
     LexEntry,
+    Lexicon,
     lookup,
     merge_lexicons,
     parse_lexicon,
     render_lexicon,
     token_has_mask,
 )
+from oracles import oracle_parse_lexicon
 
 
 def test_parse_multiword_proper_name():
@@ -138,8 +140,6 @@ def test_render_parse_round_trip(entries):
         base.setdefault(e.surface, [])
         if e not in base[e.surface]:
             base[e.surface].append(e)
-    from lgw.lexicon import Lexicon
-
     lex = Lexicon({s: tuple(es) for s, es in base.items()})
     again = parse_lexicon(render_lexicon(lex))
     assert again.entries == lex.entries
@@ -150,3 +150,84 @@ def test_merge_lexicons():
     b = parse_lexicon("a,.N\nb,.V")
     merged = merge_lexicons([a, b])
     assert len(merged) == 2
+
+
+def test_merge_keeps_first_seen_order_and_collapses_duplicates():
+    a1, a2, b1, c1 = (
+        LexEntry("a", "a", "N"),
+        LexEntry("a", "x", "N", frozenset({"PR"})),
+        LexEntry("b", "b", "V"),
+        LexEntry("c", "c", "ADJ"),
+    )
+    # duplicates inside one hand-built lexicon, and an equal but distinct
+    # object, collapse onto the first one
+    hand = Lexicon({"b": (b1, b1), "a": (a1, LexEntry("a", "a", "N"), a2, a1)})
+    merged = merge_lexicons([hand])
+    assert list(merged.entries) == ["b", "a"]
+    assert merged.entries == {"b": (b1,), "a": (a1, a2)}
+    assert merged.entries["a"][0] is a1
+    # across lexicons: later surfaces and entries append, repeats vanish
+    other = parse_lexicon("c,.ADJ\na,x.N+PR\nb,.V\na,.N+Hum")
+    merged = merge_lexicons([hand, other], name="m")
+    assert merged.name == "m"
+    assert list(merged.entries) == ["b", "a", "c"]
+    assert merged.entries == {
+        "b": (b1,),
+        "a": (a1, a2, LexEntry("a", "a", "N", frozenset({"Hum"}))),
+        "c": (c1,),
+    }
+    # an empty entry tuple adds no surface
+    assert merge_lexicons([Lexicon({"z": ()})]).entries == {}
+
+
+# Lines mixing every case the parser distinguishes: escaped and unescaped
+# separators, lone trailing backslashes, empty fields and codes, comments,
+# blank and whitespace-only lines.  Well-formed lines are drawn more often,
+# so that most texts parse past their first line.
+_safe = st.sampled_from(["a", "Bé", " ", "x y", "\\,", "\\.", "\\\\", "\\x", "+", "#"])
+_good_line = st.builds(
+    lambda surface, lemma, tag: f"{surface},{lemma}.{tag}",
+    st.lists(_safe, min_size=1, max_size=3).map("".join),
+    st.lists(_safe, max_size=2).map("".join),
+    st.sampled_from(["N", "N+PR", "N+PR ", " N+Hum+PR", "N+PR+Hum", "N+PR+PR", "V"]),
+)
+_piece = st.one_of(_safe, st.sampled_from([",", ".", "\\"]))
+_field = st.lists(_piece, max_size=3).map("".join)
+_tag = st.lists(
+    st.sampled_from(["N", "PR", "Hum", "", " ", "\\", "V."]), min_size=1, max_size=3
+).map("+".join)
+_any_line = st.one_of(
+    st.builds(lambda surface, lemma, tag: f"{surface},{lemma}.{tag}", _field, _field, _tag),
+    _field,
+    st.sampled_from([" # not a comment", "a\\", "\\", "a\\,.N", "a,b\\.N", ",x"]),
+)
+_skipped_line = st.sampled_from(["", "   ", "\t", "# c,.N", "#"])
+
+
+@st.composite
+def _lexicon_text(draw):
+    kinds = st.sampled_from([_good_line] * 6 + [_skipped_line, _any_line])
+    pool = [draw(draw(kinds)) for _ in range(draw(st.integers(1, 6)))]
+    # drawing from a small pool repeats lines
+    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _parse_outcome(parse, text):
+    try:
+        lex = parse(text, name="n")
+    except MalformedLine as exc:
+        return ("error", exc.line_no, str(exc))
+    return ("ok", list(lex.entries), lex.entries, lex.name)
+
+
+@given(_lexicon_text())
+@example("a,.N\r\nb\\,c,.N+PR\na,.N\n\n  \n# x\nb\\,c,.N+PR \nb\\,c,d\\..N+PR\n")
+@example("a,.N\nb,.N+\nc,.+X\n")
+@example("a,.N\nb,c\\.N\n")
+@example("a\\,.N\n")
+@example("a,.N\n,x\n")
+def test_parse_agrees_with_reference_parser(text):
+    assert _parse_outcome(parse_lexicon, text) == _parse_outcome(oracle_parse_lexicon, text)
