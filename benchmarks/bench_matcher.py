@@ -6,7 +6,11 @@ Times the lexicon load (parse + merge + symbol index) of the shipped
 lexicons and of a synthetic 20k-entry lexicon, then builds a synthetic
 corpus from the shipped lexicons, applies the two shipped grammars and
 reports corpus words/second (the tokenizer sees about twice as many
-tokens, because spaces are tokens).  Every time is the best of --repeat.
+tokens, because spaces are tokens).  Last it times two inputs that once
+broke the matcher: "Sr. " and 1,200 capitalized words under the titled-
+name grammar (a long chain), and 40 capitalized words under a one-box
+grammar <MOT> ; <PRE> with a self-loop in ALL mode (2^40 paths per
+match).  Every time is the best of --repeat.
 """
 
 import argparse
@@ -14,9 +18,9 @@ import random
 import time
 
 from lgw import data
-from lgw.grammar import load_grammar_set
+from lgw.grammar import Graph, GraphBox, GrammarSet, InputAtom, LexicalMask, load_grammar_set
 from lgw.lexicon import merge_lexicons, parse_lexicon
-from lgw.matcher import ALL_MATCHES, apply_grammar
+from lgw.matcher import ALL_MATCHES, LONGEST_ONLY, apply_grammar
 
 G1_FILES = ("ReconheceFormasDeTratamento", "Preposicao", "Abreviacoes")
 
@@ -66,14 +70,22 @@ def build_corpus(n_words: int, seed: int = 7) -> str:
     return " ".join(rng.choice(WORDS) for _ in range(n_words))
 
 
-def run(gs, text, lex, repeat):
+def run(gs, text, lex, repeat, mode=ALL_MATCHES):
     best = float("inf")
     occs = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        occs = apply_grammar(gs, text, lex, ALL_MATCHES)
+        occs = apply_grammar(gs, text, lex, mode)
         best = min(best, time.perf_counter() - t0)
     return best, occs
+
+
+def self_loop_grammar():
+    """One box <MOT> ; <PRE> with a self-loop."""
+    either = GraphBox("b", ((InputAtom.masked(LexicalMask(builtin="MOT")),),
+                            (InputAtom.masked(LexicalMask(builtin="PRE")),)))
+    edges = frozenset({("i", "b"), ("b", "b"), ("b", "f")})
+    return GrammarSet({"L": Graph("L", (either,), edges, "i", "f")}, "L")
 
 
 def main():
@@ -102,6 +114,15 @@ def main():
         secs, occs = run(gs, text, lex, args.repeat)
         print(f"{gname:14s} {secs * 1000:8.1f} ms  {args.size / secs:10.0f} words/s  "
               f"{len(occs)} occurrence(s)")
+
+    print(f"\nrobustness probes, best of {args.repeat} runs\n")
+    empty = parse_lexicon("")
+    for pname, gs, text, mode in (
+        ("title-chain", g1, "Sr. " + " ".join(["Nome"] * 1200), LONGEST_ONLY),
+        ("self-loop", self_loop_grammar(), " ".join(["Nome"] * 40), ALL_MATCHES),
+    ):
+        secs, occs = run(gs, text, empty, args.repeat, mode)
+        print(f"{pname:14s} {secs * 1000:8.1f} ms  {len(occs)} occurrence(s)")
 
 
 if __name__ == "__main__":

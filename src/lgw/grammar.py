@@ -16,6 +16,7 @@ they carry no input and need no ``box`` line.
 
 from __future__ import annotations
 
+import graphlib
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -218,6 +219,8 @@ def _lex_atoms(s: str, line_no: int):
             val, i = _read_quoted(s, i, line_no)
             if not val:
                 raise GraphSyntaxError(line_no, "empty literal")
+            if val.isspace():
+                raise GraphSyntaxError(line_no, "literal without a token")
             yield ("LIT", val)
         elif c == "<":
             j = s.find(">", i)
@@ -393,47 +396,31 @@ def load_grammar_set(files, main: str) -> GrammarSet:
                         if atom.graph_name not in graphs:
                             raise UnresolvedSubgraph(atom.graph_name)
                         calls[name].add(atom.graph_name)
-    # cycle detection over the call graph
-    state: dict = {}
-    stack: list = []
-
-    def visit(node):
-        state[node] = "active"
-        stack.append(node)
-        for nxt in sorted(calls[node]):
-            if state.get(nxt) == "active":
-                cycle = stack[stack.index(nxt) :] + [nxt]
-                raise RecursiveCall(cycle)
-            if nxt not in state:
-                visit(nxt)
-        stack.pop()
-        state[node] = "done"
-
-    for name in sorted(graphs):
-        if name not in state:
-            visit(name)
+    # each callee comes after its caller, so a cycle is listed in call
+    # order; names and callees are added sorted to name the same cycle
+    # every time
+    sorter = graphlib.TopologicalSorter()
+    for name in sorted(calls):
+        sorter.add(name)
+        for callee in sorted(calls[name]):
+            sorter.add(callee, name)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:
+        raise RecursiveCall(exc.args[1]) from None
     return GrammarSet(graphs, main)
 
 
-def _epsilon_path_exists(g: Graph) -> bool:
-    """True when initial reaches final consuming no token."""
-    succ = g.successors()
-    passable = {g.initial}
-    for b in g.boxes:
-        if any(len(alt) == 1 and alt[0].kind == "epsilon" for alt in b.alternatives):
-            passable.add(b.id)
+def _closure(start, nexts) -> set:
+    """Every node reachable from start (itself included) through nexts."""
     seen = set()
-    frontier = [g.initial]
+    frontier = [start]
     while frontier:
         cur = frontier.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        if cur == g.final:
-            return True
-        if cur in passable:
-            frontier.extend(succ.get(cur, ()))
-    return False
+        if cur not in seen:
+            seen.add(cur)
+            frontier.extend(nexts(cur))
+    return seen
 
 
 def validate(g: Graph) -> list:
@@ -443,22 +430,15 @@ def validate(g: Graph) -> list:
     pred: dict = {}
     for a, b in g.edges:
         pred.setdefault(b, []).append(a)
-    reachable = set()
-    frontier = [g.initial]
-    while frontier:
-        cur = frontier.pop()
-        if cur in reachable:
-            continue
-        reachable.add(cur)
-        frontier.extend(succ.get(cur, ()))
-    coreach = set()
-    frontier = [g.final]
-    while frontier:
-        cur = frontier.pop()
-        if cur in coreach:
-            continue
-        coreach.add(cur)
-        frontier.extend(pred.get(cur, ()))
+    reachable = _closure(g.initial, lambda b: succ.get(b, ()))
+    coreach = _closure(g.final, lambda b: pred.get(b, ()))
+    # boxes passable without a token: an <E> alternative
+    passable = {g.initial} | {
+        b.id
+        for b in g.boxes
+        if any(len(alt) == 1 and alt[0].kind == "epsilon" for alt in b.alternatives)
+    }
+    empty = _closure(g.initial, lambda b: succ.get(b, ()) if b in passable else ())
     for box in g.boxes:
         if box.id not in reachable:
             diags.append(Diagnostic("warning", "Unreachable", f"box {box.id!r} is unreachable from init"))
@@ -468,7 +448,7 @@ def validate(g: Graph) -> list:
         diags.append(Diagnostic("error", "FinalHasSuccessor", f"final box {g.final!r} has outgoing edges"))
     if g.final not in reachable:
         diags.append(Diagnostic("error", "FinalUnreachable", f"final box {g.final!r} is unreachable"))
-    if _epsilon_path_exists(g):
+    if g.final in empty:
         diags.append(Diagnostic("error", "EmptyMatch", "grammar can match the empty token sequence"))
     return diags
 

@@ -147,13 +147,12 @@ def _probe_width(heads, surface):
 
 
 def _match_mask(atom, toks, text, symindex, heads, i):
-    """Match one mask atom at token i; return (next_i, last_tok) or None."""
+    """Match one mask atom at token i (i < len(toks)); return the index
+    after the last token it consumed, or None."""
     required = atom[1]
     builtin = atom[2]
     filt = atom[3]
     n = len(toks)
-    if i >= n:
-        return None
     if builtin:
         surface = toks[i][0]
         if builtin == "PRE":
@@ -162,7 +161,7 @@ def _match_mask(atom, toks, text, symindex, heads, i):
             ok = surface.isalpha()
         if ok and filt is not None and filt.fullmatch(surface) is None:
             ok = False
-        return (i + 1, i) if ok else None
+        return i + 1 if ok else None
     # dictionary mask: probe the longest multi-token surface first
     width = _probe_width(heads, toks[i][0])
     span = []
@@ -180,118 +179,8 @@ def _match_mask(atom, toks, text, symindex, heads, i):
                 hit = True
                 break
         if hit and (filt is None or filt.fullmatch(surface) is not None):
-            return (last + 1, last)
+            return last + 1
     return None
-
-
-def _match_atoms(graphs, atoms, i, last_tok, visited, toks, text, symindex, heads):
-    """Match an atom sequence from token i.
-
-    Yields (next_i, last_tok, first_tok, events): first_tok is the first
-    token this sequence consumed (None when it consumed nothing), events
-    are (char_pos, output) pairs from nested subgraph calls.
-    """
-    states = [(i, last_tok, None, ())]
-    for atom in atoms:
-        kind = atom[0]
-        new_states = []
-        for (ci, clast, cfirst, cev) in states:
-            if kind == "eps":
-                new_states.append((ci, clast, cfirst, cev))
-            elif kind == "lit":
-                pieces = atom[1]
-                lower = atom[2]
-                j = ci
-                ok = True
-                first = None
-                for piece in pieces:
-                    j = _skip_spaces(toks, j)
-                    if j >= len(toks):
-                        ok = False
-                        break
-                    surf = toks[j][0]
-                    if lower:
-                        surf = surf.lower()
-                    if surf != piece:
-                        ok = False
-                        break
-                    if first is None:
-                        first = j
-                    j += 1
-                if ok and first is not None:
-                    new_states.append(
-                        (j, j - 1, cfirst if cfirst is not None else first, cev)
-                    )
-            elif kind == "mask":
-                j = _skip_spaces(toks, ci)
-                res = _match_mask(atom, toks, text, symindex, heads, j)
-                if res is not None:
-                    nxt, last = res
-                    new_states.append(
-                        (nxt, last, cfirst if cfirst is not None else j, cev)
-                    )
-            else:  # call
-                sub = atom[1]
-                g = graphs[sub]
-                for (j, slast, sev) in _walk(
-                    graphs, sub, g["initial"], ci, clast, visited, toks, text,
-                    symindex, heads,
-                ):
-                    sfirst = cfirst
-                    if sfirst is None and slast != clast:
-                        # subgraph consumed something; its first token is the
-                        # first non-space token at or after ci
-                        sfirst = _skip_spaces(toks, ci)
-                    new_states.append((j, slast, sfirst, cev + sev))
-        states = new_states
-        if not states:
-            return
-    for st in states:
-        yield st
-
-
-def _walk(graphs, gname, box_id, i, last_tok, visited, toks, text, symindex, heads):
-    """All ways to reach gname's final from box_id, matching box_id's input
-    first.  Yields (next_i, last_tok, events)."""
-    g = graphs[gname]
-    if box_id == g["final"]:
-        yield (i, last_tok, ())
-        return
-    key = (gname, box_id, i)
-    if key in visited:
-        return
-    out, alts, exact, folded = g["boxes"][box_id]
-    if exact or folded:
-        # a literal-first alternative can only match if its first piece is
-        # the first non-space token
-        j = _skip_spaces(toks, i)
-        if j < len(toks):
-            tok = toks[j][0]
-            alts = alts + exact.get(tok, ()) + folded.get(tok.lower(), ())
-    succs = g["succ"].get(box_id, ())
-    nvis = visited | {key}
-    for alt in alts:
-        for (j, alast, afirst, aev) in _match_atoms(
-            graphs, alt, i, last_tok, nvis, toks, text, symindex, heads
-        ):
-            if out is not None:
-                if afirst is not None:
-                    pos = toks[afirst][1]
-                elif last_tok is not None:
-                    pos = toks[last_tok][2]
-                elif i < len(toks):
-                    pos = toks[i][1]
-                else:
-                    pos = len(text)
-                events = ((pos, out),) + aev
-            else:
-                events = aev
-            vis2 = nvis if j == i else frozenset()
-            for succ in succs:
-                for (k, wlast, wev) in _walk(
-                    graphs, gname, succ, j, alast, vis2, toks, text, symindex, heads
-                ):
-                    yield (k, wlast, events + wev)
 
 
 def _splice(text, start, end, events):
@@ -321,37 +210,130 @@ def _may_start(first, surface, symindex, heads):
     return "dict" in flags and _probe_width(heads, surface) > 0
 
 
+_NO_BOXES = frozenset()
+
+
 def find_matches(cgs, text, toks, symindex, heads, boundaries):
     """All matches of the main graph, as sorted (start, end, merged) tuples.
 
     A match anchored at a start token is any initial-to-final path of the
     main graph whose atoms consume a contiguous token sequence (space
-    tokens are transparent between atoms); matches spanning a sentence
-    boundary are dropped.  Start tokens outside the main graph's FIRST set
-    are skipped.
+    tokens are transparent between atoms) that ends at or before the
+    first sentence boundary at or after the start.  Start tokens outside
+    the main graph's FIRST set are skipped.
+
+    The walk is one loop over an explicit stack.  A stack state is one
+    alternative of one box, resumed at atom ``k`` and token ``i``; tokens
+    partition the text, so the last consumed token is ``i - 1``.  The
+    state also carries the (char_pos, output) events so far, the token
+    where the box was entered, the slot in the events for the box's
+    output (which precedes the outputs of the calls inside its
+    alternative), the boxes entered since the last consumed token (a box
+    is not re-entered at the same token on one path) and the return
+    stack of subgraph calls.  A box entry already reached from the same
+    start with equal events, visited boxes and return stack has the same
+    continuations, so it is skipped.
     """
     graphs = cgs["graphs"]
     main = cgs["main"]
-    n = len(toks)
-    bprefix = [0] * (n + 1)
-    for q in range(n):
-        bprefix[q + 1] = bprefix[q] + (1 if q in boundaries else 0)
-    results = set()
     initial = graphs[main]["initial"]
     first = graphs[main]["first"]
-    for s in range(n):
-        if toks[s][3] == SPACE:
-            continue
-        if first is not None and not _may_start(first, toks[s][0], symindex, heads):
-            continue
-        for (_, last, events) in _walk(
-            graphs, main, initial, s, None, frozenset(), toks, text, symindex, heads
+    n = len(toks)
+    results = set()
+    limit = n  # tokens at or after limit lie past the sentence boundary
+    for s in range(n - 1, -1, -1):
+        if s in boundaries:
+            limit = s + 1
+        if toks[s][3] == SPACE or (
+            first is not None and not _may_start(first, toks[s][0], symindex, heads)
         ):
-            if last is None:
-                continue
-            if bprefix[last] - bprefix[s] > 0:
-                continue
-            start = toks[s][1]
-            end = toks[last][2]
-            results.add((start, end, _splice(text, start, end, events)))
+            continue
+        seen = set()
+        stack = [(main, initial, (), 0, s, (), s, 0, frozenset({(main, initial)}), None)]
+        while stack:
+            gname, box_id, alt, k, i, events, entry, slot, vis, ret = stack.pop()
+            g = graphs[gname]
+            succs = ()
+            while k < len(alt):
+                atom = alt[k]
+                kind = atom[0]
+                if kind == "lit":
+                    if not atom[1]:  # a literal without pieces never matches
+                        break
+                    for piece in atom[1]:
+                        while i < limit and toks[i][3] == SPACE:
+                            i += 1
+                        if i == limit:
+                            break
+                        surf = toks[i][0]
+                        if (surf.lower() if atom[2] else surf) != piece:
+                            break
+                        i += 1
+                    else:
+                        k += 1
+                        continue
+                    break
+                if kind == "mask":
+                    while i < limit and toks[i][3] == SPACE:
+                        i += 1
+                    if i == limit:
+                        break
+                    i = _match_mask(atom, toks, text, symindex, heads, i)
+                    if i is None or i > limit:
+                        break
+                elif kind == "call":
+                    # enter the callee's initial box; its successors follow
+                    sub = atom[1]
+                    callee = graphs[sub]
+                    key = (sub, callee["initial"])
+                    if i != entry:
+                        vis = _NO_BOXES
+                    if key in vis:
+                        break
+                    ret = (gname, box_id, alt, k + 1, entry, slot, vis, ret)
+                    gname, g, vis = sub, callee, vis | {key}
+                    succs = callee["succ"].get(key[1], ())
+                    break
+                k += 1
+            else:
+                out = g["boxes"][box_id][0]
+                if out is not None:
+                    if i != entry:
+                        pos = toks[_skip_spaces(toks, entry)][1]
+                    elif entry < n:
+                        pos = toks[entry][1]
+                    else:
+                        pos = len(text)
+                    events = events[:slot] + ((pos, out),) + events[slot:]
+                if i != entry:
+                    vis = _NO_BOXES
+                succs = g["succ"].get(box_id, ())
+            final = g["final"]
+            for b in succs:
+                if b == final:
+                    if ret is not None:
+                        rg, rb, ralt, rk, rentry, rslot, rvis, rret = ret
+                        stack.append((rg, rb, ralt, rk, i, events, rentry, rslot, rvis, rret))
+                    elif i > s:
+                        start, end = toks[s][1], toks[i - 1][2]
+                        results.add((start, end, _splice(text, start, end, events)))
+                    continue
+                key = (gname, b)
+                if key in vis:
+                    continue
+                state = (key, i, events, vis, ret)
+                if state in seen:
+                    continue
+                seen.add(state)
+                out, alts, exact, folded = g["boxes"][b]
+                if exact or folded:
+                    # a literal-first alternative can only match if its first
+                    # piece is the first non-space token
+                    j = _skip_spaces(toks, i)
+                    if j < limit:
+                        tok = toks[j][0]
+                        alts = alts + exact.get(tok, ()) + folded.get(tok.lower(), ())
+                bvis = vis | {key}
+                for a in alts:
+                    stack.append((gname, b, a, 0, i, events, i, len(events), bvis, ret))
     return sorted(results)

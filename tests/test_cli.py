@@ -290,6 +290,33 @@ def test_bad_grammar_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_blank_literal_exits_2(tmp_path, capsys):
+    (tmp_path / "blank.lg").write_text(
+        'graph B\nbox x "Rio" " " "Branco"\ninit i\nfinal f\nedge i x\nedge x f\n',
+        encoding="utf-8",
+    )
+    (tmp_path / "c.txt").write_text("Rio Branco", encoding="utf-8")
+    rc = main(
+        [
+            "apply",
+            "--grammar", str(tmp_path / "blank.lg"),
+            "--out", str(tmp_path),
+            str(tmp_path / "c.txt"),
+        ]
+    )
+    assert rc == 2
+    assert "line 2: literal without a token" in capsys.readouterr().err
+
+
+def test_apply_long_title_chain_exits_0(ws, capsys):
+    (ws / "chain.txt").write_text("Sr. " + " ".join(["Nome"] * 1200), encoding="utf-8")
+    argv = ["apply", "--out", str(ws / "out")]
+    for g in G1_FILES:
+        argv += ["--grammar", str(ws / f"{g}.lg")]
+    assert main(argv + [str(ws / "chain.txt")]) == 0
+    assert "1 occurrence(s)" in capsys.readouterr().out
+
+
 def test_text_mismatch_exits_3(ws):
     out = ws / "out"
     _apply(ws, out, G1_FILES, "g1.cnc")

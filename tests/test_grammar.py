@@ -103,6 +103,14 @@ def test_syntax_error_carries_line_number():
     assert e.value.line_no == 2
 
 
+@pytest.mark.parametrize("literal", ['""', '" "', '"   "', '"\t"'])
+def test_literal_without_a_token_is_rejected(literal):
+    # a literal must hold a token; a blank one could never match
+    with pytest.raises(GraphSyntaxError) as e:
+        parse_graph(f'graph G\n\nbox b "Rio" {literal} "Branco"\ninit i\nfinal f')
+    assert e.value.line_no == 3
+
+
 # --- morphological filters ---------------------------------------------------
 
 
@@ -156,6 +164,24 @@ def test_load_grammar_set_rejects_two_cycle():
         load_grammar_set([("A", a), ("B", b)], "A")
 
 
+def test_recursive_call_names_the_first_cycle_in_call_order():
+    def calling(name, *callees):
+        boxes = "".join(f"box b{k} :{c}\n" for k, c in enumerate(callees))
+        edges = "".join(f"edge i b{k}\nedge b{k} f\n" for k in range(len(callees)))
+        return name, f"graph {name}\n{boxes}init i\nfinal f\n{edges}"
+
+    files = [
+        calling("D", "D"),
+        calling("C", "A"),
+        calling("B", "C"),
+        calling("A", "D", "B"),
+    ]
+    with pytest.raises(RecursiveCall) as e:
+        load_grammar_set(files, "A")
+    assert str(e.value) == "recursive subgraph call: A -> B -> C -> A"
+    assert e.value.cycle == ("A", "B", "C", "A")
+
+
 def test_load_grammar_set_unknown_main():
     with pytest.raises(UnresolvedSubgraph):
         load_grammar_set([("A", MINIMAL)], "Z")
@@ -199,7 +225,7 @@ _literal = st.text(
     st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters="\n"),
     min_size=1,
     max_size=8,
-)
+).filter(lambda s: not s.isspace())
 _codes = st.frozensets(
     st.sampled_from(["PR", "Hum", "Abrev", "Conc", "XY"]), min_size=1, max_size=3
 )

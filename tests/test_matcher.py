@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +84,22 @@ def test_match_does_not_cross_boundary(g1, lexicon):
     text = "A Sra. Joana saiu. Maria ficou."
     occs = apply_grammar(g1, text, lexicon, mode=LONGEST_ONLY)
     assert [o.surface for o in occs] == ["Sra. Joana"]
+
+
+def test_match_may_end_at_but_not_cross_a_boundary():
+    word_or_period = GraphBox("b", ((InputAtom.masked(LexicalMask(builtin="MOT")),),
+                                    (InputAtom.lit("."),)))
+    gs = GrammarSet({"W": _graph("W", [word_or_period], [("i", "b"), ("b", "b"), ("b", "f")])}, "W")
+    text = "ana saiu. Maria ficou"
+    assert {(o.start, o.end) for o in apply_grammar(gs, text, parse_lexicon(""))} == {
+        (0, 9), (4, 9), (8, 9), (10, 21), (16, 21)
+    }
+    # a dictionary mask takes its longest entry first; when that entry
+    # crosses the boundary, the shorter one is not tried instead
+    gs, _ = _mask_grammar({"N", "PR"})
+    lex = parse_lexicon("Ana. Maria,.N+PR\nAna,.N+PR")
+    assert _spans(gs, "a Ana. Maria", lex) == set()
+    assert _spans(gs, "a Ana, Maria", lex) == {(2, 5)}
 
 
 # --- spec walkthrough examples ----------------------------------------------
@@ -401,14 +418,20 @@ def _chain(rng, name, boxes):
 def random_dispatch_grammar(rng):
     """A cycle-free grammar set: a main chain with one box of many literal
     alternatives sharing first pieces (case-sensitive and case-folded, a
-    few behind <E>), output-only <E> boxes, and boxes whose alternatives
-    may call nullable subgraphs before their first consuming atom."""
+    few behind <E>), output-only <E> boxes, boxes whose alternatives may
+    call nullable subgraphs before their first consuming atom, and output
+    boxes that call a subgraph whose own boxes carry outputs."""
     graphs = {}
     for name in ("S0", "S1"):
         alts = ((InputAtom.eps(),),) + tuple(
             (InputAtom.lit(_random_literal(rng)),) for _ in range(rng.randint(1, 2))
         )
         graphs[name] = _chain(rng, name, [GraphBox("s", alts)])
+    # T always consumes, and its outputs share positions with its caller's
+    tagged = [GraphBox("t", tuple(_random_alternative(rng, ["S0"]) for _ in range(2)), "<B>")]
+    if rng.random() < 0.5:
+        tagged.append(GraphBox("c", ((InputAtom.eps(),),), "</B>"))
+    graphs["T"] = _chain(rng, "T", tagged)
     n_boxes = rng.randint(1, 4)
     dictionary = rng.randrange(n_boxes)
     boxes = []
@@ -422,6 +445,11 @@ def random_dispatch_grammar(rng):
             boxes.append(GraphBox(f"b{b}", alts, rng.choice([None, "<T>"])))
         elif rng.random() < 0.3:
             boxes.append(GraphBox(f"b{b}", ((InputAtom.eps(),),), rng.choice(["<N>", "</N>"])))
+        elif rng.random() < 0.3:
+            alt = (InputAtom.call("T"),)
+            if rng.random() < 0.5:
+                alt += (InputAtom.lit(_random_literal(rng)),)
+            boxes.append(GraphBox(f"b{b}", (alt,), "<A>"))
         else:
             alts = tuple(_random_alternative(rng, ["S0", "S1"]) for _ in range(rng.randint(1, 2)))
             boxes.append(GraphBox(f"b{b}", alts))
@@ -509,3 +537,63 @@ def test_literal_dispatch_splits_alternatives():
     assert [alt[0][0] for alt in rest] == ["mask"]
     assert {k: len(v) for k, v in exact.items()} == {"Rio": 2}
     assert {k: len(v) for k, v in folded.items()} == {"rio": 1}
+
+
+# --- the walk: output order, long chains, ambiguity, recursion --------------
+
+
+def test_box_output_precedes_its_calls_outputs():
+    from lgw.grammar import load_grammar_set
+
+    m = 'graph M\nbox a out="<A>" :S\ninit i\nfinal f\nedge i a\nedge a f'
+    sub = 'graph S\nbox b out="<B>" <PRE>\ninit i\nfinal f\nedge i b\nedge b f'
+    gs = load_grammar_set([("M", m), ("S", sub)], "M")
+    assert [o.merged for o in apply_grammar(gs, "Ana", parse_lexicon(""))] == ["<A><B>Ana"]
+
+
+def test_literal_without_pieces_never_matches():
+    # the parser rejects a blank literal; one built directly never matches
+    box = GraphBox("b", ((InputAtom.lit("Rio"), InputAtom.lit(" "), InputAtom.lit("Branco")),))
+    gs = GrammarSet({"G": _graph("G", [box], [("i", "b"), ("b", "f")])}, "G")
+    assert apply_grammar(gs, "Rio Branco", parse_lexicon(""), ALL_MATCHES) == []
+
+
+def test_long_title_chain_matches_in_under_a_second(g1):
+    # one path through 1,200 boxes
+    text = "Sr. " + " ".join(["Nome"] * 1200)
+    t0 = time.perf_counter()
+    occs = apply_grammar(g1, text, parse_lexicon(""))
+    assert time.perf_counter() - t0 < 1.0
+    assert [(o.start, o.end) for o in occs] == [(0, len(text))]
+
+
+def test_ambiguous_self_loop_matches_in_under_a_second():
+    # <MOT> and <PRE> both match every capitalized word: 2^40 paths per
+    # match, all with the same continuations
+    either = GraphBox("b", ((InputAtom.masked(LexicalMask(builtin="MOT")),),
+                            (InputAtom.masked(LexicalMask(builtin="PRE")),)))
+    gs = GrammarSet({"L": _graph("L", [either], [("i", "b"), ("b", "b"), ("b", "f")])}, "L")
+    t0 = time.perf_counter()
+    occs = apply_grammar(gs, " ".join(["Nome"] * 40), parse_lexicon(""), ALL_MATCHES)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(occs) == 40 * 41 // 2
+
+
+def test_left_recursive_grammar_terminates():
+    # R -> R "x" | "x" S | "y" and S -> R | "z" S (a GrammarSet built
+    # directly; load_grammar_set rejects recursion).  A box is not entered
+    # again at the same token on one path, so the left-recursive
+    # alternative never matches; the right-recursive ones do.
+    lit, call = InputAtom.lit, InputAtom.call
+    r = _graph("R", [GraphBox("a", ((call("R"), lit("x")), (lit("x"), call("S")), (lit("y"),)), "<R>")],
+               [("i", "a"), ("a", "f")])
+    s = _graph("S", [GraphBox("b", ((call("R"),), (lit("z"), call("S"))), "<S>")],
+               [("i", "b"), ("b", "f")])
+    gs = GrammarSet({"R": r, "S": s}, "R")
+    got = {(o.start, o.end, o.merged)
+           for o in apply_grammar(gs, "x z x y x", parse_lexicon(""), ALL_MATCHES)}
+    assert got == {
+        (0, 7, "<R>x <S>z <S><R>x <S><R>y"),
+        (4, 7, "<R>x <S><R>y"),
+        (6, 7, "<R>y"),
+    }
