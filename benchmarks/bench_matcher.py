@@ -6,11 +6,14 @@ Times the lexicon load (parse + merge + symbol index) of the shipped
 lexicons and of a synthetic 20k-entry lexicon, then builds a synthetic
 corpus from the shipped lexicons, applies the two shipped grammars and
 reports corpus words/second (the tokenizer sees about twice as many
-tokens, because spaces are tokens).  Last it times two inputs that once
-broke the matcher: "Sr. " and 1,200 capitalized words under the titled-
-name grammar (a long chain), and 40 capitalized words under a one-box
-grammar <MOT> ; <PRE> with a self-loop in ALL mode (2^40 paths per
-match).  Every time is the best of --repeat.
+tokens, because spaces are tokens).  That corpus is all names, so it
+also applies the lexicon-names grammar to sparse prose: the synthetic
+lexicon's one-word entries with one of its names about every 50 words,
+where nearly every word has an entry but few can start a match.  Last it
+times two inputs that once broke the matcher: "Sr. " and 1,200
+capitalized words under the titled-name grammar (a long chain), and 40
+capitalized words under a one-box grammar <MOT> ; <PRE> with a self-loop
+in ALL mode (2^40 paths per match).  Every time is the best of --repeat.
 """
 
 import argparse
@@ -70,6 +73,18 @@ def build_corpus(n_words: int, seed: int = 7) -> str:
     return " ".join(rng.choice(WORDS) for _ in range(n_words))
 
 
+def build_sparse_corpus(lex, n_words: int, seed: int = 7) -> str:
+    """The lexicon's one-word entries, with one of its multiword entries
+    (the N+PR names) about every 50 words."""
+    rng = random.Random(seed)
+    words = [s for s in lex.entries if " " not in s]
+    names = [s for s in lex.entries if " " in s]
+    return " ".join(
+        rng.choice(names) if rng.random() < 1 / 50 else rng.choice(words)
+        for _ in range(n_words)
+    )
+
+
 def run(gs, text, lex, repeat, mode=ALL_MATCHES):
     best = float("inf")
     occs = None
@@ -114,6 +129,11 @@ def main():
         secs, occs = run(gs, text, lex, args.repeat)
         print(f"{gname:14s} {secs * 1000:8.1f} ms  {args.size / secs:10.0f} words/s  "
               f"{len(occs)} occurrence(s)")
+    sparse = build_sparse_corpus(synthetic, args.size)
+    secs, occs = run(g2, sparse, synthetic, args.repeat)
+    words = len(sparse.split())
+    print(f"{'sparse-names':14s} {secs * 1000:8.1f} ms  {words / secs:10.0f} words/s  "
+          f"{len(occs)} occurrence(s), synthetic lexicon")
 
     print(f"\nrobustness probes, best of {args.repeat} runs\n")
     empty = parse_lexicon("")

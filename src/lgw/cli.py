@@ -37,6 +37,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _width(value: str) -> int:
+    """A context width in characters, which a concordance header must be
+    able to hold: a non-negative integer."""
+    try:
+        n = int(value)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {value!r}")
+    return n
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="lgw", description="local grammar workbench")
     sub = p.add_subparsers(dest="command", required=True)
@@ -46,8 +58,8 @@ def _build_parser() -> _Parser:
     ap.add_argument("--grammar", action="append", required=True, help="grammar file (repeatable)")
     ap.add_argument("--main", help="main graph name (default: first grammar file's graph)")
     ap.add_argument("--mode", choices=["all", "longest"], default="longest")
-    ap.add_argument("--left", type=int, default=40)
-    ap.add_argument("--right", type=int, default=60)
+    ap.add_argument("--left", type=_width, default=40)
+    ap.add_argument("--right", type=_width, default=60)
     ap.add_argument("--out", required=True, help="output directory")
     ap.add_argument("--cnc", help="concordance file name inside --out")
     ap.add_argument("--xml", help="also write an <EM>-annotated XML file inside --out")

@@ -93,7 +93,7 @@ def _first_set(graphs, name, memo):
         return got
     memo[name] = _PENDING
     g = graphs[name]
-    exact, folded, flags = set(), set(), set()
+    exact, folded, builtins, required_sets = set(), set(), set(), set()
     any_token = nullable = False
     seen = set()
     stack = [g["initial"]]
@@ -118,7 +118,10 @@ def _first_set(graphs, name, memo):
                         (folded if atom[2] else exact).add(atom[1][0])
                     break
                 if atom[0] == "mask":
-                    flags.add(atom[2] or "dict")
+                    if atom[2]:
+                        builtins.add(atom[2])
+                    else:
+                        required_sets.add(atom[1])
                     break
                 sub, sub_nullable = _first_set(graphs, atom[1], memo)
                 if sub is None:
@@ -126,14 +129,17 @@ def _first_set(graphs, name, memo):
                 else:
                     exact.update(sub[0])
                     folded.update(sub[1])
-                    flags.update(sub[2])
+                    builtins.update(sub[2])
+                    required_sets.update(sub[3])
                 if not sub_nullable:
                     break
             else:
                 passable = True
         if passable:
             stack.extend(g["succ"].get(box_id, ()))
-    first = None if any_token else (frozenset(exact), frozenset(folded), frozenset(flags))
+    first = None if any_token else (
+        frozenset(exact), frozenset(folded), frozenset(builtins), frozenset(required_sets)
+    )
     memo[name] = (first, nullable)
     return memo[name]
 

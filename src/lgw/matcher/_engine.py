@@ -21,21 +21,28 @@ alternative is a tuple of atoms:
 
 * ``("lit", pieces, ci)`` -- pieces are the literal's non-space token
   surfaces (lowercased when ci is true);
-* ``("mask", required_frozenset_or_None, builtin, compiled_filter_or_None)``;
+* ``("mask", required_frozenset, builtin, compiled_filter_or_None)``;
 * ``("eps",)``;
 * ``("call", graph_name)``.
 
 A graph's ``first`` is ``None`` when a match may begin with any token,
-else ``(exact_pieces, folded_pieces, mask_flags)``: a match can only begin
-with a token equal to an exact piece, whose lowercase form is a folded
-piece, or that passes one of the flagged masks ("PRE", "MOT", or "dict"
-for dictionary masks).
+else ``(exact_pieces, folded_pieces, builtins, required_sets)``: a match
+can only begin with a token equal to an exact piece, whose lowercase form
+is a folded piece, that passes one of the built-in masks in ``builtins``
+("PRE", "MOT"), or at which some lexicon entry starts whose symbol sets
+cover one of ``required_sets`` (the ``required`` sets of the leading
+dictionary masks).
 
 The lexicon arrives as two structures from ``Lexicon``: the symbol index
 (surface -> tuple of symbol sets) and the head index ``(heads, longest)``,
 where ``heads`` maps the first token of every entry to the largest number
 of non-space tokens of an entry starting with it and ``longest`` is that
-number over all entries.
+number over all entries.  ``find_matches`` looks up the lexicon entries
+that start at a token at most once per call, with ``_entries_at``: the
+first time the start filter or a dictionary mask needs them.  It keeps
+the list of an admitted start token or of a token a dictionary mask
+reached, and every dictionary mask at that token, on every path from
+every start, reads that one list.
 """
 
 WORD = 0
@@ -146,13 +153,37 @@ def _probe_width(heads, surface):
     return width
 
 
-def _match_mask(atom, toks, text, symindex, heads, i):
-    """Match one mask atom at token i (i < len(toks)); return the index
-    after the last token it consumed, or None."""
+def _entries_at(toks, text, symindex, heads, i):
+    """``((end, surface, symbol_sets), ...)`` for every lexicon entry that
+    starts at token i (i < len(toks)), longest first; ``end`` is the index
+    after the entry's last token."""
+    width = _probe_width(heads, toks[i][0])
+    n = len(toks)
+    ends = []
+    j = i
+    while len(ends) < width and j < n:
+        if toks[j][3] != SPACE:
+            ends.append(j + 1)
+        j += 1
+    start = toks[i][1]
+    found = []
+    for end in reversed(ends):
+        surface = text[start : toks[end - 1][2]]
+        sets = _lex_symbol_sets(symindex, surface)
+        if sets:
+            found.append((end, surface, sets))
+    return tuple(found)
+
+
+def _match_mask(atom, toks, symindex, entries, i, limit):
+    """Match one mask atom at token i (i < limit); return the index after
+    the last token it consumed, or None.  A dictionary mask reads the
+    token's lexicon entries from ``entries`` and takes the longest one
+    that ends at or before ``limit``, covers its required symbols and
+    passes its filter."""
     required = atom[1]
     builtin = atom[2]
     filt = atom[3]
-    n = len(toks)
     if builtin:
         surface = toks[i][0]
         if builtin == "PRE":
@@ -162,24 +193,14 @@ def _match_mask(atom, toks, text, symindex, heads, i):
         if ok and filt is not None and filt.fullmatch(surface) is None:
             ok = False
         return i + 1 if ok else None
-    # dictionary mask: probe the longest multi-token surface first
-    width = _probe_width(heads, toks[i][0])
-    span = []
-    j = i
-    while len(span) < width and j < n:
-        if toks[j][3] != SPACE:
-            span.append(j)
-        j += 1
-    for k in range(len(span) - 1, -1, -1):
-        last = span[k]
-        surface = text[toks[i][1] : toks[last][2]]
-        hit = False
-        for syms in _lex_symbol_sets(symindex, surface):
+    for end, surface, sets in entries[i]:
+        if end > limit:
+            continue
+        for syms in sets:
             if syms >= required:
-                hit = True
+                if filt is None or filt.fullmatch(surface) is not None:
+                    return end
                 break
-        if hit and (filt is None or filt.fullmatch(surface) is not None):
-            return last + 1
     return None
 
 
@@ -198,16 +219,27 @@ def _splice(text, start, end, events):
     return "".join(parts)
 
 
-def _may_start(first, surface, symindex, heads):
-    """Can a match of a graph with this FIRST set begin at this token?"""
-    exact, folded, flags = first
+def _may_start(first, toks, text, symindex, heads, i, entries):
+    """Can a match of a graph with this FIRST set begin at token i?  A
+    token admitted for its lexicon entries keeps them in ``entries``."""
+    exact, folded, builtins, required_sets = first
+    surface = toks[i][0]
     if surface in exact or surface.lower() in folded:
         return True
-    if "MOT" in flags and surface.isalpha():
+    if "MOT" in builtins and surface.isalpha():
         return True
-    if "PRE" in flags and _is_pre(symindex, surface):
+    if "PRE" in builtins and _is_pre(symindex, surface):
         return True
-    return "dict" in flags and _probe_width(heads, surface) > 0
+    if not required_sets:
+        return False
+    found = _entries_at(toks, text, symindex, heads, i)
+    for _, _, sets in found:
+        for syms in sets:
+            for required in required_sets:
+                if syms >= required:
+                    entries[i] = found
+                    return True
+    return False
 
 
 _NO_BOXES = frozenset()
@@ -220,7 +252,10 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     main graph whose atoms consume a contiguous token sequence (space
     tokens are transparent between atoms) that ends at or before the
     first sentence boundary at or after the start.  Start tokens outside
-    the main graph's FIRST set are skipped.
+    the main graph's FIRST set are skipped.  ``entries`` maps a token to
+    its ``_entries_at`` list; it holds only admitted start tokens and
+    tokens a dictionary mask reached, so a rejected start's list is
+    dropped at once.
 
     The walk is one loop over an explicit stack.  A stack state is one
     alternative of one box, resumed at atom ``k`` and token ``i``; tokens
@@ -240,12 +275,14 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     first = graphs[main]["first"]
     n = len(toks)
     results = set()
+    entries = {}
     limit = n  # tokens at or after limit lie past the sentence boundary
     for s in range(n - 1, -1, -1):
         if s in boundaries:
             limit = s + 1
         if toks[s][3] == SPACE or (
-            first is not None and not _may_start(first, toks[s][0], symindex, heads)
+            first is not None
+            and not _may_start(first, toks, text, symindex, heads, s, entries)
         ):
             continue
         seen = set()
@@ -278,8 +315,10 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                         i += 1
                     if i == limit:
                         break
-                    i = _match_mask(atom, toks, text, symindex, heads, i)
-                    if i is None or i > limit:
+                    if not atom[2] and i not in entries:
+                        entries[i] = _entries_at(toks, text, symindex, heads, i)
+                    i = _match_mask(atom, toks, symindex, entries, i, limit)
+                    if i is None:
                         break
                 elif kind == "call":
                     # enter the callee's initial box; its successors follow

@@ -210,6 +210,19 @@ def test_usage_error_exits_1():
     assert main(["apply", "--out", "x"]) == 1  # missing --grammar and corpus
 
 
+@pytest.mark.parametrize("flag", ["--left", "--right"])
+@pytest.mark.parametrize("value", ["-5", "x"])
+def test_negative_context_width_exits_1(ws, capsys, flag, value):
+    # a negative width would be written into the concordance header,
+    # which no .cnc reader accepts
+    assert _apply(ws, ws / "out", ["ReconheceNomesCompostos"], "g2.cnc", [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument {flag}: not a non-negative integer: '{value}'" in err
+    assert not (ws / "out").exists()
+    assert _apply(ws, ws / "out", ["ReconheceNomesCompostos"], "g2.cnc", [flag, "0"]) == 0
+
+
 def test_missing_file_exits_2(tmp_path):
     rc = main(
         [

@@ -4,8 +4,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgw.grammar import Graph, GraphBox, GrammarSet, InputAtom, LexicalMask
-from lgw.lexicon import parse_lexicon, token_has_mask
+from lgw.grammar import Graph, GraphBox, GrammarSet, InputAtom, LexicalMask, MorphFilter
+from lgw.lexicon import _escape, parse_lexicon, token_has_mask
 from lgw.matcher import (
     ALL_MATCHES,
     LONGEST_ONLY,
@@ -17,7 +17,7 @@ from lgw.matcher import (
 )
 from lgw.matcher import _engine as _pure
 
-from oracles import brute_matches, brute_tokenize, random_literal_grammar
+from oracles import _lex_entries, brute_matches, brute_tokenize, random_literal_grammar
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -94,11 +94,11 @@ def test_match_may_end_at_but_not_cross_a_boundary():
     assert {(o.start, o.end) for o in apply_grammar(gs, text, parse_lexicon(""))} == {
         (0, 9), (4, 9), (8, 9), (10, 21), (16, 21)
     }
-    # a dictionary mask takes its longest entry first; when that entry
-    # crosses the boundary, the shorter one is not tried instead
+    # a dictionary mask takes the longest entry that ends at or before the
+    # boundary: "Ana. Maria" crosses it, so "Ana" is taken instead
     gs, _ = _mask_grammar({"N", "PR"})
     lex = parse_lexicon("Ana. Maria,.N+PR\nAna,.N+PR")
-    assert _spans(gs, "a Ana. Maria", lex) == set()
+    assert _spans(gs, "a Ana. Maria", lex) == {(2, 5)}
     assert _spans(gs, "a Ana, Maria", lex) == {(2, 5)}
 
 
@@ -309,6 +309,44 @@ def test_head_index():
     assert parse_lexicon("").head_index() == ({}, 0)
 
 
+# Tokens of random surfaces: capitalized and upper-case variants, words that
+# run together when joined without a space, punctuation and a number.
+_SURFACE_PIECES = ["ana", "Ana", "ANA", "rui", "Rui", "de", "Sr", ".", ",", "-", "7"]
+
+
+@st.composite
+def _surfaces(draw, max_pieces):
+    pieces = draw(st.lists(st.sampled_from(_SURFACE_PIECES), min_size=1, max_size=max_pieces))
+    seps = draw(st.lists(st.sampled_from([" ", "", "  "]), min_size=len(pieces),
+                         max_size=len(pieces)))
+    return "".join(p + sep for p, sep in zip(pieces, seps)).strip()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_surfaces(4), st.sampled_from(["N+PR", "N+Hum", "A"])), max_size=8),
+    _surfaces(12),
+)
+def test_entries_at_agrees_with_brute_probe(entries, text):
+    lex = parse_lexicon("".join(f"{_escape(s)},.{tag}\n" for s, tag in entries))
+    toks = _pure.tokenize_raw(text)
+    for i, tok in enumerate(toks):
+        if tok[3] == _pure.SPACE:
+            continue
+        # every token-aligned prefix from token i, longest first: the exact
+        # surface, then the lowercase one for a capitalized surface
+        want = []
+        for j in range(len(toks) - 1, i - 1, -1):
+            if toks[j][3] == _pure.SPACE:
+                continue
+            surface = text[tok[1] : toks[j][2]]
+            found = _lex_entries(lex, surface)
+            if found:
+                want.append((j + 1, surface, tuple(e.symbols for e in found)))
+        got = _pure._entries_at(toks, text, lex.symbol_index(), lex.head_index(), i)
+        assert got == tuple(want), (text, i)
+
+
 def _generated_lexicon(rng, n):
     vocab = ["ana", "rui", "lua", "sol", "mar", "rio", "paz", "de", "da"]
     lines = []
@@ -361,6 +399,17 @@ def test_lowercase_probe_edge_cases(entry, text):
     gs, mask = _mask_grammar({"N", "PR"})
     assert token_has_mask(lex, text, mask)
     assert (0, len(text)) in _spans(gs, text, lex)
+
+
+def test_dictionary_mask_takes_the_longest_entry_its_filter_accepts():
+    # "Ana Maria" is the longest entry but fails the one-word filter
+    mask = LexicalMask(pos="N", codes=frozenset({"PR"}))
+    box = GraphBox("b", ((InputAtom.masked(mask, MorphFilter("[A-Z][a-z]+")),),))
+    gs = GrammarSet({"M": _graph("M", [box], [("i", "b"), ("b", "f")])}, "M")
+    lex = parse_lexicon("Ana Maria,.N+PR\nAna,.N+PR")
+    text = "a Ana Maria e Rui"
+    got = {(o.start, o.end, o.merged) for o in apply_grammar(gs, text, lex, ALL_MATCHES)}
+    assert got == brute_matches(gs, text, lex) == {(2, 5, "Ana")}
 
 
 def test_multiword_entry_needs_its_exact_whitespace():
@@ -477,6 +526,7 @@ def test_first_set_of_titled_names(g1):
         frozenset({"Sr", "Sra", "Srta", "Dr", "Dra", "D", "Prof", "Profa"}),
         frozenset(),
         frozenset(),
+        frozenset(),
     )
 
 
@@ -497,9 +547,9 @@ def test_first_set_sees_through_nullable_prefixes():
     gs = GrammarSet({"M": main, "Opt": opt}, "M")
     graphs = compile_grammar_set(gs)["graphs"]
     assert graphs["M"]["first"] == (
-        frozenset({"Rei"}), frozenset({"de"}), frozenset({"PRE"})
+        frozenset({"Rei"}), frozenset({"de"}), frozenset({"PRE"}), frozenset()
     )
-    assert graphs["Opt"]["first"] == (frozenset(), frozenset({"de"}), frozenset())
+    assert graphs["Opt"]["first"] == (frozenset(), frozenset({"de"}), frozenset(), frozenset())
 
 
 def test_recursive_nullable_prefix_makes_first_any_token():
@@ -519,7 +569,80 @@ def test_recursive_nullable_prefix_makes_first_any_token():
         [("i", "a"), ("a", "f")],
     )
     first = compile_grammar_set(GrammarSet({"R": tail}, "R"))["graphs"]["R"]["first"]
-    assert first == (frozenset(), frozenset({"x", "y"}), frozenset())
+    assert first == (frozenset(), frozenset({"x", "y"}), frozenset(), frozenset())
+
+
+def test_first_set_of_dictionary_names(g2):
+    first = compile_grammar_set(g2)["graphs"][g2.main]["first"]
+    assert first == (
+        frozenset(), frozenset(), frozenset(),
+        frozenset({frozenset({"Hum"}), frozenset({"N", "PR"})}),  # <Hum> and <N+PR>
+    )
+    lex = parse_lexicon("bonita,.A\nMarilyn Monroe,.N+PR")
+    text = "bonita Marilyn Monroe"
+    toks = _pure.tokenize_raw(text)
+    index = (lex.symbol_index(), lex.head_index())
+    entries = {}
+    # an entry that covers neither required set does not admit its token,
+    # and the rejected token's entries are not kept
+    assert not _pure._may_start(first, toks, text, *index, 0, entries)
+    assert entries == {}
+    assert _pure._may_start(first, toks, text, *index, 2, entries)
+    assert entries == {2: ((5, "Marilyn Monroe", (frozenset({"N", "PR"}),)),)}
+
+
+_START_DICT_MASKS = [
+    LexicalMask(pos="N", codes=frozenset({"PR"})),
+    LexicalMask(pos="N", codes=frozenset({"Hum"})),
+    LexicalMask(pos="A"),
+]
+_START_LEX = (
+    "Ana Maria,.N+PR\nAna,.N+PR\nana,.N+Hum\nrui,.N+Hum\nRui Sá,.N+PR\n"
+    "bela,.A\nde,.PREP\nSá. Rui,.N+PR\nMaria,.A"
+)
+_START_WORDS = ["Ana", "ana", "Maria", "rui", "Rui", "Sá", "bela", "Bela", "de", ".", ","]
+
+
+def random_start_grammar(rng):
+    """A main graph whose leading atoms are mostly dictionary masks: first
+    in an alternative, behind <E>, behind an output-only box or behind a
+    call to a nullable subgraph that may itself begin with one."""
+
+    def atom():
+        roll = rng.random()
+        if roll < 0.7:
+            return InputAtom.masked(rng.choice(_START_DICT_MASKS))
+        if roll < 0.85:
+            return InputAtom.lit(rng.choice(["de", "Rui", "ana"]))
+        return InputAtom.masked(LexicalMask(builtin="PRE"))
+
+    def alternative():
+        prefix = rng.choice([(), (), (InputAtom.eps(),), (InputAtom.call("Opt"),)])
+        return prefix + tuple(atom() for _ in range(rng.randint(1, 2)))
+
+    opt = _chain(rng, "Opt", [GraphBox("o", ((InputAtom.eps(),), (atom(),)))])
+    boxes = []
+    if rng.random() < 0.3:
+        boxes.append(GraphBox("tag", ((InputAtom.eps(),),), "<N>"))
+    for b in range(rng.randint(1, 3)):
+        boxes.append(GraphBox(f"b{b}", tuple(alternative() for _ in range(rng.randint(1, 2)))))
+    return GrammarSet({"M": _chain(rng, "M", boxes), "Opt": opt}, "M")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_start_filter_agrees_with_unfiltered_walk(rng):
+    cgs = compile_grammar_set(random_start_grammar(rng))
+    lex = parse_lexicon(_START_LEX)
+    words = [rng.choice(_START_WORDS) for _ in range(rng.randint(2, 12))]
+    text = "".join(w if w in ".," else " " + w for w in words).strip()
+    toks = _pure.tokenize_raw(text)
+    args = (text, toks, lex.symbol_index(), lex.head_index(),
+            _pure.sentence_boundaries(toks, frozenset()))
+    filtered = _pure.find_matches(cgs, *args)
+    for g in cgs["graphs"].values():
+        g["first"] = None
+    assert filtered == _pure.find_matches(cgs, *args)
 
 
 def test_literal_dispatch_splits_alternatives():
