@@ -3,7 +3,9 @@
 Usage: python benchmarks/bench_matcher.py [--repeat N] [--size WORDS]
 
 Times the lexicon load (parse + merge + symbol index) of the shipped
-lexicons and of a synthetic 20k-entry lexicon, then builds a synthetic
+lexicons, of a synthetic 20k-entry lexicon and of 4,000 entries under one
+surface (where a per-surface dedupe that compares each entry with the
+others grows with the square), then builds a synthetic
 corpus from the shipped lexicons, applies the two shipped grammars and
 reports corpus words/second (the tokenizer sees about twice as many
 tokens, because spaces are tokens).  That corpus is all names, so it
@@ -35,6 +37,7 @@ WORDS = (
 
 
 SYNTHETIC_LEXICON_ENTRIES = 20_000
+ONE_SURFACE_ENTRIES = 4_000
 _TAGS = ("N", "N+Hum", "V", "ADJ", "ADV", "PREP")
 
 
@@ -114,7 +117,13 @@ def main():
     synthetic_s, synthetic = load(
         [("synthetic", build_lexicon_text(SYNTHETIC_LEXICON_ENTRIES))], args.repeat
     )
-    for lname, secs, loaded in (("shipped", shipped_s, lex), ("synthetic", synthetic_s, synthetic)):
+    one_surface = "".join(f"a,l{k}.N\n" for k in range(ONE_SURFACE_ENTRIES))
+    loads = [
+        ("shipped", shipped_s, lex),
+        ("synthetic", synthetic_s, synthetic),
+        ("one-surface", *load([("one-surface", one_surface)], args.repeat)),
+    ]
+    for lname, secs, loaded in loads:
         print(f"{lname:14s} {secs * 1000:8.1f} ms  {len(loaded):10d} entries")
 
     g1 = load_grammar_set([(n, data.grammar_text(n)) for n in G1_FILES], G1_FILES[0])

@@ -25,7 +25,7 @@ from .concordance import (
     write_concordance,
 )
 from .concorddiff import Action, DiffCounts, Relation, RelationReport
-from .errors import EmptyKeepSet, LgwError
+from .errors import EmptyKeepSet, LgwError, UsageError
 from .grammar import load_grammar_set, parse_graph, render_graph, validate_set
 from .lexicon import Lexicon, merge_lexicons, parse_lexicon
 from .matcher import ALL_MATCHES, LONGEST_ONLY, apply_grammar
@@ -49,6 +49,14 @@ def _width(value: str) -> int:
     return n
 
 
+def _attribute(value: str) -> str:
+    """An <EM> attribute value, which ``lgw eval`` must be able to read
+    back: no '"', '<' or '>'."""
+    if any(c in '"<>' for c in value):
+        raise argparse.ArgumentTypeError(f"may not contain '\"', '<' or '>': {value!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="lgw", description="local grammar workbench")
     sub = p.add_subparsers(dest="command", required=True)
@@ -63,8 +71,8 @@ def _build_parser() -> _Parser:
     ap.add_argument("--out", required=True, help="output directory")
     ap.add_argument("--cnc", help="concordance file name inside --out")
     ap.add_argument("--xml", help="also write an <EM>-annotated XML file inside --out")
-    ap.add_argument("--categ", default="PESSOA")
-    ap.add_argument("--tipo", default="INDIVIDUAL")
+    ap.add_argument("--categ", type=_attribute, default="PESSOA")
+    ap.add_argument("--tipo", type=_attribute, default="INDIVIDUAL")
     ap.add_argument("--stamp", action="store_true")
     ap.add_argument("corpus", nargs="+", help="corpus text file(s)")
 
@@ -131,6 +139,10 @@ def _load_lexicons(paths) -> Lexicon:
 
 
 def cmd_apply(args) -> int:
+    for p in args.corpus:
+        # the concordance header holds the corpus file names as one field
+        if any(c.isspace() for c in Path(p).name):
+            raise UsageError(f"corpus file name contains whitespace: {Path(p).name!r}")
     lex = _load_lexicons(args.lexicon)
     files = [(Path(p).stem, _read(p)) for p in args.grammar]
     main = args.main or parse_graph(files[0][1]).name
@@ -214,21 +226,29 @@ def cmd_relate(args) -> int:
     return 0
 
 
-def _report_from_json(d: dict) -> RelationReport:
-    return RelationReport(
-        Relation(d["relation"]),
-        Action(d["action"]),
-        DiffCounts(**d["counts"]),
-        d["grammar_x"],
-        d["grammar_y"],
-    )
+def _read_report(path: str) -> RelationReport:
+    """The relation report an ``lgw diff`` or ``lgw relate`` wrote."""
+    try:
+        d = json.loads(_read(path))
+        if not all(isinstance(d[k], str) for k in ("grammar_x", "grammar_y")):
+            raise TypeError("grammar names must be strings")
+        return RelationReport(
+            Relation(d["relation"]),
+            Action(d["action"]),
+            DiffCounts(**d["counts"]),
+            d["grammar_x"],
+            d["grammar_y"],
+        )
+    except KeyError as exc:
+        raise LgwError(f"bad relation report {path}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise LgwError(f"bad relation report {path}: {exc}") from None
 
 
 def cmd_compose(args) -> int:
     reports = {}
     for path in args.report:
-        d = json.loads(_read(path))
-        rep = _report_from_json(d)
+        rep = _read_report(path)
         reports[(rep.grammar_x, rep.grammar_y)] = rep
     grammars = sorted({g for pair in reports for g in pair})
     if not grammars:

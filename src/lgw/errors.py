@@ -1,12 +1,19 @@
 """Exception types shared across the workbench.
 
-Every error carries an ``exit_code`` used by the CLI: 2 for input/parse
-problems, 3 for semantic mismatches, 4 for empty-result conditions.
+Every error carries an ``exit_code`` used by the CLI: 1 for usage errors,
+2 for input/parse problems, 3 for semantic mismatches, 4 for empty-result
+conditions.
 """
 
 
 class LgwError(Exception):
     exit_code = 2
+
+
+class UsageError(LgwError):
+    """A command-line value the command cannot use."""
+
+    exit_code = 1
 
 
 class MalformedLine(LgwError):

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import MalformedLine
+from .matcher._engine import SPACE, _is_pre, _lex_symbol_sets, tokenize_raw
 
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
 
 
-@dataclass(frozen=True)
-class LexEntry:
+class LexEntry(NamedTuple):
+    """One lexicon line, a named tuple: equal to the 4-tuple of its fields."""
+
     surface: str
     lemma: str
     pos: str
@@ -33,60 +36,55 @@ class LexEntry:
 class Lexicon:
     entries: dict  # surface -> tuple of LexEntry
     name: str = ""
-    _symidx: dict = field(default=None, repr=False, compare=False)
-    _heads: tuple = field(default=None, repr=False, compare=False)
+    _index: tuple = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return sum(len(v) for v in self.entries.values())
 
     def symbol_index(self) -> dict:
         """surface -> tuple of symbol sets, the matcher's probe structure.
-        Builds ``head_index()`` along with it."""
-        if self._symidx is None:
-            shared = _SymbolSets()
-            self._symidx = {
-                s: tuple([shared[e.pos, e.codes] for e in es])
-                for s, es in self.entries.items()
-            }
-            self._heads = _head_index(self._symidx)
-        return self._symidx
+        Builds ``head_index()`` in the same pass."""
+        if self._index is None:
+            symidx, heads = {}, {}
+            shared = {}  # (pos, codes) -> codes | {pos}, once per distinct tag
+            for s, es in self.entries.items():
+                sets = []
+                for e in es:
+                    syms = shared.get(e[2:])
+                    if syms is None:
+                        syms = shared[e[2:]] = e.codes | {e.pos}
+                    sets.append(syms)
+                symidx[s] = tuple(sets)
+                if s.isalpha():
+                    head, width = s, 1
+                else:
+                    # letter runs joined by single spaces are tokenized by split()
+                    words = s.split(" ")
+                    if not all(w.isalpha() for w in words):
+                        words = [t[0] for t in tokenize_raw(s) if t[3] != SPACE]
+                        if not words:
+                            continue
+                    head, width = words[0], len(words)
+                if width > heads.get(head, 0):
+                    heads[head] = width
+            self._index = symidx, (heads, max(heads.values(), default=0))
+        return self._index[0]
 
     def head_index(self) -> tuple:
         """(first token -> most non-space tokens of an entry starting with
         it, most non-space tokens of any entry): the matcher's probe window."""
         self.symbol_index()
-        return self._heads
+        return self._index[1]
 
 
-class _SymbolSets(dict):
-    """(pos, codes) -> ``codes | {pos}`` (``LexEntry.symbols``), built once
-    per distinct tag and shared by every entry that has it."""
-
-    def __missing__(self, key):
-        pos, codes = key
-        syms = self[key] = codes | {pos}
-        return syms
-
-
-def _head_index(surfaces) -> tuple:
-    # imported here because lgw.matcher imports this module
-    from .matcher._engine import SPACE, tokenize_raw
-
-    heads = {}
-    for s in surfaces:
-        if s.isalpha():
-            head, width = s, 1
-        else:
-            # letter runs joined by single spaces are tokenized by split()
-            words = s.split(" ")
-            if not all(w.isalpha() for w in words):
-                words = [t[0] for t in tokenize_raw(s) if t[3] != SPACE]
-                if not words:
-                    continue
-            head, width = words[0], len(words)
-        if width > heads.get(head, 0):
-            heads[head] = width
-    return heads, max(heads.values(), default=0)
+def _from_entries(entries, name: str) -> Lexicon:
+    """The lexicon of ``entries`` without duplicates, keeping the first
+    object of each and grouping by surface in first-seen order: the one
+    dedupe rule of parse and merge."""
+    groups: dict = {}
+    for e in dict.fromkeys(entries):
+        groups.setdefault(e.surface, []).append(e)
+    return Lexicon({s: tuple(es) for s, es in groups.items()}, name=name)
 
 
 def _unescape(s: str) -> str:
@@ -120,19 +118,8 @@ def _parse_tag(gram: str, line_no: int) -> tuple:
     return segs[0], frozenset(segs[1:])
 
 
-def _add_entry(entries: dict, surface: str, e: LexEntry) -> None:
-    """Append ``e`` to ``entries[surface]`` unless it is stored there
-    already: the one dedupe rule of parse and merge, which keeps
-    first-seen order."""
-    es = entries.get(surface)
-    if es is None:
-        entries[surface] = (e,)
-    elif e not in es:
-        entries[surface] = es + (e,)
-
-
 def parse_lexicon(text: str, name: str = "") -> Lexicon:
-    entries: dict = {}
+    entries = []
     tags: dict = {}  # raw text after the period -> (pos, codes)
     for line_no, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.startswith("#"):
@@ -153,8 +140,8 @@ def parse_lexicon(text: str, name: str = "") -> Lexicon:
         tag = tags.get(gram)
         if tag is None:
             tag = tags[gram] = _parse_tag(gram, line_no)
-        _add_entry(entries, surface, LexEntry(surface, lemma or surface, *tag))
-    return Lexicon(entries, name=name)
+        entries.append(LexEntry(surface, lemma or surface, *tag))
+    return _from_entries(entries, name)
 
 
 def render_lexicon(lex: Lexicon) -> str:
@@ -168,12 +155,9 @@ def render_lexicon(lex: Lexicon) -> str:
 
 
 def merge_lexicons(lexicons, name: str = "") -> Lexicon:
-    entries: dict = {}
-    for lex in lexicons:
-        for surface, es in lex.entries.items():
-            for e in es:
-                _add_entry(entries, surface, e)
-    return Lexicon(entries, name=name)
+    return _from_entries(
+        (e for lex in lexicons for es in lex.entries.values() for e in es), name
+    )
 
 
 def lookup(lex: Lexicon, surface: str) -> set:
@@ -194,9 +178,6 @@ def token_has_mask(lex: Lexicon, surface: str, mask) -> bool:
     tokens.  Dictionary masks require some entry whose POS+codes cover all
     of the mask's symbols.  The matcher kernel's predicates decide.
     """
-    # imported here because lgw.matcher imports this module
-    from .matcher._engine import _is_pre, _lex_symbol_sets
-
     if mask.builtin == "PRE":
         return _is_pre(lex.symbol_index(), surface)
     if mask.builtin == "MOT":

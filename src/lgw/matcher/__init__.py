@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..grammar import GrammarSet, compile_filter
-from ..lexicon import Lexicon
 
 from . import _engine
 
@@ -180,7 +179,7 @@ def _default_abbreviations():
 def apply_grammar(
     gs: GrammarSet,
     text: str,
-    lex: Lexicon,
+    lex,
     mode: str = LONGEST_ONLY,
     abbreviations=None,
 ) -> list:

@@ -223,6 +223,64 @@ def test_negative_context_width_exits_1(ws, capsys, flag, value):
     assert _apply(ws, ws / "out", ["ReconheceNomesCompostos"], "g2.cnc", [flag, "0"]) == 0
 
 
+@pytest.mark.parametrize("flag", ["--categ", "--tipo"])
+@pytest.mark.parametrize("value", ['A"B', "<A", "A>"])
+def test_unreadable_em_attribute_exits_1(ws, capsys, flag, value):
+    # lgw eval cannot read an <EM> tag whose attribute holds these characters
+    extra = ["--xml", "sys.xml", flag, value]
+    assert _apply(ws, ws / "out", ["ReconheceNomesCompostos"], "g2.cnc", extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument {flag}: may not contain" in err
+    assert not (ws / "out").exists()
+
+
+def test_corpus_name_with_whitespace_exits_1(ws, capsys):
+    # the concordance header holds the corpus file names as one field
+    corpus = ws / "my corpus.txt"
+    corpus.write_text(CORPUS, encoding="utf-8")
+    argv = ["apply", "--grammar", str(ws / "ReconheceNomesCompostos.lg"), "--out", str(ws / "out")]
+    assert main(argv + [str(ws / "corpus.txt"), str(corpus)]) == 1
+    err = capsys.readouterr().err
+    assert err == "lgw apply: error: corpus file name contains whitespace: 'my corpus.txt'\n"
+    assert not (ws / "out").exists()
+
+
+_REPORT = {
+    "grammar_x": "A",
+    "grammar_y": "B",
+    "relation": "equal",
+    "action": "keep_x",
+    "counts": {"common": 1, "conflict": 0, "partial": 0, "unique_x": 0, "unique_y": 0},
+}
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("not json", "Expecting value"),
+        (json.dumps({k: v for k, v in _REPORT.items() if k != "action"}), "missing key 'action'"),
+        (json.dumps({**_REPORT, "relation": "same"}), "'same' is not a valid Relation"),
+        (json.dumps({**_REPORT, "action": "keep_z"}), "'keep_z' is not a valid Action"),
+        (json.dumps({**_REPORT, "grammar_x": 5}), "grammar names must be strings"),
+        (json.dumps({**_REPORT, "counts": {"common": 1}}), "missing"),
+        ("[]", "list indices"),
+    ],
+    ids=["not-json", "no-action", "unknown-relation", "unknown-action", "grammar-not-string",
+         "missing-count", "not-an-object"],
+)
+def test_malformed_relation_report_exits_2(tmp_path, capsys, text, reason):
+    report = tmp_path / "r.json"
+    report.write_text(text, encoding="utf-8")
+    assert main(["compose", "--report", str(report), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"lgw compose: error: bad relation report {report}: ")
+    assert reason in err
+    assert not (tmp_path / "out").exists()
+    report.write_text(json.dumps(_REPORT), encoding="utf-8")
+    assert main(["compose", "--report", str(report), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_missing_file_exits_2(tmp_path):
     rc = main(
         [

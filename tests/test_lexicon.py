@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -178,6 +180,19 @@ def test_merge_keeps_first_seen_order_and_collapses_duplicates():
     }
     # an empty entry tuple adds no surface
     assert merge_lexicons([Lexicon({"z": ()})]).entries == {}
+
+
+def test_load_is_linear_in_the_entries_under_one_surface():
+    # a per-surface dedupe that compared each entry with every entry
+    # stored under its surface took seconds here
+    text = "".join(f"a,l{k}.N\n" for k in range(4000))
+    t0 = time.perf_counter()
+    lex = merge_lexicons([parse_lexicon(text), parse_lexicon(text)])
+    lex.symbol_index()
+    elapsed = time.perf_counter() - t0
+    assert len(lex) == 4000
+    assert lex.head_index() == ({"a": 1}, 1)
+    assert elapsed < 1.0
 
 
 # Lines mixing every case the parser distinguishes: escaped and unescaped
