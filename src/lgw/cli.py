@@ -25,8 +25,8 @@ from .concordance import (
     write_concordance,
 )
 from .concorddiff import Action, DiffCounts, Relation, RelationReport
-from .errors import EmptyKeepSet, LgwError, UsageError
-from .grammar import load_grammar_set, parse_graph, render_graph, validate_set
+from .errors import EmptyKeepSet, LgwError, UsageError, located
+from .grammar import _ID, load_grammar_set, parse_graph, render_graph, validate_set
 from .lexicon import Lexicon, merge_lexicons, parse_lexicon
 from .matcher import ALL_MATCHES, LONGEST_ONLY, apply_grammar
 
@@ -54,6 +54,13 @@ def _attribute(value: str) -> str:
     back: no '"', '<' or '>'."""
     if any(c in '"<>' for c in value):
         raise argparse.ArgumentTypeError(f"may not contain '\"', '<' or '>': {value!r}")
+    return value
+
+
+def _graph_name(value: str) -> str:
+    """A name ``lgw apply`` can read back from a ``graph`` line."""
+    if not _ID.fullmatch(value):
+        raise argparse.ArgumentTypeError(f"not a graph name (letters, digits, '_'): {value!r}")
     return value
 
 
@@ -93,7 +100,7 @@ def _build_parser() -> _Parser:
 
     cp = sub.add_parser("compose", help="select the keep-set and compose a main graph")
     cp.add_argument("--report", action="append", required=True, help="relation JSON (repeatable)")
-    cp.add_argument("--name", default="Main")
+    cp.add_argument("--name", type=_graph_name, default="Main")
     cp.add_argument("--out", required=True)
     cp.add_argument("--lg", default="main.lg")
     cp.add_argument("--decisions", default="decisions.json")
@@ -126,6 +133,13 @@ def _write(out_dir: str, name: str, content: str) -> Path:
     return target
 
 
+def _parse(parse, path: str, **kwargs):
+    """parse() of the text of the file at path; a parse error names the file."""
+    text = _read(path)
+    with located(path):
+        return parse(text, **kwargs)
+
+
 def _stamp_line(enabled: bool, comment: str) -> str:
     if not enabled:
         return ""
@@ -134,7 +148,7 @@ def _stamp_line(enabled: bool, comment: str) -> str:
 
 
 def _load_lexicons(paths) -> Lexicon:
-    lexicons = [parse_lexicon(_read(p), name=Path(p).stem) for p in paths]
+    lexicons = [_parse(parse_lexicon, p, name=Path(p).stem) for p in paths]
     return merge_lexicons(lexicons, name="+".join(Path(p).stem for p in paths))
 
 
@@ -144,8 +158,9 @@ def cmd_apply(args) -> int:
         if any(c.isspace() for c in Path(p).name):
             raise UsageError(f"corpus file name contains whitespace: {Path(p).name!r}")
     lex = _load_lexicons(args.lexicon)
-    files = [(Path(p).stem, _read(p)) for p in args.grammar]
-    main = args.main or parse_graph(files[0][1]).name
+    files = [(p, _read(p)) for p in args.grammar]
+    with located(files[0][0]):
+        main = args.main or parse_graph(files[0][1]).name
     gs = load_grammar_set(files, main)
     diags = validate_set(gs)
     for d in diags:
@@ -201,8 +216,8 @@ def _relation_json(report: RelationReport, stamp: bool) -> str:
 
 
 def cmd_diff(args) -> int:
-    cx = parse_concordance(_read(args.cnc_x))
-    cy = parse_concordance(_read(args.cnc_y))
+    cx = _parse(parse_concordance, args.cnc_x)
+    cy = _parse(parse_concordance, args.cnc_y)
     diff = concorddiff.align(cx, cy)
     html_body = concorddiff.render_html(diff)
     if args.stamp:
@@ -218,8 +233,8 @@ def cmd_diff(args) -> int:
 
 
 def cmd_relate(args) -> int:
-    cx = parse_concordance(_read(args.cnc_x))
-    cy = parse_concordance(_read(args.cnc_y))
+    cx = _parse(parse_concordance, args.cnc_x)
+    cy = _parse(parse_concordance, args.cnc_y)
     report = concorddiff.infer_relation(cx, cy)
     print(f"relation -> {_write(args.out, args.json, _relation_json(report, args.stamp))}")
     print(concorddiff.recommend(report))
@@ -230,8 +245,11 @@ def _read_report(path: str) -> RelationReport:
     """The relation report an ``lgw diff`` or ``lgw relate`` wrote."""
     try:
         d = json.loads(_read(path))
-        if not all(isinstance(d[k], str) for k in ("grammar_x", "grammar_y")):
-            raise TypeError("grammar names must be strings")
+        for k in ("grammar_x", "grammar_y"):
+            if not isinstance(d[k], str):
+                raise TypeError("grammar names must be strings")
+            if not _ID.fullmatch(d[k]):
+                raise ValueError(f"{k} is not a graph name: {d[k]!r}")
         return RelationReport(
             Relation(d["relation"]),
             Action(d["action"]),
@@ -253,6 +271,8 @@ def cmd_compose(args) -> int:
     grammars = sorted({g for pair in reports for g in pair})
     if not grammars:
         raise EmptyKeepSet("no grammars named in the relation reports")
+    if args.name in grammars:
+        raise UsageError(f"--name {args.name} is a grammar of the relation reports")
     decisions = select_keep_set(grammars, reports)
     kept = [d.grammar for d in decisions if d.kept]
     graph = compose_main(kept, args.name)
@@ -264,8 +284,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    sys_plain, sys_anns = evaluator.parse_gold(_read(args.sys_xml))
-    gold_plain, gold_anns = evaluator.parse_gold(_read(args.gold))
+    sys_plain, sys_anns = _parse(evaluator.parse_gold, args.sys_xml)
+    gold_plain, gold_anns = _parse(evaluator.parse_gold, args.gold)
     if sys_plain != gold_plain:
         from .errors import TextMismatch
 

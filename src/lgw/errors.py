@@ -5,9 +5,22 @@ Every error carries an ``exit_code`` used by the CLI: 1 for usage errors,
 conditions.
 """
 
+from contextlib import contextmanager
+
 
 class LgwError(Exception):
     exit_code = 2
+
+
+@contextmanager
+def located(name: str):
+    """Prefix ``name: `` to the message of an LgwError raised inside, so an
+    error in one of several input files says which file it is in."""
+    try:
+        yield
+    except LgwError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
 
 
 class UsageError(LgwError):

@@ -25,9 +25,11 @@ from .errors import (
     DuplicateBoxId,
     EdgeToUnknownBox,
     GraphSyntaxError,
+    LgwError,
     MissingInitialOrFinal,
     RecursiveCall,
     UnresolvedSubgraph,
+    located,
 )
 
 # POS tags recognized as the leading segment of a mask; anything else in
@@ -39,7 +41,11 @@ POS_TAGS = frozenset(
 
 BUILTIN_MASKS = frozenset({"PRE", "MOT"})
 
-_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_ID = re.compile(r"[A-Za-z0-9_]+")
+_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"', re.S)
+_ESCAPED = re.compile(r"\\(.)", re.S)
+# a filter atom: ".", a class or any other character, and an optional quantifier
+_FILTER_ATOM = re.compile(r"(\.|\[[^\[\]]*\]|[^*+{}\[\]])([*+]|\{\d+(?:,\d+)?\})?")
 
 
 @dataclass(frozen=True)
@@ -58,45 +64,20 @@ def compile_filter(pattern: str):
         raise ValueError("empty morphological filter")
     out = []
     i = 0
-    n = len(pattern)
-    trailing_plain = False
-    while i < n:
-        c = pattern[i]
-        if c in "*+{}]":
-            raise ValueError(f"unexpected {c!r} at position {i} in filter {pattern!r}")
-        if c == ".":
-            out.append(".")
-            plain = True
-            i += 1
-        elif c == "[":
-            j = pattern.find("]", i + 1)
-            if j < 0:
-                raise ValueError(f"unterminated character class in filter {pattern!r}")
-            if "[" in pattern[i + 1 : j]:
-                raise ValueError(f"nested character class in filter {pattern!r}")
-            out.append(pattern[i : j + 1])
-            plain = False
-            i = j + 1
-        else:
-            out.append(re.escape(c))
-            plain = True
-            i += 1
-        quantified = False
-        if i < n and pattern[i] in "*+":
-            out.append(pattern[i])
-            i += 1
-            quantified = True
-        elif i < n and pattern[i] == "{":
-            j = pattern.find("}", i)
-            if j < 0 or not re.fullmatch(r"\{\d+(,\d+)?\}", pattern[i : j + 1]):
-                raise ValueError(f"bad quantifier in filter {pattern!r}")
-            out.append(pattern[i : j + 1])
-            i = j + 1
-            quantified = True
-        trailing_plain = plain and not quantified
-    if trailing_plain:
+    while i < len(pattern):
+        m = _FILTER_ATOM.match(pattern, i)
+        if m is None:
+            raise ValueError(f"unexpected {pattern[i]!r} at position {i} in filter {pattern!r}")
+        atom, quantifier = m.groups()
+        out.append(atom if atom == "." or atom[0] == "[" else re.escape(atom))
+        out.append(quantifier or "")
+        i = m.end()
+    if quantifier is None and atom[0] != "[":
         out.append(".*")
-    return re.compile("".join(out))
+    try:
+        return re.compile("".join(out))
+    except (re.error, OverflowError) as exc:
+        raise ValueError(f"bad filter {pattern!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -188,24 +169,23 @@ def parse_mask_body(body: str, line_no: int) -> LexicalMask:
 
 
 def _read_quoted(s: str, i: int, line_no: int):
-    # s[i] == '"'; returns (value, next_index)
-    out = []
-    i += 1
-    while i < len(s):
-        c = s[i]
-        if c == "\\" and i + 1 < len(s):
-            out.append(s[i + 1])
-            i += 2
-        elif c == '"':
-            return "".join(out), i + 1
-        else:
-            out.append(c)
-            i += 1
-    raise GraphSyntaxError(line_no, "unterminated string literal")
+    """(value, next index) of the quoted string at s[i]."""
+    m = _QUOTED.match(s, i)
+    if m is None:
+        raise GraphSyntaxError(line_no, "unterminated string literal")
+    value = m.group(1)
+    if "\\" in value:
+        value = _ESCAPED.sub(lambda e: e.group(1), value)
+    return value, m.end()
 
 
-def _lex_atoms(s: str, line_no: int):
-    """Yield ('SEP',), ('LIT', v), ('EPS',), ('MASK', body, filter), ('CALL', name)."""
+def _quote(s: str) -> str:
+    """The inverse of _read_quoted."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _parse_atoms(s: str, line_no: int):
+    """Yield an InputAtom for each atom of s and None for each ';'."""
     i = 0
     n = len(s)
     while i < n:
@@ -213,7 +193,7 @@ def _lex_atoms(s: str, line_no: int):
         if c.isspace():
             i += 1
         elif c == ";":
-            yield ("SEP",)
+            yield None
             i += 1
         elif c == '"':
             val, i = _read_quoted(s, i, line_no)
@@ -221,7 +201,7 @@ def _lex_atoms(s: str, line_no: int):
                 raise GraphSyntaxError(line_no, "empty literal")
             if val.isspace():
                 raise GraphSyntaxError(line_no, "literal without a token")
-            yield ("LIT", val)
+            yield InputAtom.lit(val)
         elif c == "<":
             j = s.find(">", i)
             if j < 0:
@@ -238,55 +218,47 @@ def _lex_atoms(s: str, line_no: int):
             if body == "E":
                 if filt is not None:
                     raise GraphSyntaxError(line_no, "<E> cannot carry a filter")
-                yield ("EPS",)
-            else:
-                yield ("MASK", body, filt)
+                yield InputAtom.eps()
+                continue
+            mask = parse_mask_body(body, line_no)
+            if filt is not None:
+                try:
+                    compile_filter(filt)
+                except ValueError as exc:
+                    raise GraphSyntaxError(line_no, str(exc)) from None
+                filt = MorphFilter(filt)
+            yield InputAtom.masked(mask, filt)
         elif c == ":":
-            m = re.match(r"[A-Za-z0-9_]+", s[i + 1 :])
-            if not m:
+            m = _ID.match(s, i + 1)
+            if m is None:
                 raise GraphSyntaxError(line_no, "missing subgraph name after ':'")
-            yield ("CALL", m.group(0))
-            i += 1 + m.end()
+            yield InputAtom.call(m.group())
+            i = m.end()
         else:
             raise GraphSyntaxError(line_no, f"unexpected character {c!r}")
 
 
 def _parse_box_line(rest: str, line_no: int) -> GraphBox:
-    m = re.match(r"\s*([A-Za-z0-9_]+)\s*", rest)
-    if not m:
+    m = _ID.match(rest)
+    if m is None:
         raise GraphSyntaxError(line_no, "missing box id")
-    box_id = m.group(1)
-    rest = rest[m.end() :]
+    rest = rest[m.end() :].lstrip()
     output = None
     if rest.startswith('out="'):
         output, j = _read_quoted(rest, len("out="), line_no)
         rest = rest[j:]
     alts = [[]]
-    for tok in _lex_atoms(rest, line_no):
-        if tok[0] == "SEP":
+    for atom in _parse_atoms(rest, line_no):
+        if atom is None:
             alts.append([])
-        elif tok[0] == "LIT":
-            alts[-1].append(InputAtom.lit(tok[1]))
-        elif tok[0] == "EPS":
-            alts[-1].append(InputAtom.eps())
-        elif tok[0] == "CALL":
-            alts[-1].append(InputAtom.call(tok[1]))
         else:
-            mask = parse_mask_body(tok[1], line_no)
-            filt = None
-            if tok[2] is not None:
-                try:
-                    compile_filter(tok[2])
-                except ValueError as exc:
-                    raise GraphSyntaxError(line_no, str(exc)) from exc
-                filt = MorphFilter(tok[2])
-            alts[-1].append(InputAtom.masked(mask, filt))
+            alts[-1].append(atom)
     for alt in alts:
         if not alt:
             raise GraphSyntaxError(line_no, "empty alternative")
         if any(a.kind == "epsilon" for a in alt) and len(alt) > 1:
             raise GraphSyntaxError(line_no, "<E> must be alone in its alternative")
-    return GraphBox(box_id, tuple(tuple(a) for a in alts), output)
+    return GraphBox(m.group(), tuple(tuple(a) for a in alts), output)
 
 
 def parse_graph(text: str) -> Graph:
@@ -303,7 +275,7 @@ def parse_graph(text: str) -> Graph:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "graph":
-            if not _ID_RE.match(rest):
+            if not _ID.fullmatch(rest):
                 raise GraphSyntaxError(line_no, f"bad graph name {rest!r}")
             name = rest
         elif head == "box":
@@ -313,11 +285,11 @@ def parse_graph(text: str) -> Graph:
             box_ids.add(box.id)
             boxes.append(box)
         elif head == "init":
-            if not _ID_RE.match(rest):
+            if not _ID.fullmatch(rest):
                 raise GraphSyntaxError(line_no, f"bad init id {rest!r}")
             initial = rest
         elif head == "final":
-            if not _ID_RE.match(rest):
+            if not _ID.fullmatch(rest):
                 raise GraphSyntaxError(line_no, f"bad final id {rest!r}")
             final = rest
         elif head == "edge":
@@ -344,8 +316,7 @@ def parse_graph(text: str) -> Graph:
 
 def _render_atom(a: InputAtom) -> str:
     if a.kind == "literal":
-        body = a.literal.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{body}"'
+        return _quote(a.literal)
     if a.kind == "epsilon":
         return "<E>"
     if a.kind == "call":
@@ -367,8 +338,7 @@ def render_graph(g: Graph) -> str:
     for box in g.boxes:
         parts = ["box", box.id]
         if box.output is not None:
-            out = box.output.replace("\\", "\\\\").replace('"', '\\"')
-            parts.append(f'out="{out}"')
+            parts.append("out=" + _quote(box.output))
         parts.append(" ; ".join(" ".join(_render_atom(a) for a in alt) for alt in box.alternatives))
         lines.append(" ".join(parts))
     lines.append(f"init {g.initial}")
@@ -380,11 +350,18 @@ def render_graph(g: Graph) -> str:
 
 def load_grammar_set(files, main: str) -> GrammarSet:
     """Parse every (name, text) pair, resolve subgraph calls and verify the
-    call graph is acyclic (recursion would break the finite-state model)."""
+    call graph is acyclic (recursion would break the finite-state model).
+    A parse error is prefixed with its file's name; two files may not
+    define the same graph."""
     graphs = {}
-    for _, text in files:
-        g = parse_graph(text)
+    sources = {}
+    for source, text in files:
+        with located(source):
+            g = parse_graph(text)
+        if g.name in graphs:
+            raise LgwError(f"graph {g.name!r} is defined in both {sources[g.name]} and {source}")
         graphs[g.name] = g
+        sources[g.name] = source
     if main not in graphs:
         raise UnresolvedSubgraph(main)
     calls: dict = {name: set() for name in graphs}

@@ -436,3 +436,50 @@ def random_literal_grammar(rng, name, vocab, max_boxes=4, tag=True) -> Graph:
             (a, "close") for a, b in edges if b == "f"
         } | {("close", "f")}
     return Graph(name, tuple(boxes), frozenset(edges), "i", "f")
+
+
+def oracle_compile_filter(pattern: str):
+    """The original character-by-character filter translator."""
+    if not pattern:
+        raise ValueError("empty morphological filter")
+    out = []
+    i = 0
+    n = len(pattern)
+    trailing_plain = False
+    while i < n:
+        c = pattern[i]
+        if c in "*+{}]":
+            raise ValueError(f"unexpected {c!r} at position {i} in filter {pattern!r}")
+        if c == ".":
+            out.append(".")
+            plain = True
+            i += 1
+        elif c == "[":
+            j = pattern.find("]", i + 1)
+            if j < 0:
+                raise ValueError(f"unterminated character class in filter {pattern!r}")
+            if "[" in pattern[i + 1 : j]:
+                raise ValueError(f"nested character class in filter {pattern!r}")
+            out.append(pattern[i : j + 1])
+            plain = False
+            i = j + 1
+        else:
+            out.append(re.escape(c))
+            plain = True
+            i += 1
+        quantified = False
+        if i < n and pattern[i] in "*+":
+            out.append(pattern[i])
+            i += 1
+            quantified = True
+        elif i < n and pattern[i] == "{":
+            j = pattern.find("}", i)
+            if j < 0 or not re.fullmatch(r"\{\d+(,\d+)?\}", pattern[i : j + 1]):
+                raise ValueError(f"bad quantifier in filter {pattern!r}")
+            out.append(pattern[i : j + 1])
+            i = j + 1
+            quantified = True
+        trailing_plain = plain and not quantified
+    if trailing_plain:
+        out.append(".*")
+    return re.compile("".join(out))

@@ -265,9 +265,11 @@ _REPORT = {
         (json.dumps({**_REPORT, "grammar_x": 5}), "grammar names must be strings"),
         (json.dumps({**_REPORT, "counts": {"common": 1}}), "missing"),
         ("[]", "list indices"),
+        (json.dumps({**_REPORT, "grammar_x": ""}), "grammar_x is not a graph name: ''"),
+        (json.dumps({**_REPORT, "grammar_y": "a b"}), "grammar_y is not a graph name: 'a b'"),
     ],
     ids=["not-json", "no-action", "unknown-relation", "unknown-action", "grammar-not-string",
-         "missing-count", "not-an-object"],
+         "missing-count", "not-an-object", "grammar-empty", "grammar-with-space"],
 )
 def test_malformed_relation_report_exits_2(tmp_path, capsys, text, reason):
     report = tmp_path / "r.json"
@@ -279,6 +281,19 @@ def test_malformed_relation_report_exits_2(tmp_path, capsys, text, reason):
     assert not (tmp_path / "out").exists()
     report.write_text(json.dumps(_REPORT), encoding="utf-8")
     assert main(["compose", "--report", str(report), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("name", ["a b", "", "A", "B"])
+def test_compose_name_that_apply_cannot_use_exits_1(tmp_path, capsys, name):
+    # "a b" and "" are no graph names; A and B are the report's grammars,
+    # whose graphs a main graph of the same name would clash with
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(_REPORT), encoding="utf-8")
+    argv = ["compose", "--report", str(report), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--name", name]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("lgw compose: error: ") and "--name" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -359,6 +374,51 @@ def test_bad_grammar_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_filter_re_cannot_compile_exits_2(tmp_path, capsys):
+    (tmp_path / "bad.lg").write_text(
+        "graph B\nbox x <MOT><<[z-a]>>\ninit i\nfinal f\nedge i x\nedge x f\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "c.txt").write_text("x", encoding="utf-8")
+    argv = ["apply", "--grammar", str(tmp_path / "bad.lg"), "--out", str(tmp_path)]
+    assert main(argv + [str(tmp_path / "c.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"lgw apply: error: {tmp_path / 'bad.lg'}: line 2: bad filter '[z-a]'")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["grammar", "lexicon", "concordance", "xml"])
+def test_parse_error_names_the_file(ws, capsys, kind):
+    out = ws / "out"
+    bad = ws / f"bad.{kind}"
+    grammar = ["--grammar", str(ws / "ReconheceNomesCompostos.lg")]
+    lexicon = ["--lexicon", str(ws / "portugues.dic")]
+    if kind == "grammar":
+        bad.write_text("graph B\nbox b ?\n", encoding="utf-8")
+        argv = ["apply", *grammar, "--grammar", str(bad), "--out", str(out), str(ws / "corpus.txt")]
+        reason = "line 2: unexpected character '?'"
+    elif kind == "lexicon":
+        bad.write_text("Ana,Ana.N\nsem virgula\n", encoding="utf-8")
+        argv = ["apply", *grammar, *lexicon, "--lexicon", str(bad), "--out", str(out),
+                str(ws / "corpus.txt")]
+        reason = "line 2: missing ',' separator"
+    elif kind == "concordance":
+        assert _apply(ws, out, G1_FILES, "g1.cnc") == 0
+        bad.write_text("not a concordance\n", encoding="utf-8")
+        argv = ["diff", str(out / "g1.cnc"), str(bad), "--out", str(out)]
+        reason = "line 1: bad header"
+    else:
+        (ws / "gold.xml").write_text("Ana", encoding="utf-8")
+        bad.write_text("<EM>Ana", encoding="utf-8")
+        argv = ["eval", "--sys", str(bad), "--gold", str(ws / "gold.xml"), "--categ", "PESSOA"]
+        reason = "malformed <EM> tag"
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"lgw {argv[0]}: error: {bad}: ")
+    assert reason in err
 
 
 def test_blank_literal_exits_2(tmp_path, capsys):

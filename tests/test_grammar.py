@@ -1,11 +1,15 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
+from oracles import oracle_compile_filter
 
 from lgw import data
 from lgw.errors import (
     DuplicateBoxId,
     EdgeToUnknownBox,
     GraphSyntaxError,
+    LgwError,
     MissingInitialOrFinal,
     RecursiveCall,
     UnresolvedSubgraph,
@@ -90,6 +94,7 @@ def test_every_sample_mask_symbol_parses_uniquely():
         ("graph G\nbox b \"unterminated\ninit i\nfinal f", GraphSyntaxError),
         ("graph G\nbox i \"x\"\ninit i\nfinal f\nedge i f", GraphSyntaxError),
         ("box b \"x\"\ninit i\nfinal f\nedge i b\nedge b f", GraphSyntaxError),
+        ("graph G\nbox x <MOT><<[z-a]>>\ninit i\nfinal f", GraphSyntaxError),
     ],
 )
 def test_parse_errors(text, exc):
@@ -140,10 +145,27 @@ def test_filter_literal_is_escaped():
     assert f.fullmatch("a(bc")  # trailing literal gets the implicit .*
 
 
-@pytest.mark.parametrize("bad", ["", "[ab", "*a", "a{2,"])
+@pytest.mark.parametrize(
+    "bad", ["", "[ab", "*a", "a{2,", "[]", "[z-a]", "a{3,1}", "[\\]", "a{99999999999}"]
+)
 def test_filter_rejects_bad_patterns(bad):
     with pytest.raises(ValueError):
         compile_filter(bad)
+
+
+_FILTER_SYMBOLS = [*".[]*+{}0123,abzA^-\\(|?", "{2}", "{1,3}", "{3,1}", "[a-z]", "[z-a]", "[]"]
+
+
+@given(st.lists(st.sampled_from(_FILTER_SYMBOLS), max_size=8).map("".join))
+def test_filter_translation_agrees_with_the_original(pattern):
+    try:
+        want = oracle_compile_filter(pattern).pattern
+    except (ValueError, re.error):
+        # both reject it; the original let re's own error escape
+        with pytest.raises(ValueError):
+            compile_filter(pattern)
+    else:
+        assert compile_filter(pattern).pattern == want
 
 
 # --- grammar sets ------------------------------------------------------------
@@ -180,6 +202,20 @@ def test_recursive_call_names_the_first_cycle_in_call_order():
         load_grammar_set(files, "A")
     assert str(e.value) == "recursive subgraph call: A -> B -> C -> A"
     assert e.value.cycle == ("A", "B", "C", "A")
+
+
+def test_load_grammar_set_rejects_a_graph_defined_twice():
+    with pytest.raises(LgwError) as e:
+        load_grammar_set([("a.lg", MINIMAL), ("b.lg", MINIMAL)], "Minimo")
+    assert str(e.value) == "graph 'Minimo' is defined in both a.lg and b.lg"
+    assert e.value.exit_code == 2
+
+
+def test_load_grammar_set_names_the_file_of_a_parse_error():
+    with pytest.raises(GraphSyntaxError) as e:
+        load_grammar_set([("a.lg", MINIMAL), ("b.lg", "graph B\nbox b ?\n")], "Minimo")
+    assert str(e.value) == "b.lg: line 2: unexpected character '?'"
+    assert e.value.line_no == 2
 
 
 def test_load_grammar_set_unknown_main():
