@@ -17,15 +17,10 @@ from pathlib import Path
 
 from . import concorddiff, evaluator
 from .composer import compose_main, select_keep_set
-from .concordance import (
-    Concordance,
-    ContextConfig,
-    build_concordance,
-    parse_concordance,
-    write_concordance,
-)
+from .concordance import ContextConfig, build_concordance, parse_concordance, write_concordance
 from .concorddiff import Action, DiffCounts, Relation, RelationReport
-from .errors import EmptyKeepSet, LgwError, UsageError, located
+from .errors import EmptyKeepSet, LgwError, TextMismatch, UsageError, located
+# parse_graph is not called here: perfbench/trace.py wraps lgw.cli.parse_graph
 from .grammar import _ID, load_grammar_set, parse_graph, render_graph, validate_set
 from .lexicon import Lexicon, merge_lexicons, parse_lexicon
 from .matcher import ALL_MATCHES, LONGEST_ONLY, apply_grammar
@@ -69,10 +64,11 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ap = sub.add_parser("apply", help="apply a grammar to a corpus, write a concordance")
+    ap.set_defaults(run=cmd_apply)
     ap.add_argument("--lexicon", action="append", default=[], help="lexicon file (repeatable)")
     ap.add_argument("--grammar", action="append", required=True, help="grammar file (repeatable)")
     ap.add_argument("--main", help="main graph name (default: first grammar file's graph)")
-    ap.add_argument("--mode", choices=["all", "longest"], default="longest")
+    ap.add_argument("--mode", choices=[ALL_MATCHES, LONGEST_ONLY], default=LONGEST_ONLY)
     ap.add_argument("--left", type=_width, default=40)
     ap.add_argument("--right", type=_width, default=60)
     ap.add_argument("--out", required=True, help="output directory")
@@ -84,6 +80,7 @@ def _build_parser() -> _Parser:
     ap.add_argument("corpus", nargs="+", help="corpus text file(s)")
 
     dp = sub.add_parser("diff", help="compare two concordances, write HTML and JSON")
+    dp.set_defaults(run=cmd_diff)
     dp.add_argument("cnc_x")
     dp.add_argument("cnc_y")
     dp.add_argument("--out", required=True)
@@ -92,6 +89,7 @@ def _build_parser() -> _Parser:
     dp.add_argument("--stamp", action="store_true")
 
     rp = sub.add_parser("relate", help="infer the set relation between two concordances (JSON only)")
+    rp.set_defaults(run=cmd_diff, html=None)
     rp.add_argument("cnc_x")
     rp.add_argument("cnc_y")
     rp.add_argument("--out", required=True)
@@ -99,6 +97,7 @@ def _build_parser() -> _Parser:
     rp.add_argument("--stamp", action="store_true")
 
     cp = sub.add_parser("compose", help="select the keep-set and compose a main graph")
+    cp.set_defaults(run=cmd_compose)
     cp.add_argument("--report", action="append", required=True, help="relation JSON (repeatable)")
     cp.add_argument("--name", type=_graph_name, default="Main")
     cp.add_argument("--out", required=True)
@@ -107,6 +106,7 @@ def _build_parser() -> _Parser:
     cp.add_argument("--stamp", action="store_true")
 
     ep = sub.add_parser("eval", help="score a system XML against a gold XML")
+    ep.set_defaults(run=cmd_eval)
     ep.add_argument("--sys", required=True, dest="sys_xml")
     ep.add_argument("--gold", required=True)
     ep.add_argument("--categ", required=True)
@@ -140,11 +140,14 @@ def _parse(parse, path: str, **kwargs):
         return parse(text, **kwargs)
 
 
-def _stamp_line(enabled: bool, comment: str) -> str:
-    if not enabled:
-        return ""
-    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return comment.format(now) + "\n"
+def _stamp(args) -> str:
+    """The UTC time a command writes into each of its outputs with
+    ``--stamp``; "" without it."""
+    return datetime.datetime.now(datetime.timezone.utc).isoformat() if args.stamp else ""
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _load_lexicons(paths) -> Lexicon:
@@ -157,11 +160,9 @@ def cmd_apply(args) -> int:
         # the concordance header holds the corpus file names as one field
         if any(c.isspace() for c in Path(p).name):
             raise UsageError(f"corpus file name contains whitespace: {Path(p).name!r}")
+    stamp = _stamp(args)
     lex = _load_lexicons(args.lexicon)
-    files = [(p, _read(p)) for p in args.grammar]
-    with located(files[0][0]):
-        main = args.main or parse_graph(files[0][1]).name
-    gs = load_grammar_set(files, main)
+    gs = load_grammar_set([(p, _read(p)) for p in args.grammar], args.main)
     diags = validate_set(gs)
     for d in diags:
         print(f"{d.severity}: {d.code}: {d.detail}", file=sys.stderr)
@@ -170,13 +171,12 @@ def cmd_apply(args) -> int:
     corpus = sorted(args.corpus, key=lambda p: Path(p).name)
     text = "\n".join(_read(p) for p in corpus)
     text_id = "+".join(Path(p).name for p in corpus)
-    mode = LONGEST_ONLY if args.mode == "longest" else ALL_MATCHES
-    occs = apply_grammar(gs, text, lex, mode=mode)
+    occs = apply_grammar(gs, text, lex, mode=args.mode)
     cnc = build_concordance(
-        occs, text, ContextConfig(args.left, args.right), grammar=main, text_id=text_id
+        occs, text, ContextConfig(args.left, args.right), grammar=gs.main, text_id=text_id
     )
-    body = _stamp_line(args.stamp, "# generated {}") + write_concordance(cnc)
-    path = _write(args.out, args.cnc or f"{main}.cnc", body)
+    body = (f"# generated {stamp}\n" if stamp else "") + write_concordance(cnc)
+    path = _write(args.out, args.cnc or f"{gs.main}.cnc", body)
     print(f"{len(occs)} occurrence(s) -> {path}")
     if args.xml:
         annotated = evaluator.annotate(
@@ -208,36 +208,22 @@ def _non_overlapping(occs):
     return sorted(chosen, key=lambda o: o.start)
 
 
-def _relation_json(report: RelationReport, stamp: bool) -> str:
-    d = report.to_json_dict()
-    if stamp:
-        d["stamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return json.dumps(d, indent=2, sort_keys=True) + "\n"
-
-
 def cmd_diff(args) -> int:
+    """``lgw diff``; ``lgw relate`` is the same without the HTML report."""
+    stamp = _stamp(args)
     cx = _parse(parse_concordance, args.cnc_x)
     cy = _parse(parse_concordance, args.cnc_y)
     diff = concorddiff.align(cx, cy)
-    html_body = concorddiff.render_html(diff)
-    if args.stamp:
-        html_body = html_body.replace(
-            "</body>",
-            f"<!-- generated {datetime.datetime.now(datetime.timezone.utc).isoformat()} -->\n</body>",
-        )
-    report = concorddiff.infer_relation(cx, cy, diff)
-    print(f"HTML -> {_write(args.out, args.html, html_body)}")
-    print(f"relation -> {_write(args.out, args.json, _relation_json(report, args.stamp))}")
-    print(concorddiff.recommend(report))
-    return 0
-
-
-def cmd_relate(args) -> int:
-    cx = _parse(parse_concordance, args.cnc_x)
-    cy = _parse(parse_concordance, args.cnc_y)
-    report = concorddiff.infer_relation(cx, cy)
-    print(f"relation -> {_write(args.out, args.json, _relation_json(report, args.stamp))}")
-    print(concorddiff.recommend(report))
+    if args.html is not None:
+        html = concorddiff.render_html(diff)
+        if stamp:
+            html = html.replace("</body>", f"<!-- generated {stamp} -->\n</body>")
+        print(f"HTML -> {_write(args.out, args.html, html)}")
+    report = concorddiff.infer_relation(cx, cy, diff).to_json_dict()
+    if stamp:
+        report["stamp"] = stamp
+    print(f"relation -> {_write(args.out, args.json, _json(report))}")
+    print(report["recommendation"])
     return 0
 
 
@@ -264,6 +250,7 @@ def _read_report(path: str) -> RelationReport:
 
 
 def cmd_compose(args) -> int:
+    stamp = _stamp(args)
     reports = {}
     for path in args.report:
         rep = _read_report(path)
@@ -276,9 +263,9 @@ def cmd_compose(args) -> int:
     decisions = select_keep_set(grammars, reports)
     kept = [d.grammar for d in decisions if d.kept]
     graph = compose_main(kept, args.name)
-    body = _stamp_line(args.stamp, "# generated {}") + render_graph(graph)
+    body = (f"# generated {stamp}\n" if stamp else "") + render_graph(graph)
     print(f"main graph ({len(kept)} call(s)) -> {_write(args.out, args.lg, body)}")
-    dec_json = json.dumps([d.to_json_dict() for d in decisions], indent=2) + "\n"
+    dec_json = _json([d.to_json_dict() for d in decisions])
     print(f"decisions -> {_write(args.out, args.decisions, dec_json)}")
     return 0
 
@@ -287,25 +274,13 @@ def cmd_eval(args) -> int:
     sys_plain, sys_anns = _parse(evaluator.parse_gold, args.sys_xml)
     gold_plain, gold_anns = _parse(evaluator.parse_gold, args.gold)
     if sys_plain != gold_plain:
-        from .errors import TextMismatch
-
         raise TextMismatch("system and gold files have different underlying texts")
     report = evaluator.score(sys_anns, gold_anns, args.categ, args.tipo)
     bold = sys.stdout.isatty() and os.environ.get("LGW_COLOR") != "0"
     print(evaluator.format_report(report, args.categ, args.tipo, bold=bold))
     if args.out:
-        body = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        print(f"report -> {_write(args.out, args.json, body)}")
+        print(f"report -> {_write(args.out, args.json, _json(report.to_json_dict()))}")
     return 0
-
-
-_COMMANDS = {
-    "apply": cmd_apply,
-    "diff": cmd_diff,
-    "relate": cmd_relate,
-    "compose": cmd_compose,
-    "eval": cmd_eval,
-}
 
 
 def main(argv=None) -> int:
@@ -315,7 +290,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except LgwError as exc:
         print(f"lgw {args.command}: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -17,6 +17,9 @@ from .errors import MalformedTag, NestedTag, OverlappingOccurrences
 
 _OPEN_RE = re.compile(r'<EM CATEG="([^"<>]*)" TIPO="([^"<>]*)">')
 _CLOSE = "</EM>"
+_TAG_IN_TEXT = re.compile("<EM|</EM>")  # what parse_gold would read as a tag
+# the output tags whose enclosed text an annotation marks
+_NOME_OPEN, _NOME_CLOSE = "<NOME>", "</NOME>"
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,12 @@ def parse_gold(xml: str):
 
 
 def render_gold(plain: str, annotations) -> str:
-    """Re-insert <EM> tags at the stored offsets (inverse of parse_gold)."""
+    """Re-insert <EM> tags at the stored offsets (inverse of parse_gold).
+    Plain text that holds "<EM" or "</EM>" is refused: it would not read
+    back as the same text."""
+    m = _TAG_IN_TEXT.search(plain)
+    if m:
+        raise MalformedTag(m.start(), f"the text holds {m.group()!r}, which would read back as a tag")
     anns = sorted(annotations, key=lambda a: (a.start, a.end))
     out = []
     cur = 0
@@ -119,30 +127,23 @@ def render_gold(plain: str, annotations) -> str:
     return "".join(out)
 
 
-def _strip_tags(s: str, open_tag: str, close_tag: str) -> str:
-    return s.replace(open_tag, "").replace(close_tag, "")
+def _strip_tags(s: str) -> str:
+    return s.replace(_NOME_OPEN, "").replace(_NOME_CLOSE, "")
 
 
-def tagged_region(occ, open_tag: str = "<NOME>", close_tag: str = "</NOME>"):
+def tagged_region(occ):
     """Text offsets of the region the grammar's output tags enclose; the
     whole occurrence span when the merged text carries no tag pair."""
-    oi = occ.merged.find(open_tag)
-    ci = occ.merged.find(close_tag)
+    oi = occ.merged.find(_NOME_OPEN)
+    ci = occ.merged.find(_NOME_CLOSE)
     if oi < 0 or ci < 0 or ci < oi:
         return occ.start, occ.end
-    start = occ.start + len(_strip_tags(occ.merged[:oi], open_tag, close_tag))
-    end = occ.start + len(_strip_tags(occ.merged[:ci], open_tag, close_tag))
+    start = occ.start + len(_strip_tags(occ.merged[:oi]))
+    end = occ.start + len(_strip_tags(occ.merged[:ci]))
     return start, end
 
 
-def annotate(
-    text: str,
-    occs,
-    categ: str,
-    tipo: str,
-    open_tag: str = "<NOME>",
-    close_tag: str = "</NOME>",
-) -> str:
+def annotate(text: str, occs, categ: str, tipo: str) -> str:
     """Wrap each occurrence's tagged region in an <EM> annotation."""
     occs = sorted(occs, key=lambda o: (o.start, o.end))
     for prev, cur in zip(occs, occs[1:]):
@@ -151,7 +152,7 @@ def annotate(
                 f"occurrences ({prev.start},{prev.end}) and "
                 f"({cur.start},{cur.end}) overlap"
             )
-    regions = [tagged_region(o, open_tag, close_tag) for o in occs]
+    regions = [tagged_region(o) for o in occs]
     anns = [GoldAnnotation(s, e, categ, tipo) for s, e in regions]
     return render_gold(text, anns)
 

@@ -45,7 +45,7 @@ _ID = re.compile(r"[A-Za-z0-9_]+")
 _QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"', re.S)
 _ESCAPED = re.compile(r"\\(.)", re.S)
 # a filter atom: ".", a class or any other character, and an optional quantifier
-_FILTER_ATOM = re.compile(r"(\.|\[[^\[\]]*\]|[^*+{}\[\]])([*+]|\{\d+(?:,\d+)?\})?")
+_FILTER_ATOM = re.compile(r"(\.|\[[^\[\]]*\]|[^*+{}\[\]])([*+]|\{[0-9]+(?:,[0-9]+)?\})?")
 
 
 @dataclass(frozen=True)
@@ -348,11 +348,11 @@ def render_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_grammar_set(files, main: str) -> GrammarSet:
+def load_grammar_set(files, main: str = None) -> GrammarSet:
     """Parse every (name, text) pair, resolve subgraph calls and verify the
     call graph is acyclic (recursion would break the finite-state model).
     A parse error is prefixed with its file's name; two files may not
-    define the same graph."""
+    define the same graph.  ``main`` defaults to the first file's graph."""
     graphs = {}
     sources = {}
     for source, text in files:
@@ -362,6 +362,8 @@ def load_grammar_set(files, main: str) -> GrammarSet:
             raise LgwError(f"graph {g.name!r} is defined in both {sources[g.name]} and {source}")
         graphs[g.name] = g
         sources[g.name] = source
+    if not main:
+        main = next(iter(graphs), None)
     if main not in graphs:
         raise UnresolvedSubgraph(main)
     calls: dict = {name: set() for name in graphs}

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..data import default_abbreviations
 from ..grammar import GrammarSet, compile_filter
 
 from . import _engine
@@ -170,12 +171,6 @@ def compile_grammar_set(gs: GrammarSet) -> dict:
     return {"main": gs.main, "graphs": graphs}
 
 
-def _default_abbreviations():
-    from ..data import default_abbreviations
-
-    return default_abbreviations()
-
-
 def apply_grammar(
     gs: GrammarSet,
     text: str,
@@ -191,7 +186,7 @@ def apply_grammar(
     cgs = compile_grammar_set(gs)
     toks = _impl.tokenize_raw(text)
     abbrevs = frozenset(
-        abbreviations if abbreviations is not None else _default_abbreviations()
+        abbreviations if abbreviations is not None else default_abbreviations()
     )
     bounds = _impl.sentence_boundaries(toks, abbrevs)
     raw = _impl.find_matches(

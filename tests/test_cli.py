@@ -1,3 +1,4 @@
+import datetime
 import json
 import subprocess
 import sys
@@ -66,6 +67,33 @@ def test_apply_stamp_adds_comment(ws):
     assert first.startswith("# generated ")
 
 
+def test_apply_mode_all_keeps_the_shorter_matches(ws):
+    # "Sra. Joana da Silva" holds the shorter match "Sra. Joana"
+    lines = {}
+    for mode in ("all", "longest"):
+        assert _apply(ws, ws / mode, G1_FILES, "g.cnc", ["--mode", mode]) == 0
+        c = parse_concordance((ws / mode / "g.cnc").read_text(encoding="utf-8"))
+        lines[mode] = {(l.start, l.end, l.match) for l in c.lines}
+    assert len(lines["longest"]) == 2
+    assert lines["longest"] < lines["all"]
+
+
+def test_apply_parses_each_grammar_file_once(ws, monkeypatch):
+    from lgw import cli, grammar
+
+    calls = []
+    parse = grammar.parse_graph
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(grammar, "parse_graph", counting)
+    monkeypatch.setattr(cli, "parse_graph", counting)
+    assert _apply(ws, ws / "out", G1_FILES, "g.cnc") == 0  # no --main
+    assert len(calls) == len(G1_FILES)
+
+
 def test_apply_multiple_corpus_files_sorted(ws):
     (ws / "b.txt").write_text("O Dr. Pedro chegou.", encoding="utf-8")
     (ws / "a.txt").write_text("A Sra. Joana saiu.", encoding="utf-8")
@@ -93,6 +121,25 @@ def test_apply_xml_annotation(ws):
     plain, anns = parse_gold(xml)
     assert plain == CORPUS
     assert len(anns) == 2
+
+
+@pytest.mark.parametrize(
+    "corpus, offset",
+    [
+        ("Veja <EMAIL> e a Sra. Joana da Silva falou.\n", 5),
+        ('A Sra. Joana e <EM CATEG="PESSOA" TIPO="INDIVIDUAL">xx</EM>.\n', 15),
+    ],
+    ids=["malformed-tag", "well-formed-tag"],
+)
+def test_apply_xml_of_a_text_holding_an_em_tag_exits_2(ws, capsys, corpus, offset):
+    # lgw eval would read the text's own tag back as a malformed or an
+    # extra annotation
+    (ws / "corpus.txt").write_text(corpus, encoding="utf-8")
+    assert _apply(ws, ws / "out", G1_FILES, "g.cnc", ["--xml", "sys.xml"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"lgw apply: error: offset {offset}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (ws / "out" / "sys.xml").exists()
 
 
 def test_full_pipeline_diff_compose_eval(ws, capsys):
@@ -308,7 +355,8 @@ def test_missing_file_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_diff_aligns_once(ws, monkeypatch):
+@pytest.mark.parametrize("command", ["diff", "relate"])
+def test_diff_aligns_once(ws, monkeypatch, command):
     from lgw import concorddiff
 
     out = ws / "out"
@@ -319,8 +367,34 @@ def test_diff_aligns_once(ws, monkeypatch):
     monkeypatch.setattr(
         concorddiff, "align", lambda cx, cy: calls.append(1) or align(cx, cy)
     )
-    assert main(["diff", str(out / "g1.cnc"), str(out / "g2.cnc"), "--out", str(out)]) == 0
+    assert main([command, str(out / "g1.cnc"), str(out / "g2.cnc"), "--out", str(out)]) == 0
     assert len(calls) == 1
+
+
+def test_relate_is_diff_without_html(ws, capsys):
+    cnc = ws / "cnc"
+    _apply(ws, cnc, G1_FILES, "g1.cnc")
+    _apply(ws, cnc, ("ReconheceNomesCompostos",), "g2.cnc")
+    printed = {}
+    for command in ("diff", "relate"):
+        capsys.readouterr()
+        assert main([command, str(cnc / "g1.cnc"), str(cnc / "g2.cnc"), "--out", str(ws / command)]) == 0
+        printed[command] = capsys.readouterr().out.splitlines()
+    assert sorted(p.name for p in (ws / "diff").iterdir()) == ["diff.html", "relation.json"]
+    assert [p.name for p in (ws / "relate").iterdir()] == ["relation.json"]
+    relation = (ws / "relate" / "relation.json").read_bytes()
+    assert relation == (ws / "diff" / "relation.json").read_bytes()
+    assert printed["relate"][-1] == printed["diff"][-1] == json.loads(relation)["recommendation"]
+
+
+def test_diff_stamp_writes_one_time(ws):
+    out = ws / "out"
+    _apply(ws, out, G1_FILES, "g1.cnc")
+    assert main(["diff", str(out / "g1.cnc"), str(out / "g1.cnc"), "--out", str(out), "--stamp"]) == 0
+    stamp = json.loads((out / "relation.json").read_text(encoding="utf-8"))["stamp"]
+    assert datetime.datetime.fromisoformat(stamp).utcoffset() == datetime.timedelta(0)
+    html = (out / "diff.html").read_text(encoding="utf-8")
+    assert f"<!-- generated {stamp} -->\n</body>" in html
 
 
 @pytest.mark.parametrize("corpus", ["latin1", "directory"])

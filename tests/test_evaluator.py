@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from lgw.errors import MalformedTag, NestedTag, OverlappingOccurrences
+from lgw.errors import LgwError, MalformedTag, NestedTag, OverlappingOccurrences
 from lgw.evaluator import (
     GoldAnnotation,
     annotate,
@@ -81,6 +81,24 @@ def test_render_parse_round_trip(chunks, tail):
     got_plain, got_anns = parse_gold(xml)
     assert got_plain == plain
     assert got_anns == anns
+
+
+_xml_piece = st.sampled_from(
+    ["<", "<EM", "</EM>", "<EMAIL>", '<EM CATEG="A" TIPO="B">', "a", "E", "M", " "]
+)
+
+
+@given(st.lists(_xml_piece, max_size=10).map("".join), st.data())
+def test_render_gold_refuses_what_it_cannot_round_trip(plain, data):
+    # disjoint, possibly empty or touching, annotations
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(plain)), max_size=6)))
+    anns = [GoldAnnotation(s, e, "PESSOA", "X") for s, e in zip(cuts[::2], cuts[1::2])]
+    try:
+        xml = render_gold(plain, anns)
+    except LgwError:
+        assert "<EM" in plain or "</EM>" in plain
+        return
+    assert parse_gold(xml) == (plain, anns)
 
 
 # --- projecting grammar output to annotations --------------------------------

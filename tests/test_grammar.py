@@ -95,6 +95,7 @@ def test_every_sample_mask_symbol_parses_uniquely():
         ("graph G\nbox i \"x\"\ninit i\nfinal f\nedge i f", GraphSyntaxError),
         ("box b \"x\"\ninit i\nfinal f\nedge i b\nedge b f", GraphSyntaxError),
         ("graph G\nbox x <MOT><<[z-a]>>\ninit i\nfinal f", GraphSyntaxError),
+        ("graph G\nbox x <MOT><<a{\u0663}>>\ninit i\nfinal f", GraphSyntaxError),
     ],
 )
 def test_parse_errors(text, exc):
@@ -146,7 +147,9 @@ def test_filter_literal_is_escaped():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "[ab", "*a", "a{2,", "[]", "[z-a]", "a{3,1}", "[\\]", "a{99999999999}"]
+    "bad", ["", "[ab", "*a", "a{2,", "[]", "[z-a]", "a{3,1}", "[\\]", "a{99999999999}",
+            # re reads only ASCII digits as a repeat count
+            "a{\u0663}", "a{1,\u0663}"]
 )
 def test_filter_rejects_bad_patterns(bad):
     with pytest.raises(ValueError):
@@ -216,6 +219,12 @@ def test_load_grammar_set_names_the_file_of_a_parse_error():
         load_grammar_set([("a.lg", MINIMAL), ("b.lg", "graph B\nbox b ?\n")], "Minimo")
     assert str(e.value) == "b.lg: line 2: unexpected character '?'"
     assert e.value.line_no == 2
+
+
+def test_load_grammar_set_main_defaults_to_the_first_files_graph():
+    names = ("Preposicao", "ReconheceFormasDeTratamento", "Abreviacoes")
+    gs = load_grammar_set([(n, data.grammar_text(n)) for n in names])
+    assert gs.main == "Preposicao"
 
 
 def test_load_grammar_set_unknown_main():
