@@ -7,8 +7,8 @@ lexicons, of a synthetic 20k-entry lexicon and of 4,000 entries under one
 surface (where a per-surface dedupe that compares each entry with the
 others grows with the square), then builds a synthetic
 corpus from the shipped lexicons, applies the two shipped grammars and
-reports corpus words/second (the tokenizer sees about twice as many
-tokens, because spaces are tokens).  That corpus is all names, so it
+reports corpus words/second (whitespace makes no token, so the tokenizer
+sees the words plus their punctuation).  That corpus is all names, so it
 also applies the lexicon-names grammar to sparse prose: the synthetic
 lexicon's one-word entries with one of its names about every 50 words,
 where nearly every word has an entry but few can start a match.  Last it

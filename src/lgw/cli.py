@@ -172,6 +172,11 @@ def cmd_apply(args) -> int:
     text = "\n".join(_read(p) for p in corpus)
     text_id = "+".join(Path(p).name for p in corpus)
     occs = apply_grammar(gs, text, lex, mode=args.mode)
+    # annotate before writing anything: a text the XML refuses leaves no file
+    if args.xml:
+        annotated = evaluator.annotate(
+            text, _non_overlapping(occs), args.categ, args.tipo
+        )
     cnc = build_concordance(
         occs, text, ContextConfig(args.left, args.right), grammar=gs.main, text_id=text_id
     )
@@ -179,9 +184,6 @@ def cmd_apply(args) -> int:
     path = _write(args.out, args.cnc or f"{gs.main}.cnc", body)
     print(f"{len(occs)} occurrence(s) -> {path}")
     if args.xml:
-        annotated = evaluator.annotate(
-            text, _non_overlapping(occs), args.categ, args.tipo
-        )
         print(f"annotated XML -> {_write(args.out, args.xml, annotated)}")
     return 0
 

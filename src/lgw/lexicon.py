@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import MalformedLine
-from .matcher._engine import SPACE, _is_pre, _lex_symbol_sets, tokenize_raw
+from .matcher._engine import _is_pre, _lex_symbol_sets, tokenize_raw
 
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
 
@@ -61,7 +61,7 @@ class Lexicon:
                     # letter runs joined by single spaces are tokenized by split()
                     words = s.split(" ")
                     if not all(w.isalpha() for w in words):
-                        words = [t[0] for t in tokenize_raw(s) if t[3] != SPACE]
+                        words = [t[0] for t in tokenize_raw(s)]
                         if not words:
                             continue
                     head, width = words[0], len(words)
@@ -71,8 +71,8 @@ class Lexicon:
         return self._index[0]
 
     def head_index(self) -> tuple:
-        """(first token -> most non-space tokens of an entry starting with
-        it, most non-space tokens of any entry): the matcher's probe window."""
+        """(first token -> most tokens of an entry starting with it, most
+        tokens of any entry): the matcher's probe window."""
         self.symbol_index()
         return self._index[1]
 

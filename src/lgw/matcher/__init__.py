@@ -20,7 +20,7 @@ USING_COMPILED_ENGINE = False  # recorded by perfbench/run.py
 ALL_MATCHES = "all"
 LONGEST_ONLY = "longest"
 
-_KIND_NAMES = ("word", "number", "punct", "space")
+_KIND_NAMES = ("word", "number", "punct")
 
 
 @dataclass(frozen=True)
@@ -41,17 +41,24 @@ class Occurrence:
 
 
 def tokenize(text: str) -> list:
-    return [Token(s, a, b, _KIND_NAMES[k]) for s, a, b, k in _impl.tokenize_raw(text)]
+    """Tokens that partition the text: the kernel's tokens, and each
+    whitespace run between them as a "space" token."""
+    toks = []
+    pos = 0
+    for s, a, b, k in _impl.tokenize_raw(text):
+        if a > pos:
+            toks.append(Token(text[pos:a], pos, a, "space"))
+        toks.append(Token(s, a, b, _KIND_NAMES[k]))
+        pos = b
+    if pos < len(text):
+        toks.append(Token(text[pos:], pos, len(text), "space"))
+    return toks
 
 
 def _compile_atom(atom):
     if atom.kind == "literal":
         ci = not any(c.isupper() for c in atom.literal)
-        pieces = tuple(
-            t[0].lower() if ci else t[0]
-            for t in _engine.tokenize_raw(atom.literal)
-            if t[3] != _engine.SPACE
-        )
+        pieces = tuple(t[0].lower() if ci else t[0] for t in _engine.tokenize_raw(atom.literal))
         return ("lit", pieces, ci)
     if atom.kind == "epsilon":
         return ("eps",)

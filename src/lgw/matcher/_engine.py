@@ -4,7 +4,8 @@ This module is self-contained and works on primitive dicts and tuples
 only.
 
 Token tuples are ``(surface, start, end, kind)`` with kind 0=word,
-1=number, 2=punct, 3=space.  Compiled grammars (built by
+1=number, 2=punct; whitespace is the gap between two tokens, not a
+token.  Compiled grammars (built by
 ``lgw.matcher.compile_grammar_set``) are plain dicts::
 
     {"main": name,
@@ -19,8 +20,8 @@ alternatives, ``folded`` does the same for case-folded literals (keyed by
 the lowercased piece), and ``rest`` holds every other alternative.  An
 alternative is a tuple of atoms:
 
-* ``("lit", pieces, ci)`` -- pieces are the literal's non-space token
-  surfaces (lowercased when ci is true);
+* ``("lit", pieces, ci)`` -- pieces are the literal's token surfaces
+  (lowercased when ci is true);
 * ``("mask", required_frozenset, builtin, compiled_filter_or_None)``;
 * ``("eps",)``;
 * ``("call", graph_name)``.
@@ -34,37 +35,33 @@ cover one of ``required_sets`` (the ``required`` sets of the leading
 dictionary masks).
 
 The lexicon arrives as two structures from ``Lexicon``: the symbol index
-(surface -> tuple of symbol sets) and the head index ``(heads, longest)``,
-where ``heads`` maps the first token of every entry to the largest number
-of non-space tokens of an entry starting with it and ``longest`` is that
-number over all entries.  ``find_matches`` looks up the lexicon entries
-that start at a token at most once per call, with ``_entries_at``: the
-first time the start filter or a dictionary mask needs them.  It keeps
-the list of an admitted start token or of a token a dictionary mask
-reached, and every dictionary mask at that token, on every path from
-every start, reads that one list.
+(surface -> tuple of symbol sets) and the head index ``(heads,
+longest)``, where ``heads`` maps the first token of every entry to the
+largest number of tokens of an entry starting with it and ``longest`` is
+that number over all entries.  ``find_matches`` looks up the lexicon
+entries that start at a token at most once per call, with
+``_entries_at``: the first time the start filter or a dictionary mask
+needs them.  It keeps the list of an admitted start token or of a token a
+dictionary mask reached, and every dictionary mask at that token, on
+every path from every start, reads that one list.
 """
 
 WORD = 0
 NUMBER = 1
 PUNCT = 2
-SPACE = 3
 
 
 def tokenize_raw(text):
-    """Maximal letter runs are words, digit runs numbers, whitespace runs
-    spaces; every other character is its own punct token."""
+    """Maximal letter runs are words and digit runs numbers; every other
+    character but whitespace is its own punct token.  Whitespace makes no
+    token."""
     toks = []
     i = 0
     n = len(text)
     while i < n:
         c = text[i]
         if c.isspace():
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            toks.append((text[i:j], i, j, SPACE))
-            i = j
+            i += 1
         elif c.isalpha():
             j = i + 1
             while j < n and text[j].isalpha():
@@ -84,23 +81,20 @@ def tokenize_raw(text):
 
 
 def sentence_boundaries(toks, abbreviations):
-    """Indices of '.' tokens that end a sentence: followed by whitespace and
-    an uppercase word, unless the preceding word is a known abbreviation or
-    a single uppercase letter."""
+    """Indices of '.' tokens that end a sentence: followed, after a gap, by
+    an uppercase word, unless the word that touches the '.' from before is
+    a known abbreviation or a single uppercase letter."""
     bset = set()
-    n = len(toks)
-    for idx in range(n):
+    for idx in range(len(toks) - 1):
         tok = toks[idx]
         if tok[3] != PUNCT or tok[0] != ".":
             continue
-        if idx + 2 >= n or toks[idx + 1][3] != SPACE:
-            continue
-        nxt = toks[idx + 2]
-        if nxt[3] != WORD or not nxt[0][:1].isupper():
+        nxt = toks[idx + 1]
+        if nxt[1] == tok[2] or nxt[3] != WORD or not nxt[0][:1].isupper():
             continue
         if idx > 0:
             prev = toks[idx - 1]
-            if prev[3] == WORD and (
+            if prev[2] == tok[1] and prev[3] == WORD and (
                 prev[0] in abbreviations
                 or (len(prev[0]) == 1 and prev[0].isupper())
             ):
@@ -118,13 +112,6 @@ def _lex_symbol_sets(symindex, surface):
     return syms
 
 
-def _skip_spaces(toks, i):
-    n = len(toks)
-    while i < n and toks[i][3] == SPACE:
-        i += 1
-    return i
-
-
 def _is_pre(symindex, surface):
     if surface[:1].isupper():
         return True
@@ -135,8 +122,8 @@ def _is_pre(symindex, surface):
 
 
 def _probe_width(heads, surface):
-    """How many non-space tokens a lexicon entry starting at a token with
-    this surface can span (0: no entry starts there)."""
+    """How many tokens a lexicon entry starting at a token with this
+    surface can span (0: no entry starts there)."""
     index, longest = heads
     width = index.get(surface, 0)
     if surface[:1].isupper():
@@ -158,16 +145,9 @@ def _entries_at(toks, text, symindex, heads, i):
     starts at token i (i < len(toks)), longest first; ``end`` is the index
     after the entry's last token."""
     width = _probe_width(heads, toks[i][0])
-    n = len(toks)
-    ends = []
-    j = i
-    while len(ends) < width and j < n:
-        if toks[j][3] != SPACE:
-            ends.append(j + 1)
-        j += 1
     start = toks[i][1]
     found = []
-    for end in reversed(ends):
+    for end in range(min(i + width, len(toks)), i, -1):
         surface = text[start : toks[end - 1][2]]
         sets = _lex_symbol_sets(symindex, surface)
         if sets:
@@ -249,25 +229,23 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     """All matches of the main graph, as sorted (start, end, merged) tuples.
 
     A match anchored at a start token is any initial-to-final path of the
-    main graph whose atoms consume a contiguous token sequence (space
-    tokens are transparent between atoms) that ends at or before the
-    first sentence boundary at or after the start.  Start tokens outside
-    the main graph's FIRST set are skipped.  ``entries`` maps a token to
-    its ``_entries_at`` list; it holds only admitted start tokens and
-    tokens a dictionary mask reached, so a rejected start's list is
-    dropped at once.
+    main graph whose atoms consume a contiguous token sequence that ends
+    at or before the first sentence boundary at or after the start.
+    Start tokens outside the main graph's FIRST set are skipped.
+    ``entries`` maps a token to its ``_entries_at`` list; it holds only
+    admitted start tokens and tokens a dictionary mask reached, so a
+    rejected start's list is dropped at once.
 
     The walk is one loop over an explicit stack.  A stack state is one
-    alternative of one box, resumed at atom ``k`` and token ``i``; tokens
-    partition the text, so the last consumed token is ``i - 1``.  The
-    state also carries the (char_pos, output) events so far, the token
-    where the box was entered, the slot in the events for the box's
-    output (which precedes the outputs of the calls inside its
-    alternative), the boxes entered since the last consumed token (a box
-    is not re-entered at the same token on one path) and the return
-    stack of subgraph calls.  A box entry already reached from the same
-    start with equal events, visited boxes and return stack has the same
-    continuations, so it is skipped.
+    alternative of one box, resumed at atom ``k`` and token ``i``; the
+    last consumed token is ``i - 1``.  The state also carries the
+    (char_pos, output) events so far, the token where the box was
+    entered, the slot in the events for the box's output (which precedes
+    the outputs of the calls inside its alternative), the boxes entered
+    since the last consumed token (a box is not re-entered at the same
+    token on one path) and the return stack of subgraph calls.  A box
+    entry already reached from the same start with equal events, visited
+    boxes and return stack has the same continuations, so it is skipped.
     """
     graphs = cgs["graphs"]
     main = cgs["main"]
@@ -280,9 +258,8 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     for s in range(n - 1, -1, -1):
         if s in boundaries:
             limit = s + 1
-        if toks[s][3] == SPACE or (
-            first is not None
-            and not _may_start(first, toks, text, symindex, heads, s, entries)
+        if first is not None and not _may_start(
+            first, toks, text, symindex, heads, s, entries
         ):
             continue
         seen = set()
@@ -298,8 +275,6 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                     if not atom[1]:  # a literal without pieces never matches
                         break
                     for piece in atom[1]:
-                        while i < limit and toks[i][3] == SPACE:
-                            i += 1
                         if i == limit:
                             break
                         surf = toks[i][0]
@@ -311,8 +286,6 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                         continue
                     break
                 if kind == "mask":
-                    while i < limit and toks[i][3] == SPACE:
-                        i += 1
                     if i == limit:
                         break
                     if not atom[2] and i not in entries:
@@ -337,12 +310,12 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
             else:
                 out = g["boxes"][box_id][0]
                 if out is not None:
-                    if i != entry:
-                        pos = toks[_skip_spaces(toks, entry)][1]
-                    elif entry < n:
+                    # before the first token the alternative consumed, else
+                    # right after the last token consumed before the box
+                    if i != entry or entry == s:
                         pos = toks[entry][1]
                     else:
-                        pos = len(text)
+                        pos = toks[entry - 1][2]
                     events = events[:slot] + ((pos, out),) + events[slot:]
                 if i != entry:
                     vis = _NO_BOXES
@@ -367,10 +340,9 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                 out, alts, exact, folded = g["boxes"][b]
                 if exact or folded:
                     # a literal-first alternative can only match if its first
-                    # piece is the first non-space token
-                    j = _skip_spaces(toks, i)
-                    if j < limit:
-                        tok = toks[j][0]
+                    # piece is the next token
+                    if i < limit:
+                        tok = toks[i][0]
                         alts = alts + exact.get(tok, ()) + folded.get(tok.lower(), ())
                 bvis = vis | {key}
                 for a in alts:

@@ -142,6 +142,15 @@ def test_apply_xml_of_a_text_holding_an_em_tag_exits_2(ws, capsys, corpus, offse
     assert not (ws / "out" / "sys.xml").exists()
 
 
+def test_refused_apply_xml_writes_no_file(ws, capsys):
+    (ws / "corpus.txt").write_text(
+        "Veja <EMAIL> e a Sra. Joana da Silva falou.\n", encoding="utf-8"
+    )
+    assert _apply(ws, ws / "out", G1_FILES, "g.cnc", ["--xml", "sys.xml"]) == 2
+    assert capsys.readouterr().out == ""
+    assert [p for p in (ws / "out").rglob("*") if p.is_file()] == []
+
+
 def test_full_pipeline_diff_compose_eval(ws, capsys):
     out = ws / "out"
     _apply(ws, out, G1_FILES, "g1.cnc")

@@ -66,16 +66,28 @@ def _bounds(text, abbrevs=frozenset()):
     return _pure.sentence_boundaries(_pure.tokenize_raw(text), abbrevs)
 
 
+def _boundary_offsets(text, abbrevs=frozenset()):
+    """The character offsets of the '.'s that end a sentence."""
+    toks = _pure.tokenize_raw(text)
+    return sorted(toks[i][1] for i in _pure.sentence_boundaries(toks, abbrevs))
+
+
 def test_boundary_after_period_and_capital():
     toks = _pure.tokenize_raw("fim. Novo")
     bounds = _pure.sentence_boundaries(toks, frozenset())
     assert sum(bounds) == 1
+    assert _boundary_offsets("fim.\nNovo") == [3]  # any whitespace is a gap
+    # an abbreviation or an initial keeps the sentence open only when it
+    # touches the '.'
+    assert _boundary_offsets("o Sr . Silva", frozenset({"Sr"})) == [5]
+    assert _boundary_offsets("D . Afonso") == [2]
 
 
 def test_no_boundary_after_abbreviation_or_initial():
     assert sum(_bounds("o Sr. Silva", frozenset({"Sr"}))) == 0
     assert sum(_bounds("D. Afonso")) == 0  # single capital letter
     assert sum(_bounds("fim. depois")) == 0  # lowercase continuation
+    assert _boundary_offsets("fim.Novo") == []  # no gap after the '.'
 
 
 def test_match_does_not_cross_boundary(g1, lexicon):
@@ -208,6 +220,17 @@ def test_filter_longest_idempotent_and_dominant(occs):
 VOCAB = ["ana", "rui", "lua", "sol", "mar", "rio", "paz"]
 
 
+def _spaced(rng, words):
+    """The words joined by whitespace runs, sometimes with whitespace before
+    the first and after the last.  Drawn after the words, so the grammar
+    and the words of a seed do not depend on it."""
+    edge = ["", "", "", " ", "\n", " \t"]
+    seps = [rng.choice([" ", "  ", "\n", " \t"]) for _ in words[1:]]
+    return "".join(
+        sep + w for sep, w in zip([rng.choice(edge), *seps], words)
+    ) + rng.choice(edge)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_all_matches_agrees_with_path_oracle(seed):
     rng = random.Random(seed)
@@ -215,7 +238,7 @@ def test_all_matches_agrees_with_path_oracle(seed):
     g = random_literal_grammar(rng, "R", VOCAB)
     gs = GrammarSet({"R": g}, "R")
     words = [rng.choice(VOCAB) for _ in range(rng.randint(3, 14))]
-    text = " ".join(words)
+    text = _spaced(rng, words)
     got = {
         (o.start, o.end, o.merged)
         for o in apply_grammar(gs, text, lex, mode=ALL_MATCHES)
@@ -331,14 +354,10 @@ def test_entries_at_agrees_with_brute_probe(entries, text):
     lex = parse_lexicon("".join(f"{_escape(s)},.{tag}\n" for s, tag in entries))
     toks = _pure.tokenize_raw(text)
     for i, tok in enumerate(toks):
-        if tok[3] == _pure.SPACE:
-            continue
         # every token-aligned prefix from token i, longest first: the exact
         # surface, then the lowercase one for a capitalized surface
         want = []
         for j in range(len(toks) - 1, i - 1, -1):
-            if toks[j][3] == _pure.SPACE:
-                continue
             surface = text[tok[1] : toks[j][2]]
             found = _lex_entries(lex, surface)
             if found:
@@ -512,7 +531,7 @@ def test_indexes_agree_with_path_oracle(rng):
     gs = random_dispatch_grammar(rng)
     lex = parse_lexicon(_DISPATCH_LEX)
     words = [_cased(rng, rng.choice(_DISPATCH_WORDS)) for _ in range(rng.randint(2, 10))]
-    text = " ".join(words)
+    text = _spaced(rng, words)
     got = {
         (o.start, o.end, o.merged)
         for o in apply_grammar(gs, text, lex, mode=ALL_MATCHES)
@@ -587,8 +606,8 @@ def test_first_set_of_dictionary_names(g2):
     # and the rejected token's entries are not kept
     assert not _pure._may_start(first, toks, text, *index, 0, entries)
     assert entries == {}
-    assert _pure._may_start(first, toks, text, *index, 2, entries)
-    assert entries == {2: ((5, "Marilyn Monroe", (frozenset({"N", "PR"}),)),)}
+    assert _pure._may_start(first, toks, text, *index, 1, entries)
+    assert entries == {1: ((3, "Marilyn Monroe", (frozenset({"N", "PR"}),)),)}
 
 
 _START_DICT_MASKS = [
@@ -663,6 +682,20 @@ def test_literal_dispatch_splits_alternatives():
 
 
 # --- the walk: output order, long chains, ambiguity, recursion --------------
+
+
+def test_output_of_a_box_that_consumes_nothing_follows_the_last_token():
+    # ahead of the whitespace after the last consumed token; before the
+    # first token when nothing has been consumed yet
+    eps, mot = (InputAtom.eps(),), (InputAtom.masked(LexicalMask(builtin="MOT")),)
+    boxes = [GraphBox("open", (eps,), "<A>"), GraphBox("a", (mot,)),
+             GraphBox("mid", (eps,), "<B>"), GraphBox("b", (mot,)),
+             GraphBox("close", (eps,), "<C>")]
+    edges = [("i", "open"), ("open", "a"), ("a", "mid"), ("mid", "b"), ("b", "close"),
+             ("close", "f")]
+    gs = GrammarSet({"G": _graph("G", boxes, edges)}, "G")
+    occs = apply_grammar(gs, " ana \n rui\t", parse_lexicon(""), ALL_MATCHES)
+    assert [(o.start, o.end, o.merged) for o in occs] == [(1, 10, "<A>ana<B> \n rui<C>")]
 
 
 def test_box_output_precedes_its_calls_outputs():
