@@ -9,13 +9,14 @@ starts a comment line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import MalformedLine
 from .matcher._engine import _is_pre, _lex_symbol_sets, tokenize_raw
 
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
+# surface, comma, lemma, period, tag; a backslash escapes the next character
+_ESCAPED_LINE_RE = re.compile(r"((?:\\.?|[^\\,])*)(,?)((?:\\.?|[^\\.])*)(\.?)(.*)", re.S)
 
 
 class LexEntry(NamedTuple):
@@ -32,59 +33,66 @@ class LexEntry(NamedTuple):
         return self.codes | {self.pos}
 
 
-@dataclass
 class Lexicon:
-    entries: dict  # surface -> tuple of LexEntry
-    name: str = ""
-    _index: tuple = field(default=None, repr=False, compare=False)
+    """Distinct entries as rows ``(surface, lemma, pos, codes)``, first seen
+    first, and the matcher's symbol and head indexes, built together by
+    ``_build``.  ``entries`` is built when first read, unless given."""
+
+    def __init__(self, entries=None, name="", _built=None):
+        self.name = name
+        self._entries = entries
+        self._built = _built or _build(e for es in entries.values() for e in es)
+
+    @property
+    def entries(self) -> dict:
+        """surface -> tuple of LexEntry, both in first-seen order."""
+        if self._entries is None:
+            groups: dict = {}
+            for r in self._built[0]:
+                groups.setdefault(r[0], []).append(r if type(r) is LexEntry else LexEntry._make(r))
+            self._entries = {s: tuple(es) for s, es in groups.items()}
+        return self._entries
 
     def __len__(self):
-        return sum(len(v) for v in self.entries.values())
+        return len(self._built[0])
 
     def symbol_index(self) -> dict:
-        """surface -> tuple of symbol sets, the matcher's probe structure.
-        Builds ``head_index()`` in the same pass."""
-        if self._index is None:
-            symidx, heads = {}, {}
-            shared = {}  # (pos, codes) -> codes | {pos}, once per distinct tag
-            for s, es in self.entries.items():
-                sets = []
-                for e in es:
-                    syms = shared.get(e[2:])
-                    if syms is None:
-                        syms = shared[e[2:]] = e.codes | {e.pos}
-                    sets.append(syms)
-                symidx[s] = tuple(sets)
-                if s.isalpha():
-                    head, width = s, 1
-                else:
-                    # letter runs joined by single spaces are tokenized by split()
-                    words = s.split(" ")
-                    if not all(w.isalpha() for w in words):
-                        words = [t[0] for t in tokenize_raw(s)]
-                        if not words:
-                            continue
-                    head, width = words[0], len(words)
-                if width > heads.get(head, 0):
-                    heads[head] = width
-            self._index = symidx, (heads, max(heads.values(), default=0))
-        return self._index[0]
+        """surface -> tuple of symbol sets, the matcher's probe structure."""
+        return self._built[1]
 
     def head_index(self) -> tuple:
         """(first token -> most tokens of an entry starting with it, most
         tokens of any entry): the matcher's probe window."""
-        self.symbol_index()
-        return self._index[1]
+        return self._built[2]
 
 
-def _from_entries(entries, name: str) -> Lexicon:
-    """The lexicon of ``entries`` without duplicates, keeping the first
-    object of each and grouping by surface in first-seen order: the one
-    dedupe rule of parse and merge."""
-    groups: dict = {}
-    for e in dict.fromkeys(entries):
-        groups.setdefault(e.surface, []).append(e)
-    return Lexicon({s: tuple(es) for s, es in groups.items()}, name=name)
+def _build(rows) -> tuple:
+    """(distinct rows, symbol index, head index) of the 4-tuples ``rows`` in
+    one pass, keeping the first object of each row and every surface's
+    symbol sets in first-seen order: the dedupe and index of parse and merge."""
+    seen, symidx, multi, heads = {}, {}, {}, {}
+    shared = {}  # (pos, codes) -> codes | {pos}, once per distinct tag
+    for row in rows:
+        if row in seen:
+            continue
+        seen[row] = None
+        surface = row[0]
+        syms = shared.get(row[2:])
+        if syms is None:
+            syms = shared[row[2:]] = row[3] | {row[2]}
+        if surface in symidx:  # rare: lists, so that no tuple grows entry by entry
+            multi.setdefault(surface, list(symidx[surface])).append(syms)
+            continue
+        symidx[surface] = (syms,)
+        # letter runs joined by single spaces are tokenized by split()
+        words = surface.split(" ")
+        if "" in words or not "".join(words).isalpha():
+            words = [t[0] for t in tokenize_raw(surface)]
+        if words and len(words) > heads.get(words[0], 0):
+            heads[words[0]] = len(words)
+    for surface, sets in multi.items():
+        symidx[surface] = tuple(sets)
+    return seen, symidx, (heads, max(heads.values(), default=0))
 
 
 def _unescape(s: str) -> str:
@@ -93,20 +101,6 @@ def _unescape(s: str) -> str:
 
 def _escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace(",", "\\,").replace(".", "\\.")
-
-
-def _partition_escaped(s: str, sep: str) -> tuple:
-    """``str.partition`` that skips backslash-escaped characters."""
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c == "\\":
-            i += 2
-        elif c == sep:
-            return s[:i], sep, s[i + 1 :]
-        else:
-            i += 1
-    return s, "", ""
 
 
 def _parse_tag(gram: str, line_no: int) -> tuple:
@@ -118,15 +112,14 @@ def _parse_tag(gram: str, line_no: int) -> tuple:
     return segs[0], frozenset(segs[1:])
 
 
-def parse_lexicon(text: str, name: str = "") -> Lexicon:
-    entries = []
+def _read_rows(text: str):
+    """The row ``(surface, lemma, pos, codes)`` of every entry line."""
     tags: dict = {}  # raw text after the period -> (pos, codes)
     for line_no, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.startswith("#"):
             continue
         if "\\" in raw:
-            surface, comma, rest = _partition_escaped(raw, ",")
-            lemma, period, gram = _partition_escaped(rest, ".")
+            surface, comma, lemma, period, gram = _ESCAPED_LINE_RE.fullmatch(raw).groups()
             surface, lemma = _unescape(surface), _unescape(lemma)
         else:
             surface, comma, rest = raw.partition(",")
@@ -140,8 +133,12 @@ def parse_lexicon(text: str, name: str = "") -> Lexicon:
         tag = tags.get(gram)
         if tag is None:
             tag = tags[gram] = _parse_tag(gram, line_no)
-        entries.append(LexEntry(surface, lemma or surface, *tag))
-    return _from_entries(entries, name)
+        pos, codes = tag
+        yield surface, lemma or surface, pos, codes
+
+
+def parse_lexicon(text: str, name: str = "") -> Lexicon:
+    return Lexicon(name=name, _built=_build(_read_rows(text)))
 
 
 def render_lexicon(lex: Lexicon) -> str:
@@ -155,9 +152,12 @@ def render_lexicon(lex: Lexicon) -> str:
 
 
 def merge_lexicons(lexicons, name: str = "") -> Lexicon:
-    return _from_entries(
-        (e for lex in lexicons for es in lex.entries.values() for e in es), name
-    )
+    """The distinct entries of ``lexicons``, first seen first.  A single
+    lexicon's rows and indexes are kept as they are."""
+    built = [lex._built for lex in lexicons]
+    if len(built) == 1:
+        return Lexicon(name=name, _built=built[0])
+    return Lexicon(name=name, _built=_build(r for b in built for r in b[0]))
 
 
 def lookup(lex: Lexicon, surface: str) -> set:

@@ -231,7 +231,8 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     A match anchored at a start token is any initial-to-final path of the
     main graph whose atoms consume a contiguous token sequence that ends
     at or before the first sentence boundary at or after the start.
-    Start tokens outside the main graph's FIRST set are skipped.
+    Start tokens outside the main graph's FIRST set are skipped; so is, at
+    once, a surface in ``rejected``: one rejected without reading past it.
     ``entries`` maps a token to its ``_entries_at`` list; it holds only
     admitted start tokens and tokens a dictionary mask reached, so a
     rejected start's list is dropped at once.
@@ -254,14 +255,19 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     n = len(toks)
     results = set()
     entries = {}
+    rejected = set()
     limit = n  # tokens at or after limit lie past the sentence boundary
     for s in range(n - 1, -1, -1):
         if s in boundaries:
             limit = s + 1
-        if first is not None and not _may_start(
-            first, toks, text, symindex, heads, s, entries
-        ):
-            continue
+        if first is not None:
+            surface = toks[s][0]
+            if surface in rejected:
+                continue
+            if not _may_start(first, toks, text, symindex, heads, s, entries):
+                if _probe_width(heads, surface) <= 1:  # no later token was read
+                    rejected.add(surface)
+                continue
         seen = set()
         stack = [(main, initial, (), 0, s, (), s, 0, frozenset({(main, initial)}), None)]
         while stack:

@@ -14,7 +14,7 @@ from lgw.lexicon import (
     render_lexicon,
     token_has_mask,
 )
-from oracles import oracle_parse_lexicon
+from oracles import oracle_lexicon_index, oracle_parse_lexicon
 
 
 def test_parse_multiword_proper_name():
@@ -246,3 +246,34 @@ def _parse_outcome(parse, text):
 @example("a,.N\n,x\n")
 def test_parse_agrees_with_reference_parser(text):
     assert _parse_outcome(parse_lexicon, text) == _parse_outcome(oracle_parse_lexicon, text)
+
+
+def _parsed(text):
+    try:
+        return parse_lexicon(text), oracle_parse_lexicon(text).entries
+    except MalformedLine:
+        return None
+
+
+def _index(lex):
+    return lex.symbol_index(), lex.head_index()
+
+
+@given(_lexicon_text())
+@example("a,.N\na,.N\na,x.N+PR\nx y,.N\nx\\,y,.N\n")
+def test_index_agrees_with_reference_index(text):
+    parsed = _parsed(text)
+    if parsed is not None:
+        assert _index(parsed[0]) == oracle_lexicon_index(parsed[1])
+
+
+@given(st.lists(_lexicon_text(), min_size=1, max_size=3))
+@example(["a,.N\nb c,.V\n", "b c,.V\na,.N+PR\n", "a,.N\n"])
+def test_merged_index_agrees_with_reference_index(texts):
+    parsed = [p for p in map(_parsed, texts) if p is not None]
+    merged = {}  # the oracle entries of every text, each distinct one once
+    for _, entries in parsed:
+        for s, es in entries.items():
+            merged[s] = merged.get(s, ()) + tuple(e for e in es if e not in merged.get(s, ()))
+    lex = merge_lexicons([lex for lex, _ in parsed])
+    assert _index(lex) == oracle_lexicon_index(merged)
