@@ -127,20 +127,26 @@ def render_gold(plain: str, annotations) -> str:
     return "".join(out)
 
 
-def _strip_tags(s: str) -> str:
-    return s.replace(_NOME_OPEN, "").replace(_NOME_CLOSE, "")
+def _first_output_with(events, tag):
+    """(splice index, index in the output, text offset) of the first
+    output that holds ``tag``, or None."""
+    for n, (pos, out) in enumerate(events):
+        k = out.find(tag)
+        if k >= 0:
+            return n, k, pos
+    return None
 
 
 def tagged_region(occ):
-    """Text offsets of the region the grammar's output tags enclose; the
-    whole occurrence span when the merged text carries no tag pair."""
-    oi = occ.merged.find(_NOME_OPEN)
-    ci = occ.merged.find(_NOME_CLOSE)
-    if oi < 0 or ci < 0 or ci < oi:
+    """Text offsets of the region the grammar's output tags enclose: from
+    the first output holding <NOME> to the first holding </NOME>.  The
+    whole occurrence span when either is missing or the close comes
+    first."""
+    opened = _first_output_with(occ.events, _NOME_OPEN)
+    closed = _first_output_with(occ.events, _NOME_CLOSE)
+    if opened is None or closed is None or closed < opened:
         return occ.start, occ.end
-    start = occ.start + len(_strip_tags(occ.merged[:oi]))
-    end = occ.start + len(_strip_tags(occ.merged[:ci]))
-    return start, end
+    return opened[2], closed[2]
 
 
 def annotate(text: str, occs, categ: str, tipo: str) -> str:

@@ -1,6 +1,7 @@
 """Apply grammar sets to text, producing occurrences with MERGE output.
 
-The matching kernel lives in ``_engine``.
+The matching kernel lives in ``_engine``; it reports where each output
+goes, and this module splices the outputs into the matched text.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ class Occurrence:
     start: int
     end: int
     surface: str
-    merged: str
+    merged: str  # the surface with the outputs of ``events`` spliced in
     grammar: str
+    # (text offset, output) pairs in splice order; empty when built by hand
+    events: tuple = ()
 
 
 def tokenize(text: str) -> list:
@@ -186,8 +189,11 @@ def apply_grammar(
     abbreviations=None,
 ) -> list:
     """Every initial-to-final path match of the main graph as Occurrences,
-    sorted by (start, end).  LongestOnly keeps, per start offset, only the
-    longest occurrence."""
+    one per (start, end, merged), sorted by that key.  LongestOnly keeps,
+    per start offset, only the longest occurrences, and splices the
+    outputs of those alone.  Paths whose outputs splice to the same text
+    give one Occurrence, with the first of their events in sorted
+    order."""
     if mode not in (ALL_MATCHES, LONGEST_ONLY):
         raise ValueError(f"unknown mode {mode!r}")
     cgs = compile_grammar_set(gs)
@@ -199,22 +205,43 @@ def apply_grammar(
     raw = _impl.find_matches(
         cgs, text, toks, lex.symbol_index(), lex.head_index(), bounds
     )
-    occs = [
-        Occurrence(start, end, text[start:end], merged, gs.main)
-        for start, end, merged in raw
-    ]
     if mode == LONGEST_ONLY:
-        occs = filter_longest(occs)
-    return occs
+        ends = _longest_ends(m[:2] for m in raw)
+        raw = [m for m in raw if m[1] == ends[m[0]]]
+    # different events may splice to the same text: the first one stays
+    occs = {}
+    for start, end, events in raw:
+        key = (start, end, _splice(text, start, end, events))
+        if key not in occs:
+            occs[key] = Occurrence(start, end, text[start:end], key[2], gs.main, events)
+    return [occs[key] for key in sorted(occs)]
+
+
+def _splice(text, start, end, events):
+    """text[start:end] with each event's output inserted at its offset."""
+    parts = []
+    cur = start
+    for pos, out in events:
+        parts.append(text[cur:pos])
+        parts.append(out)
+        cur = pos
+    parts.append(text[cur:end])
+    return "".join(parts)
+
+
+def _longest_ends(spans):
+    """The largest end of each start offset among (start, end) pairs: the
+    one longest rule of LongestOnly."""
+    best = {}
+    for start, end in spans:
+        if end > best.get(start, -1):
+            best[start] = end
+    return best
 
 
 def filter_longest(occs: list) -> list:
     """Keep, for each start offset, only the occurrences with maximal end.
     Idempotent; input must be sorted by (start, end)."""
-    best = {}
-    for o in occs:
-        cur = best.get(o.start)
-        if cur is None or o.end > cur:
-            best[o.start] = o.end
-    kept = [o for o in occs if o.end == best[o.start]]
+    ends = _longest_ends((o.start, o.end) for o in occs)
+    kept = [o for o in occs if o.end == ends[o.start]]
     return sorted(kept, key=lambda o: (o.start, o.end, o.merged))

@@ -1,7 +1,9 @@
 """Matching kernel: tokenization, sentence boundaries and grammar application.
 
 This module is self-contained and works on primitive dicts and tuples
-only.
+only.  It reports where each box output goes, as a text offset, and
+builds no output strings: ``lgw.matcher`` splices the outputs into the
+matched text.
 
 Token tuples are ``(surface, start, end, kind)`` with kind 0=word,
 1=number, 2=punct; whitespace is the gap between two tokens, not a
@@ -184,21 +186,6 @@ def _match_mask(atom, toks, symindex, entries, i, limit):
     return None
 
 
-def _splice(text, start, end, events):
-    surface = text[start:end]
-    if not events:
-        return surface
-    parts = []
-    cur = 0
-    for pos, s in sorted(events, key=lambda e: e[0]):
-        rel = pos - start
-        parts.append(surface[cur:rel])
-        parts.append(s)
-        cur = rel
-    parts.append(surface[cur:])
-    return "".join(parts)
-
-
 def _may_start(first, toks, text, symindex, heads, i, entries):
     """Can a match of a graph with this FIRST set begin at token i?  A
     token admitted for its lexicon entries keeps them in ``entries``."""
@@ -226,7 +213,10 @@ _NO_BOXES = frozenset()
 
 
 def find_matches(cgs, text, toks, symindex, heads, boundaries):
-    """All matches of the main graph, as sorted (start, end, merged) tuples.
+    """All matches of the main graph, as sorted ``(start, end, events)``
+    tuples.  ``events`` are the ``(char_pos, output)`` pairs of the path's
+    box outputs in splice order: by offset, and in path order at one
+    offset.  Two paths with the same span and events are one match.
 
     A match anchored at a start token is any initial-to-final path of the
     main graph whose atoms consume a contiguous token sequence that ends
@@ -333,8 +323,9 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                         rg, rb, ralt, rk, rentry, rslot, rvis, rret = ret
                         stack.append((rg, rb, ralt, rk, i, events, rentry, rslot, rvis, rret))
                     elif i > s:
-                        start, end = toks[s][1], toks[i - 1][2]
-                        results.add((start, end, _splice(text, start, end, events)))
+                        # in splice order: by offset, stable
+                        ordered = tuple(sorted(events, key=lambda e: e[0]))
+                        results.add((toks[s][1], toks[i - 1][2], ordered))
                     continue
                 key = (gname, b)
                 if key in vis:

@@ -123,6 +123,32 @@ def test_apply_xml_annotation(ws):
     assert len(anns) == 2
 
 
+TITLED = """\
+graph Titulo
+box tit out="[T]" "Sra."
+box nome out="<NOME>" <PRE>
+box fecha out="</NOME>" <E>
+init i
+final f
+edge i tit
+edge tit nome
+edge nome fecha
+edge fecha f
+"""
+
+
+def test_apply_xml_annotates_the_nome_outputs_offsets(tmp_path):
+    # an output before <NOME> does not shift the annotation
+    (tmp_path / "t.lg").write_text(TITLED, encoding="utf-8")
+    (tmp_path / "corpus.txt").write_text("Veja a Sra. Joana falou.", encoding="utf-8")
+    argv = ["apply", "--out", str(tmp_path / "out"), "--grammar", str(tmp_path / "t.lg"),
+            "--xml", "sys.xml", str(tmp_path / "corpus.txt")]
+    assert main(argv) == 0
+    assert (tmp_path / "out" / "sys.xml").read_text(encoding="utf-8") == (
+        'Veja a Sra. <EM CATEG="PESSOA" TIPO="INDIVIDUAL">Joana</EM> falou.'
+    )
+
+
 @pytest.mark.parametrize(
     "corpus, offset",
     [

@@ -105,8 +105,27 @@ def test_render_gold_refuses_what_it_cannot_round_trip(plain, data):
 
 
 def test_tagged_region_inside_merged():
-    occ = Occurrence(2, 21, "Sra. Joana da Silva", "Sra. <NOME>Joana da Silva</NOME>", "G")
+    occ = Occurrence(2, 21, "Sra. Joana da Silva", "Sra. <NOME>Joana da Silva</NOME>", "G",
+                     ((7, "<NOME>"), (21, "</NOME>")))
     assert tagged_region(occ) == (7, 21)
+
+
+@pytest.mark.parametrize(
+    "events, region",
+    [
+        # an open tag without a close: the whole span
+        (((2, "[T]"), (7, "<NOME>")), (2, 21)),
+        # the close before the open: the whole span
+        (((7, "</NOME>"), (21, "<NOME>")), (2, 21)),
+        # one output holding both tags: the empty region at its offset
+        (((2, "[T]"), (7, "<NOME></NOME>")), (7, 7)),
+        # ... and with the close first in it: the whole span
+        (((2, "[T]"), (7, "</NOME><NOME>")), (2, 21)),
+    ],
+)
+def test_tagged_region_reads_the_offsets_of_the_tag_outputs(events, region):
+    occ = Occurrence(2, 21, "Sra. Joana da Silva", "", "G", events)
+    assert tagged_region(occ) == region
 
 
 def test_tagged_region_whole_span_fallback():

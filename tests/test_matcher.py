@@ -231,6 +231,20 @@ def _spaced(rng, words):
     ) + rng.choice(edge)
 
 
+def _events_splice_to_merged(text, o):
+    """Splicing the occurrence's events into its matched text gives its
+    merged text, and every offset lies in the span, in non-decreasing
+    order."""
+    offsets = [pos for pos, _ in o.events]
+    if offsets != sorted(offsets) or not all(o.start <= pos <= o.end for pos in offsets):
+        return False
+    merged, cur = "", o.start
+    for pos, out in o.events:
+        merged += text[cur:pos] + out
+        cur = pos
+    return merged + text[cur:o.end] == o.merged
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_all_matches_agrees_with_path_oracle(seed):
     rng = random.Random(seed)
@@ -239,11 +253,9 @@ def test_all_matches_agrees_with_path_oracle(seed):
     gs = GrammarSet({"R": g}, "R")
     words = [rng.choice(VOCAB) for _ in range(rng.randint(3, 14))]
     text = _spaced(rng, words)
-    got = {
-        (o.start, o.end, o.merged)
-        for o in apply_grammar(gs, text, lex, mode=ALL_MATCHES)
-    }
-    assert got == brute_matches(gs, text, lex)
+    occs = apply_grammar(gs, text, lex, mode=ALL_MATCHES)
+    assert {(o.start, o.end, o.merged) for o in occs} == brute_matches(gs, text, lex)
+    assert all(_events_splice_to_merged(text, o) for o in occs)
 
 
 # cycle-free sibling of the titled-name sample, suitable for path enumeration
@@ -532,11 +544,9 @@ def test_indexes_agree_with_path_oracle(rng):
     lex = parse_lexicon(_DISPATCH_LEX)
     words = [_cased(rng, rng.choice(_DISPATCH_WORDS)) for _ in range(rng.randint(2, 10))]
     text = _spaced(rng, words)
-    got = {
-        (o.start, o.end, o.merged)
-        for o in apply_grammar(gs, text, lex, mode=ALL_MATCHES)
-    }
-    assert got == brute_matches(gs, text, lex)
+    occs = apply_grammar(gs, text, lex, mode=ALL_MATCHES)
+    assert {(o.start, o.end, o.merged) for o in occs} == brute_matches(gs, text, lex)
+    assert all(_events_splice_to_merged(text, o) for o in occs)
 
 
 def test_first_set_of_titled_names(g1):
@@ -720,6 +730,22 @@ def test_box_output_precedes_its_calls_outputs():
     sub = 'graph S\nbox b out="<B>" <PRE>\ninit i\nfinal f\nedge i b\nedge b f'
     gs = load_grammar_set([("M", m), ("S", sub)], "M")
     assert [o.merged for o in apply_grammar(gs, "Ana", parse_lexicon(""))] == ["<A><B>Ana"]
+
+
+def test_events_that_splice_to_the_same_text_give_one_occurrence():
+    # the output "a" before or after the token "aa" gives "aaa" both times;
+    # the occurrence keeps the first events in sorted order
+    eps, mot = (InputAtom.eps(),), (InputAtom.masked(LexicalMask(builtin="MOT")),)
+    boxes = [GraphBox("w", (mot,)), GraphBox("o", (eps,), "a")]
+    edges = [("i", "w"), ("i", "o"), ("o", "w"), ("w", "o"), ("w", "f"), ("o", "f")]
+    gs = GrammarSet({"G": _graph("G", boxes, edges)}, "G")
+    for mode in (ALL_MATCHES, LONGEST_ONLY):
+        occs = apply_grammar(gs, "aa", parse_lexicon(""), mode)
+        assert [(o.start, o.end, o.merged, o.events) for o in occs] == [
+            (0, 2, "aa", ()),
+            (0, 2, "aaa", ((0, "a"),)),
+            (0, 2, "aaaa", ((0, "a"), (2, "a"))),
+        ]
 
 
 def test_literal_without_pieces_never_matches():
