@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .concorddiff import Action, RelationReport
+from .concorddiff import Action
 from .errors import EmptyKeepSet, MissingPair
 from .grammar import Graph, GraphBox, InputAtom
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import graphlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (

@@ -12,7 +12,7 @@ import re
 from typing import NamedTuple
 
 from .errors import MalformedLine
-from .matcher._engine import _is_pre, _lex_symbol_sets, tokenize_raw
+from .matcher._engine import _lex_symbol_sets, _match_mask, tokenize_raw
 
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
 # surface, comma, lemma, period, tag; a backslash escapes the next character
@@ -171,17 +171,14 @@ def lookup(lex: Lexicon, surface: str) -> set:
 
 
 def token_has_mask(lex: Lexicon, surface: str, mask) -> bool:
-    """Does this single token satisfy a lexical mask?
+    """Does this surface, taken as one token, satisfy a lexical mask?
 
-    Built-in predicates: PRE is true when the first character is uppercase
-    (or some entry carries the stored code PRE); MOT is true for alphabetic
-    tokens.  Dictionary masks require some entry whose POS+codes cover all
-    of the mask's symbols.  The matcher kernel's predicates decide.
+    The matcher kernel's ``_match_mask`` decides, with the surface's
+    entries (and, for a capitalized surface, its lowercase form's) as the
+    token's one lexicon entry.
     """
-    if mask.builtin == "PRE":
-        return _is_pre(lex.symbol_index(), surface)
-    if mask.builtin == "MOT":
-        return surface.isalpha()
-    return any(
-        syms >= mask.required for syms in _lex_symbol_sets(lex.symbol_index(), surface)
-    )
+    symindex = lex.symbol_index()
+    atom = ("mask", mask.required, mask.builtin or "", None)
+    entries = {0: ((1, surface, _lex_symbol_sets(symindex, surface)),)}
+    toks = ((surface, 0, len(surface), 0),)
+    return _match_mask(atom, toks, surface, symindex, lex.head_index(), entries, 0, 1) is not None

@@ -73,10 +73,14 @@ def _compile_atom(atom):
 
 def _compile_box(output, alts):
     """(output, rest, exact, folded): literal-first alternatives indexed by
-    their first piece, the others kept in file order."""
+    their first piece, the others kept in file order.  An alternative
+    holding a blank literal (the parser refuses one; a GrammarSet built by
+    hand may not) never matches and is dropped."""
     rest, exact, folded = [], {}, {}
     for alt in alts:
-        if alt and alt[0][0] == "lit" and alt[0][1]:
+        if any(atom[0] == "lit" and not atom[1] for atom in alt):
+            continue
+        if alt and alt[0][0] == "lit":
             index = folded if alt[0][2] else exact
             piece = alt[0][1][0]
             index[piece] = index.get(piece, ()) + (alt,)
@@ -85,78 +89,70 @@ def _compile_box(output, alts):
     return (output, tuple(rest), exact, folded)
 
 
-_PENDING = object()
-
-
-def _first_set(graphs, name, memo):
-    """(first, nullable) of a compiled graph, memoized in ``memo``.
+def _first_sets(graphs):
+    """name -> (first, nullable) of every compiled graph.
 
     ``first`` is the kernel's FIRST set (see ``_engine``); ``nullable`` is
-    true when initial reaches final consuming nothing.  A subgraph call
-    back into a graph still being computed (a cycle through a nullable
-    prefix) makes the caller's FIRST "any token".
+    true when initial reaches final consuming nothing.  Both are the least
+    fixpoint of their equations, found by a worklist: a graph is scanned
+    with the current values of the graphs it calls, and the callers of a
+    graph whose value grows are scanned again.  No scan recurses, so call
+    depth and call cycles need no special case.
     """
-    got = memo.get(name)
-    if got is _PENDING:
-        return None, True
-    if got is not None:
-        return got
-    memo[name] = _PENDING
-    g = graphs[name]
-    exact, folded, builtins, required_sets = set(), set(), set(), set()
-    any_token = nullable = False
-    seen = set()
-    stack = [g["initial"]]
-    while stack:
-        box_id = stack.pop()
-        if box_id in seen:
-            continue
-        seen.add(box_id)
-        if box_id == g["final"]:
-            nullable = True
-            continue
-        _, rest, box_exact, box_folded = g["boxes"][box_id]
-        exact.update(box_exact)
-        folded.update(box_folded)
-        passable = False
-        for alt in rest:
-            for atom in alt:
-                if atom[0] == "eps":
-                    continue
-                if atom[0] == "lit":
-                    if atom[1]:  # a literal without pieces never matches
+    value = {name: ((frozenset(),) * 3, False) for name in graphs}
+    callers = {name: set() for name in graphs}
+    queue = list(graphs)
+    while queue:
+        name = queue.pop()
+        g = graphs[name]
+        exact, folded, masks = set(), set(), set()
+        nullable = False
+        seen = set()
+        stack = [g["initial"]]
+        while stack:
+            box_id = stack.pop()
+            if box_id in seen:
+                continue
+            seen.add(box_id)
+            if box_id == g["final"]:
+                nullable = True
+                continue
+            _, rest, box_exact, box_folded = g["boxes"][box_id]
+            exact.update(box_exact)
+            folded.update(box_folded)
+            passable = False
+            for alt in rest:
+                for atom in alt:
+                    if atom[0] == "eps":
+                        continue
+                    if atom[0] == "lit":
                         (folded if atom[2] else exact).add(atom[1][0])
-                    break
-                if atom[0] == "mask":
-                    if atom[2]:
-                        builtins.add(atom[2])
-                    else:
-                        required_sets.add(atom[1])
-                    break
-                sub, sub_nullable = _first_set(graphs, atom[1], memo)
-                if sub is None:
-                    any_token = True
+                        break
+                    if atom[0] == "mask":
+                        masks.add(atom)
+                        break
+                    callers[atom[1]].add(name)
+                    (sub_exact, sub_folded, sub_masks), sub_nullable = value[atom[1]]
+                    exact.update(sub_exact)
+                    folded.update(sub_folded)
+                    masks.update(sub_masks)
+                    if not sub_nullable:
+                        break
                 else:
-                    exact.update(sub[0])
-                    folded.update(sub[1])
-                    builtins.update(sub[2])
-                    required_sets.update(sub[3])
-                if not sub_nullable:
-                    break
-            else:
-                passable = True
-        if passable:
-            stack.extend(g["succ"].get(box_id, ()))
-    first = None if any_token else (
-        frozenset(exact), frozenset(folded), frozenset(builtins), frozenset(required_sets)
-    )
-    memo[name] = (first, nullable)
-    return memo[name]
+                    passable = True
+            if passable:
+                stack.extend(g["succ"].get(box_id, ()))
+        new = ((frozenset(exact), frozenset(folded), frozenset(masks)), nullable)
+        if new != value[name]:
+            value[name] = new
+            queue.extend(callers[name])
+    return value
 
 
 def compile_grammar_set(gs: GrammarSet) -> dict:
     """Lower a GrammarSet to the primitive dict form the kernel interprets,
-    with each box's literal dispatch and each graph's FIRST set."""
+    with each box's literal dispatch and each graph's FIRST set of leading
+    literals and mask atoms (``_first_sets``)."""
     graphs = {}
     for name, g in gs.graphs.items():
         boxes = {
@@ -175,9 +171,8 @@ def compile_grammar_set(gs: GrammarSet) -> dict:
             "succ": {k: tuple(v) for k, v in g.successors().items()},
             "boxes": boxes,
         }
-    memo = {}
-    for name in graphs:
-        graphs[name]["first"] = _first_set(graphs, name, memo)[0]
+    for name, (first, _) in _first_sets(graphs).items():
+        graphs[name]["first"] = first
     return {"main": gs.main, "graphs": graphs}
 
 

@@ -28,13 +28,12 @@ alternative is a tuple of atoms:
 * ``("eps",)``;
 * ``("call", graph_name)``.
 
-A graph's ``first`` is ``None`` when a match may begin with any token,
-else ``(exact_pieces, folded_pieces, builtins, required_sets)``: a match
+A graph's ``first`` is ``(exact_pieces, folded_pieces, masks)``: a match
 can only begin with a token equal to an exact piece, whose lowercase form
-is a folded piece, that passes one of the built-in masks in ``builtins``
-("PRE", "MOT"), or at which some lexicon entry starts whose symbol sets
-cover one of ``required_sets`` (the ``required`` sets of the leading
-dictionary masks).
+is a folded piece, or that one of ``masks`` matches.  ``masks`` holds the
+mask atoms a match can begin with, filters included, and the start
+filter asks ``_match_mask`` of each, so a leading mask's filter is tested
+at the start too.
 
 The lexicon arrives as two structures from ``Lexicon``: the symbol index
 (surface -> tuple of symbol sets) and the head index ``(heads,
@@ -42,10 +41,11 @@ longest)``, where ``heads`` maps the first token of every entry to the
 largest number of tokens of an entry starting with it and ``longest`` is
 that number over all entries.  ``find_matches`` looks up the lexicon
 entries that start at a token at most once per call, with
-``_entries_at``: the first time the start filter or a dictionary mask
-needs them.  It keeps the list of an admitted start token or of a token a
-dictionary mask reached, and every dictionary mask at that token, on
-every path from every start, reads that one list.
+``_entries_at``: the first time ``_match_mask`` needs them, at a start
+token or at a token the walk reached.  It keeps the list of an admitted
+start token or of a token a dictionary mask reached, and every
+dictionary mask at that token, on every path from every start, reads
+that one list.
 """
 
 WORD = 0
@@ -157,12 +157,13 @@ def _entries_at(toks, text, symindex, heads, i):
     return tuple(found)
 
 
-def _match_mask(atom, toks, symindex, entries, i, limit):
-    """Match one mask atom at token i (i < limit); return the index after
-    the last token it consumed, or None.  A dictionary mask reads the
-    token's lexicon entries from ``entries`` and takes the longest one
-    that ends at or before ``limit``, covers its required symbols and
-    passes its filter."""
+def _match_mask(atom, toks, text, symindex, heads, entries, i, limit):
+    """Match one mask atom at token i (i < limit), the one rule of what a
+    mask matches; return the index after the last token it consumed, or
+    None.  A built-in mask takes the token if its predicate and filter
+    accept it.  A dictionary mask takes the longest of the token's lexicon
+    entries (``entries[i]``, filled the first time) that ends at or before
+    ``limit``, covers its required symbols and passes its filter."""
     required = atom[1]
     builtin = atom[2]
     filt = atom[3]
@@ -175,7 +176,10 @@ def _match_mask(atom, toks, symindex, entries, i, limit):
         if ok and filt is not None and filt.fullmatch(surface) is None:
             ok = False
         return i + 1 if ok else None
-    for end, surface, sets in entries[i]:
+    found = entries.get(i)
+    if found is None:
+        found = entries[i] = _entries_at(toks, text, symindex, heads, i)
+    for end, surface, sets in found:
         if end > limit:
             continue
         for syms in sets:
@@ -187,25 +191,19 @@ def _match_mask(atom, toks, symindex, entries, i, limit):
 
 
 def _may_start(first, toks, text, symindex, heads, i, entries):
-    """Can a match of a graph with this FIRST set begin at token i?  A
-    token admitted for its lexicon entries keeps them in ``entries``."""
-    exact, folded, builtins, required_sets = first
+    """Can a match of a graph with this FIRST set begin at token i?  Each
+    leading mask is asked of ``_match_mask`` with no sentence limit, so the
+    admitted starts are a superset of the real ones.  A rejected token
+    keeps no list in ``entries``."""
+    exact, folded, masks = first
     surface = toks[i][0]
     if surface in exact or surface.lower() in folded:
         return True
-    if "MOT" in builtins and surface.isalpha():
-        return True
-    if "PRE" in builtins and _is_pre(symindex, surface):
-        return True
-    if not required_sets:
-        return False
-    found = _entries_at(toks, text, symindex, heads, i)
-    for _, _, sets in found:
-        for syms in sets:
-            for required in required_sets:
-                if syms >= required:
-                    entries[i] = found
-                    return True
+    n = len(toks)
+    for atom in masks:
+        if _match_mask(atom, toks, text, symindex, heads, entries, i, n) is not None:
+            return True
+    entries.pop(i, None)
     return False
 
 
@@ -221,11 +219,12 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     A match anchored at a start token is any initial-to-final path of the
     main graph whose atoms consume a contiguous token sequence that ends
     at or before the first sentence boundary at or after the start.
-    Start tokens outside the main graph's FIRST set are skipped; so is, at
-    once, a surface in ``rejected``: one rejected without reading past it.
-    ``entries`` maps a token to its ``_entries_at`` list; it holds only
-    admitted start tokens and tokens a dictionary mask reached, so a
-    rejected start's list is dropped at once.
+    A start token that ``_may_start`` rejects for the main graph's FIRST
+    set is skipped; so is, at once, a surface in ``rejected``: one
+    rejected without reading past it.  ``entries`` maps a token to its
+    ``_entries_at`` list; it holds only admitted start tokens and tokens a
+    dictionary mask reached, so a rejected start's list is dropped at
+    once.
 
     The walk is one loop over an explicit stack.  A stack state is one
     alternative of one box, resumed at atom ``k`` and token ``i``; the
@@ -250,14 +249,13 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     for s in range(n - 1, -1, -1):
         if s in boundaries:
             limit = s + 1
-        if first is not None:
-            surface = toks[s][0]
-            if surface in rejected:
-                continue
-            if not _may_start(first, toks, text, symindex, heads, s, entries):
-                if _probe_width(heads, surface) <= 1:  # no later token was read
-                    rejected.add(surface)
-                continue
+        surface = toks[s][0]
+        if surface in rejected:
+            continue
+        if not _may_start(first, toks, text, symindex, heads, s, entries):
+            if _probe_width(heads, surface) <= 1:  # no later token was read
+                rejected.add(surface)
+            continue
         seen = set()
         stack = [(main, initial, (), 0, s, (), s, 0, frozenset({(main, initial)}), None)]
         while stack:
@@ -268,8 +266,6 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                 atom = alt[k]
                 kind = atom[0]
                 if kind == "lit":
-                    if not atom[1]:  # a literal without pieces never matches
-                        break
                     for piece in atom[1]:
                         if i == limit:
                             break
@@ -284,9 +280,7 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                 if kind == "mask":
                     if i == limit:
                         break
-                    if not atom[2] and i not in entries:
-                        entries[i] = _entries_at(toks, text, symindex, heads, i)
-                    i = _match_mask(atom, toks, symindex, entries, i, limit)
+                    i = _match_mask(atom, toks, text, symindex, heads, entries, i, limit)
                     if i is None:
                         break
                 elif kind == "call":

@@ -1,10 +1,13 @@
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lgw.grammar import Graph, GraphBox, GrammarSet, InputAtom, LexicalMask, MorphFilter
+from lgw.grammar import (
+    Graph, GraphBox, GrammarSet, InputAtom, LexicalMask, MorphFilter, load_grammar_set,
+)
 from lgw.lexicon import _escape, parse_lexicon, token_has_mask
 from lgw.matcher import (
     ALL_MATCHES,
@@ -555,7 +558,6 @@ def test_first_set_of_titled_names(g1):
         frozenset({"Sr", "Sra", "Srta", "Dr", "Dra", "D", "Prof", "Profa"}),
         frozenset(),
         frozenset(),
-        frozenset(),
     )
 
 
@@ -576,21 +578,24 @@ def test_first_set_sees_through_nullable_prefixes():
     gs = GrammarSet({"M": main, "Opt": opt}, "M")
     graphs = compile_grammar_set(gs)["graphs"]
     assert graphs["M"]["first"] == (
-        frozenset({"Rei"}), frozenset({"de"}), frozenset({"PRE"}), frozenset()
+        frozenset({"Rei"}), frozenset({"de"}), frozenset({("mask", frozenset(), "PRE", None)})
     )
-    assert graphs["Opt"]["first"] == (frozenset(), frozenset({"de"}), frozenset(), frozenset())
+    assert graphs["Opt"]["first"] == (frozenset(), frozenset({"de"}), frozenset())
 
 
-def test_recursive_nullable_prefix_makes_first_any_token():
+def test_left_recursive_grammar_gets_an_exact_first_set():
     # R calls itself before consuming anything (possible only in a
-    # GrammarSet built directly; load_grammar_set rejects recursion)
+    # GrammarSet built directly; load_grammar_set rejects recursion): a
+    # match of R can only begin with "y"
     rec = _graph(
         "R",
         [GraphBox("a", ((InputAtom.call("R"), InputAtom.lit("x")), (InputAtom.lit("y"),)))],
         [("i", "a"), ("a", "f")],
     )
     gs = GrammarSet({"R": rec}, "R")
-    assert compile_grammar_set(gs)["graphs"]["R"]["first"] is None
+    assert compile_grammar_set(gs)["graphs"]["R"]["first"] == (
+        frozenset(), frozenset({"y"}), frozenset()
+    )
     # a recursive call after the first consuming atom leaves FIRST exact
     tail = _graph(
         "R",
@@ -598,14 +603,15 @@ def test_recursive_nullable_prefix_makes_first_any_token():
         [("i", "a"), ("a", "f")],
     )
     first = compile_grammar_set(GrammarSet({"R": tail}, "R"))["graphs"]["R"]["first"]
-    assert first == (frozenset(), frozenset({"x", "y"}), frozenset(), frozenset())
+    assert first == (frozenset(), frozenset({"x", "y"}), frozenset())
 
 
 def test_first_set_of_dictionary_names(g2):
     first = compile_grammar_set(g2)["graphs"][g2.main]["first"]
     assert first == (
-        frozenset(), frozenset(), frozenset(),
-        frozenset({frozenset({"Hum"}), frozenset({"N", "PR"})}),  # <Hum> and <N+PR>
+        frozenset(), frozenset(),
+        frozenset({("mask", frozenset({"Hum"}), "", None),  # <Hum> and <N+PR>
+                   ("mask", frozenset({"N", "PR"}), "", None)}),
     )
     lex = parse_lexicon("bonita,.A\nMarilyn Monroe,.N+PR")
     text = "bonita Marilyn Monroe"
@@ -634,20 +640,35 @@ _START_LEX = (
 _START_WORDS = ["Ana", "ana", "Maria", "rui", "Rui", "Sá", "bela", "Bela", "de", "İrem", ".", ","]
 
 
+# leading masks whose filter the start filter must test too
+_START_FILTERED = [
+    InputAtom.masked(LexicalMask(builtin="PRE"), MorphFilter("..")),
+    InputAtom.masked(_START_DICT_MASKS[0], MorphFilter("R.")),
+    InputAtom.masked(_START_DICT_MASKS[0], MorphFilter("[A-Z][a-z]+")),
+]
+
+
 def random_start_grammar(rng):
-    """A main graph whose leading atoms are mostly dictionary masks: first
-    in an alternative, behind <E>, behind an output-only box or behind a
-    call to a nullable subgraph that may itself begin with one."""
+    """A main graph whose leading atoms are mostly dictionary masks, some
+    filtered: first in an alternative, behind <E>, behind an output-only
+    box, behind a call to a nullable subgraph that may itself begin with
+    one, or behind a left-recursive call to the main graph.  The graphs
+    come in either order, so a FIRST set computed before its callee's
+    must be computed again."""
 
     def atom():
         roll = rng.random()
-        if roll < 0.7:
+        if roll < 0.55:
             return InputAtom.masked(rng.choice(_START_DICT_MASKS))
+        if roll < 0.7:
+            return rng.choice(_START_FILTERED)
         if roll < 0.85:
             return InputAtom.lit(rng.choice(["de", "Rui", "ana"]))
         return InputAtom.masked(LexicalMask(builtin="PRE"))
 
     def alternative():
+        if rng.random() < 0.1:  # left recursion (load_grammar_set rejects it)
+            return (InputAtom.call("M"), InputAtom.masked(rng.choice(_START_DICT_MASKS)))
         prefix = rng.choice([(), (), (InputAtom.eps(),), (InputAtom.call("Opt"),)])
         return prefix + tuple(atom() for _ in range(rng.randint(1, 2)))
 
@@ -657,11 +678,26 @@ def random_start_grammar(rng):
         boxes.append(GraphBox("tag", ((InputAtom.eps(),),), "<N>"))
     for b in range(rng.randint(1, 3)):
         boxes.append(GraphBox(f"b{b}", tuple(alternative() for _ in range(rng.randint(1, 2)))))
-    return GrammarSet({"M": _chain(rng, "M", boxes), "Opt": opt}, "M")
+    graphs = [("M", _chain(rng, "M", boxes)), ("Opt", opt)]
+    rng.shuffle(graphs)
+    return GrammarSet(dict(graphs), "M")
 
 
-_PR_ONLY = GrammarSet({"M": _graph(
-    "M", [GraphBox("b", ((InputAtom.masked(_START_DICT_MASKS[0]),),))], [("i", "b"), ("b", "f")]
+def _single_box(*alts):
+    return _graph("M", [GraphBox("b", alts)], [("i", "b"), ("b", "f")])
+
+
+_PR_ONLY = GrammarSet({"M": _single_box((InputAtom.masked(_START_DICT_MASKS[0]),))}, "M")
+# the caller is listed after its nullable callee, whose FIRST it needs: a
+# fixpoint that scans M first must scan it again
+_CALLER_LAST = GrammarSet({
+    "Opt": _graph("Opt", [GraphBox("o", ((InputAtom.eps(),), (InputAtom.lit("de"),)))],
+                  [("i", "o"), ("o", "f")]),
+    "M": _single_box((InputAtom.call("Opt"), InputAtom.masked(_START_DICT_MASKS[0]))),
+}, "M")
+# each of two leading masks admits a token the other rejects
+_TWO_MASKS = GrammarSet({"M": _single_box(
+    (InputAtom.masked(_START_DICT_MASKS[0]),), (InputAtom.masked(_START_DICT_MASKS[2]),)
 )}, "M")
 
 
@@ -676,6 +712,8 @@ _PR_ONLY = GrammarSet({"M": _graph(
 @example(_PR_ONLY, ["İrem", "Sá", "de", "İrem", "bela"])
 @example(_PR_ONLY, ["Rui", "bela", "Ana", "Rui", "Sá", "Ana"])
 @example(_PR_ONLY, ["Ana", "de", "Ana", "Maria", ".", "Ana"])
+@example(_CALLER_LAST, ["de", "Ana", "bela", "Rui"])
+@example(_TWO_MASKS, ["bela", "Ana", "bela"])
 def test_start_filter_agrees_with_unfiltered_walk(gs, words):
     cgs = compile_grammar_set(gs)
     lex = parse_lexicon(_START_LEX)
@@ -684,8 +722,9 @@ def test_start_filter_agrees_with_unfiltered_walk(gs, words):
     args = (text, toks, lex.symbol_index(), lex.head_index(),
             _pure.sentence_boundaries(toks, frozenset()))
     filtered = _pure.find_matches(cgs, *args)
+    # a FIRST set that admits every token
     for g in cgs["graphs"].values():
-        g["first"] = None
+        g["first"] = (frozenset(t[0] for t in toks), frozenset(), frozenset())
     assert filtered == _pure.find_matches(cgs, *args)
 
 
@@ -753,6 +792,11 @@ def test_literal_without_pieces_never_matches():
     box = GraphBox("b", ((InputAtom.lit("Rio"), InputAtom.lit(" "), InputAtom.lit("Branco")),))
     gs = GrammarSet({"G": _graph("G", [box], [("i", "b"), ("b", "f")])}, "G")
     assert apply_grammar(gs, "Rio Branco", parse_lexicon(""), ALL_MATCHES) == []
+    # a blank first atom: only the other alternative matches
+    box = GraphBox("b", ((InputAtom.lit(" "), InputAtom.lit("Branco")), (InputAtom.lit("Rio"),)))
+    gs = GrammarSet({"G": _graph("G", [box], [("i", "b"), ("b", "f")])}, "G")
+    occs = apply_grammar(gs, "Rio Branco", parse_lexicon(""), ALL_MATCHES)
+    assert [(o.start, o.end) for o in occs] == [(0, 3)]
 
 
 def test_long_title_chain_matches_in_under_a_second(g1):
@@ -774,6 +818,20 @@ def test_ambiguous_self_loop_matches_in_under_a_second():
     occs = apply_grammar(gs, " ".join(["Nome"] * 40), parse_lexicon(""), ALL_MATCHES)
     assert time.perf_counter() - t0 < 1.0
     assert len(occs) == 40 * 41 // 2
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["call-order", "reversed"])
+def test_call_chain_deeper_than_the_recursion_limit(order):
+    # G0 calls G1 ... calls G<depth-1>, which reads "Ana"
+    depth = sys.getrecursionlimit() + 100
+    atoms = [f":G{d}" for d in range(1, depth)] + ['"Ana"']
+    files = [
+        (f"G{d}", f"graph G{d}\nbox b {atom}\ninit i\nfinal f\nedge i b\nedge b f\n")
+        for d, atom in enumerate(atoms)
+    ][::order]
+    gs = load_grammar_set(files, "G0")
+    occs = apply_grammar(gs, "A Ana veio.", parse_lexicon(""))
+    assert [(o.start, o.end) for o in occs] == [(2, 5)]
 
 
 def test_left_recursive_grammar_terminates():
