@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .concordance import (  # noqa: F401
     Concordance,
     ConcordanceLine,
-    ContextConfig,
     build_concordance,
     parse_concordance,
     write_concordance,
@@ -47,18 +46,14 @@ from .grammar import (  # noqa: F401
 from .lexicon import (  # noqa: F401
     LexEntry,
     Lexicon,
-    lookup,
     merge_lexicons,
     parse_lexicon,
     render_lexicon,
-    token_has_mask,
 )
 from .matcher import (  # noqa: F401
     ALL_MATCHES,
     LONGEST_ONLY,
     Occurrence,
-    Token,
     apply_grammar,
     filter_longest,
-    tokenize,
 )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import concorddiff, evaluator
 from .composer import compose_main, select_keep_set
-from .concordance import ContextConfig, build_concordance, parse_concordance, write_concordance
+from .concordance import build_concordance, parse_concordance, write_concordance
 from .concorddiff import Action, DiffCounts, Relation, RelationReport
 from .errors import EmptyKeepSet, LgwError, TextMismatch, UsageError, located
 # parse_graph is not called here: perfbench/trace.py wraps lgw.cli.parse_graph
@@ -178,7 +178,7 @@ def cmd_apply(args) -> int:
             text, _non_overlapping(occs), args.categ, args.tipo
         )
     cnc = build_concordance(
-        occs, text, ContextConfig(args.left, args.right), grammar=gs.main, text_id=text_id
+        occs, text, args.left, args.right, grammar=gs.main, text_id=text_id
     )
     body = (f"# generated {stamp}\n" if stamp else "") + write_concordance(cnc)
     path = _write(args.out, args.cnc or f"{gs.main}.cnc", body)

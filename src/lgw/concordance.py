@@ -6,8 +6,8 @@ File format (``.cnc``, UTF-8, LF): a header line
 
 then one TSV line per occurrence, ``start<TAB>end<TAB>left<TAB>match<TAB>right``
 with backslash, TAB, LF and CR escaped as ``\\\\``, ``\\t``, ``\\n``, ``\\r``.
-Lines are kept in positional (start, end) order; empty grammar or text id
-is written as ``-``.
+``build_concordance`` sorts lines by (start, end, match); empty grammar
+or text id is written as ``-``.
 """
 
 from __future__ import annotations
@@ -20,12 +20,6 @@ from .errors import MalformedConcordanceLine, SpanOutOfBounds
 _NEWLINE_RE = re.compile(r"\r\n|\r|\n")
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
 _UNESCAPE = {"t": "\t", "n": "\n", "r": "\r"}
-
-
-@dataclass(frozen=True)
-class ContextConfig:
-    left_chars: int = 40
-    right_chars: int = 60
 
 
 @dataclass(frozen=True)
@@ -47,10 +41,11 @@ class Concordance:
 
 
 def build_concordance(
-    occs, text: str, cfg: ContextConfig = ContextConfig(), *, grammar=None, text_id=""
+    occs, text: str, left: int = 40, right: int = 60, *, grammar=None, text_id=""
 ) -> Concordance:
-    """One line per distinct (start, end, merged) occurrence, contexts
-    clipped at the text bounds and newlines normalized to spaces."""
+    """One line per distinct (start, end, merged) occurrence, with up to
+    ``left`` and ``right`` characters of context clipped at the text
+    bounds and newlines normalized to spaces."""
     if grammar is None:
         grammar = occs[0].grammar if occs else ""
     seen = set()
@@ -62,16 +57,16 @@ def build_concordance(
         if key in seen:
             continue
         seen.add(key)
-        left = _NEWLINE_RE.sub(" ", text[max(0, o.start - cfg.left_chars) : o.start])
-        right = _NEWLINE_RE.sub(" ", text[o.end : o.end + cfg.right_chars])
-        lines.append(ConcordanceLine(o.start, o.end, left, o.merged, right))
+        before = _NEWLINE_RE.sub(" ", text[max(0, o.start - left) : o.start])
+        after = _NEWLINE_RE.sub(" ", text[o.end : o.end + right])
+        lines.append(ConcordanceLine(o.start, o.end, before, o.merged, after))
     lines.sort(key=lambda l: (l.start, l.end, l.match))
     return Concordance(
         lines,
         source_grammar=grammar,
         source_text_id=text_id,
-        left_width=cfg.left_chars,
-        right_width=cfg.right_chars,
+        left_width=left,
+        right_width=right,
     )
 
 

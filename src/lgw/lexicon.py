@@ -12,7 +12,7 @@ import re
 from typing import NamedTuple
 
 from .errors import MalformedLine
-from .matcher._engine import _lex_symbol_sets, _match_mask, tokenize_raw
+from .matcher._engine import tokenize_raw
 
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
 # surface, comma, lemma, period, tag; a backslash escapes the next character
@@ -159,26 +159,3 @@ def merge_lexicons(lexicons, name: str = "") -> Lexicon:
         return Lexicon(name=name, _built=built[0])
     return Lexicon(name=name, _built=_build(r for b in built for r in b[0]))
 
-
-def lookup(lex: Lexicon, surface: str) -> set:
-    """All entries for the surface, plus lowercase entries for
-    first-letter-capitalized surfaces (sentence-initial capitalization
-    must not hide lexicon hits)."""
-    found = set(lex.entries.get(surface, ()))
-    if surface[:1].isupper():
-        found.update(lex.entries.get(surface.lower(), ()))
-    return found
-
-
-def token_has_mask(lex: Lexicon, surface: str, mask) -> bool:
-    """Does this surface, taken as one token, satisfy a lexical mask?
-
-    The matcher kernel's ``_match_mask`` decides, with the surface's
-    entries (and, for a capitalized surface, its lowercase form's) as the
-    token's one lexicon entry.
-    """
-    symindex = lex.symbol_index()
-    atom = ("mask", mask.required, mask.builtin or "", None)
-    entries = {0: ((1, surface, _lex_symbol_sets(symindex, surface)),)}
-    toks = ((surface, 0, len(surface), 0),)
-    return _match_mask(atom, toks, surface, symindex, lex.head_index(), entries, 0, 1) is not None

@@ -13,49 +13,23 @@ from ..grammar import GrammarSet, compile_filter
 
 from . import _engine
 
-# the kernel as apply_grammar and tokenize call it (perfbench/trace.py
-# swaps in a timed proxy); the compiler uses _engine directly
+# the kernel as apply_grammar calls it (perfbench/trace.py swaps in a
+# timed proxy); the compiler uses _engine directly
 _impl = _engine
 USING_COMPILED_ENGINE = False  # recorded by perfbench/run.py
 
 ALL_MATCHES = "all"
 LONGEST_ONLY = "longest"
 
-_KIND_NAMES = ("word", "number", "punct")
-
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    start: int
-    end: int
-    kind: str  # "word" | "number" | "punct" | "space"
-
 
 @dataclass(frozen=True)
 class Occurrence:
-    start: int
+    start: int  # character offsets of the matched text, text[start:end]
     end: int
-    surface: str
-    merged: str  # the surface with the outputs of ``events`` spliced in
-    grammar: str
+    merged: str  # text[start:end] with the outputs of ``events`` spliced in
+    grammar: str  # the name of the main graph that matched
     # (text offset, output) pairs in splice order; empty when built by hand
     events: tuple = ()
-
-
-def tokenize(text: str) -> list:
-    """Tokens that partition the text: the kernel's tokens, and each
-    whitespace run between them as a "space" token."""
-    toks = []
-    pos = 0
-    for s, a, b, k in _impl.tokenize_raw(text):
-        if a > pos:
-            toks.append(Token(text[pos:a], pos, a, "space"))
-        toks.append(Token(s, a, b, _KIND_NAMES[k]))
-        pos = b
-    if pos < len(text):
-        toks.append(Token(text[pos:], pos, len(text), "space"))
-    return toks
 
 
 def _compile_atom(atom):
@@ -151,8 +125,8 @@ def _first_sets(graphs):
 
 def compile_grammar_set(gs: GrammarSet) -> dict:
     """Lower a GrammarSet to the primitive dict form the kernel interprets,
-    with each box's literal dispatch and each graph's FIRST set of leading
-    literals and mask atoms (``_first_sets``)."""
+    with each box's literal dispatch and the main graph's FIRST set of
+    leading literals and mask atoms (``_first_sets``)."""
     graphs = {}
     for name, g in gs.graphs.items():
         boxes = {
@@ -171,9 +145,8 @@ def compile_grammar_set(gs: GrammarSet) -> dict:
             "succ": {k: tuple(v) for k, v in g.successors().items()},
             "boxes": boxes,
         }
-    for name, (first, _) in _first_sets(graphs).items():
-        graphs[name]["first"] = first
-    return {"main": gs.main, "graphs": graphs}
+    first, _ = _first_sets(graphs)[gs.main]
+    return {"main": gs.main, "graphs": graphs, "first": first}
 
 
 def apply_grammar(
@@ -208,7 +181,7 @@ def apply_grammar(
     for start, end, events in raw:
         key = (start, end, _splice(text, start, end, events))
         if key not in occs:
-            occs[key] = Occurrence(start, end, text[start:end], key[2], gs.main, events)
+            occs[key] = Occurrence(start, end, key[2], gs.main, events)
     return [occs[key] for key in sorted(occs)]
 
 
@@ -235,8 +208,8 @@ def _longest_ends(spans):
 
 
 def filter_longest(occs: list) -> list:
-    """Keep, for each start offset, only the occurrences with maximal end.
-    Idempotent; input must be sorted by (start, end)."""
+    """Keep, for each start offset, only the occurrences with maximal end,
+    sorted by (start, end, merged).  Idempotent."""
     ends = _longest_ends((o.start, o.end) for o in occs)
     kept = [o for o in occs if o.end == ends[o.start]]
     return sorted(kept, key=lambda o: (o.start, o.end, o.merged))

@@ -13,8 +13,8 @@ token.  Compiled grammars (built by
     {"main": name,
      "graphs": {name: {"initial": id, "final": id,
                        "succ": {id: (id, ...)},
-                       "boxes": {id: (output_or_None, rest, exact, folded)},
-                       "first": first_set}}}
+                       "boxes": {id: (output_or_None, rest, exact, folded)}}},
+     "first": first_set_of_main}
 
 A box's alternatives are split for first-token dispatch: ``exact`` maps
 the first piece of each case-sensitive literal-first alternative to those
@@ -28,12 +28,12 @@ alternative is a tuple of atoms:
 * ``("eps",)``;
 * ``("call", graph_name)``.
 
-A graph's ``first`` is ``(exact_pieces, folded_pieces, masks)``: a match
-can only begin with a token equal to an exact piece, whose lowercase form
-is a folded piece, or that one of ``masks`` matches.  ``masks`` holds the
-mask atoms a match can begin with, filters included, and the start
-filter asks ``_match_mask`` of each, so a leading mask's filter is tested
-at the start too.
+``first``, the main graph's FIRST set, is ``(exact_pieces, folded_pieces,
+masks)``: a match can only begin with a token equal to an exact piece,
+whose lowercase form is a folded piece, or that one of ``masks``
+matches.  ``masks`` holds the mask atoms a match can begin with, filters
+included, and the start filter asks ``_match_mask`` of each, so a
+leading mask's filter is tested at the start too.
 
 The lexicon arrives as two structures from ``Lexicon``: the symbol index
 (surface -> tuple of symbol sets) and the head index ``(heads,
@@ -240,7 +240,7 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     graphs = cgs["graphs"]
     main = cgs["main"]
     initial = graphs[main]["initial"]
-    first = graphs[main]["first"]
+    first = cgs["first"]
     n = len(toks)
     results = set()
     entries = {}

@@ -265,7 +265,7 @@ def test_relate_subcommand(ws, tmp_path):
 # Nested, touching, identical and same-length spans, plus empty and reversed
 # ones, with few starts and merged outputs so that sort keys tie.
 _occurrence = st.builds(
-    lambda start, length, merged: Occurrence(start, start + length, "s", merged, "G"),
+    lambda start, length, merged: Occurrence(start, start + length, merged, "G"),
     st.integers(0, 12),
     st.integers(-6, 6),
     st.sampled_from(["A", "B"]),
@@ -273,12 +273,12 @@ _occurrence = st.builds(
 
 
 @given(st.lists(_occurrence, max_size=14))
-@example([Occurrence(0, 4, "s", "A", "G"), Occurrence(4, 8, "s", "A", "G"),
-          Occurrence(2, 6, "s", "A", "G"), Occurrence(4, 4, "s", "A", "G"),
-          Occurrence(2, 2, "s", "A", "G"), Occurrence(6, 3, "s", "A", "G"),
-          Occurrence(0, 4, "s", "A", "G"), Occurrence(1, 3, "s", "B", "G")])
-@example([Occurrence(6, 4, "s", "B", "G"), Occurrence(9, 6, "s", "B", "G"),
-          Occurrence(4, 10, "s", "B", "G"), Occurrence(1, -1, "s", "A", "G")])
+@example([Occurrence(0, 4, "A", "G"), Occurrence(4, 8, "A", "G"),
+          Occurrence(2, 6, "A", "G"), Occurrence(4, 4, "A", "G"),
+          Occurrence(2, 2, "A", "G"), Occurrence(6, 3, "A", "G"),
+          Occurrence(0, 4, "A", "G"), Occurrence(1, 3, "B", "G")])
+@example([Occurrence(6, 4, "B", "G"), Occurrence(9, 6, "B", "G"),
+          Occurrence(4, 10, "B", "G"), Occurrence(1, -1, "A", "G")])
 def test_non_overlapping_agrees_with_all_pairs_reference(occs):
     got = _non_overlapping(occs)
     assert [id(o) for o in got] == [id(o) for o in oracle_non_overlapping(occs)]

@@ -4,7 +4,6 @@ from hypothesis import example, given, strategies as st
 from lgw.concordance import (
     Concordance,
     ConcordanceLine,
-    ContextConfig,
     _unesc,
     build_concordance,
     parse_concordance,
@@ -27,35 +26,35 @@ def test_build_from_grammar_output(g1, lexicon):
 
 def test_context_clipping_and_widths():
     text = "x" * 100 + " alvo " + "y" * 100
-    occ = Occurrence(101, 105, "alvo", "alvo", "G")
-    c = build_concordance([occ], text, ContextConfig(5, 3))
+    occ = Occurrence(101, 105, "alvo", "G")
+    c = build_concordance([occ], text, 5, 3)
     (line,) = c.lines
     assert line.left == "xxxx "  # 5 chars
     assert line.right == " yy"  # 3 chars
-    short = build_concordance([Occurrence(0, 4, "alvo", "alvo", "G")], "alvo!")
+    short = build_concordance([Occurrence(0, 4, "alvo", "G")], "alvo!")
     assert short.lines[0].left == ""
     assert short.lines[0].right == "!"
 
 
 def test_newlines_in_context_become_spaces():
     text = "um\ndois alvo tres\r\nquatro"
-    occ = Occurrence(8, 12, "alvo", "alvo", "G")
+    occ = Occurrence(8, 12, "alvo", "G")
     c = build_concordance([occ], text)
     assert c.lines[0].left == "um dois "
     assert c.lines[0].right == " tres quatro"
 
 
 def test_duplicate_occurrences_collapse():
-    occ = Occurrence(0, 1, "a", "a", "G")
+    occ = Occurrence(0, 1, "a", "G")
     c = build_concordance([occ, occ], "ab")
     assert len(c.lines) == 1
 
 
 def test_lines_sorted_positionally():
     occs = [
-        Occurrence(5, 7, "cd", "cd", "G"),
-        Occurrence(0, 3, "abc", "abc", "G"),
-        Occurrence(0, 2, "ab", "ab", "G"),
+        Occurrence(5, 7, "cd", "G"),
+        Occurrence(0, 3, "abc", "G"),
+        Occurrence(0, 2, "ab", "G"),
     ]
     c = build_concordance(occs, "abcd cdef")
     assert [(l.start, l.end) for l in c.lines] == [(0, 2), (0, 3), (5, 7)]
@@ -64,7 +63,7 @@ def test_lines_sorted_positionally():
 @pytest.mark.parametrize("span", [(-1, 2), (0, 99), (3, 3), (4, 2)])
 def test_bad_spans_rejected(span):
     s, e = span
-    occ = Occurrence(s, e, "x", "x", "G")
+    occ = Occurrence(s, e, "x", "G")
     with pytest.raises(SpanOutOfBounds):
         build_concordance([occ], "abcdef")
 

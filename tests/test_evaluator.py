@@ -105,7 +105,7 @@ def test_render_gold_refuses_what_it_cannot_round_trip(plain, data):
 
 
 def test_tagged_region_inside_merged():
-    occ = Occurrence(2, 21, "Sra. Joana da Silva", "Sra. <NOME>Joana da Silva</NOME>", "G",
+    occ = Occurrence(2, 21, "Sra. <NOME>Joana da Silva</NOME>", "G",
                      ((7, "<NOME>"), (21, "</NOME>")))
     assert tagged_region(occ) == (7, 21)
 
@@ -124,12 +124,12 @@ def test_tagged_region_inside_merged():
     ],
 )
 def test_tagged_region_reads_the_offsets_of_the_tag_outputs(events, region):
-    occ = Occurrence(2, 21, "Sra. Joana da Silva", "", "G", events)
+    occ = Occurrence(2, 21, "", "G", events)
     assert tagged_region(occ) == region
 
 
 def test_tagged_region_whole_span_fallback():
-    occ = Occurrence(5, 9, "abcd", "abcd", "G")
+    occ = Occurrence(5, 9, "abcd", "G")
     assert tagged_region(occ) == (5, 9)
 
 
@@ -144,7 +144,7 @@ def test_annotate_g1(g1, lexicon):
 
 
 def test_annotate_rejects_overlaps():
-    occs = [Occurrence(0, 5, "aaaaa", "aaaaa", "G"), Occurrence(3, 8, "bbbbb", "bbbbb", "G")]
+    occs = [Occurrence(0, 5, "aaaaa", "G"), Occurrence(3, 8, "bbbbb", "G")]
     with pytest.raises(OverlappingOccurrences):
         annotate("x" * 10, occs, "PESSOA", "INDIVIDUAL")
 

@@ -4,22 +4,21 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lgw.errors import MalformedLine
-from lgw.grammar import LexicalMask
+from lgw.grammar import Graph, GraphBox, GrammarSet, InputAtom, LexicalMask
 from lgw.lexicon import (
     LexEntry,
     Lexicon,
-    lookup,
     merge_lexicons,
     parse_lexicon,
     render_lexicon,
-    token_has_mask,
 )
+from lgw.matcher import ALL_MATCHES, apply_grammar
 from oracles import oracle_lexicon_index, oracle_parse_lexicon
 
 
 def test_parse_multiword_proper_name():
     lex = parse_lexicon("Marilyn Monroe,.N+PR")
-    (entry,) = lookup(lex, "Marilyn Monroe")
+    (entry,) = lex.entries["Marilyn Monroe"]
     assert entry.surface == "Marilyn Monroe"
     assert entry.lemma == "Marilyn Monroe"
     assert entry.pos == "N"
@@ -28,7 +27,7 @@ def test_parse_multiword_proper_name():
 
 def test_parse_rainha():
     lex = parse_lexicon("rainha,.N+Hum")
-    (entry,) = lookup(lex, "rainha")
+    (entry,) = lex.entries["rainha"]
     assert entry.pos == "N"
     assert entry.codes == frozenset({"Hum"})
 
@@ -39,12 +38,12 @@ def test_parse_empty_input():
 
 def test_parse_lemma_and_escapes():
     lex = parse_lexicon("da,de.PREP\nSr\\.,.N+Abrev")
-    (da,) = lookup(lex, "da")
+    (da,) = lex.entries["da"]
     assert da.lemma == "de"
-    (sr,) = lookup(lex, "Sr.")
+    (sr,) = lex.entries["Sr."]
     assert sr.surface == "Sr."
     # an unknown escape drops its backslash
-    (ax,) = lookup(parse_lexicon("a\\x,b\\y.N"), "ax")
+    (ax,) = parse_lexicon("a\\x,b\\y.N").entries["ax"]
     assert ax.lemma == "by"
 
 
@@ -65,37 +64,40 @@ def test_comment_lines_skipped():
     assert len(lex) == 1
 
 
-def test_lookup_lowercase_fallback():
-    lex = parse_lexicon("rainha,.N+Hum")
-    assert len(lookup(lex, "Rainha")) == 1
-    assert lookup(lex, "xyzzy") == set()
-    # fallback applies only to capitalized surfaces
-    lex2 = parse_lexicon("RAINHA,.N")
-    assert lookup(lex2, "rainha") == set()
+def _has_mask(lex, surface, mask):
+    """Does a grammar of the one mask match all of ``surface``?"""
+    box = GraphBox("b", ((InputAtom.masked(mask),),))
+    graph = Graph("M", (box,), frozenset({("i", "b"), ("b", "f")}), "i", "f")
+    occs = apply_grammar(GrammarSet({"M": graph}, "M"), surface, lex, ALL_MATCHES)
+    return any((o.start, o.end) == (0, len(surface)) for o in occs)
 
 
 def test_token_has_mask_builtin_pre():
     lex = parse_lexicon("")
     pre = LexicalMask(builtin="PRE")
-    assert token_has_mask(lex, "Joana", pre)
-    assert not token_has_mask(lex, "da", pre)
+    assert _has_mask(lex, "Joana", pre)
+    assert not _has_mask(lex, "da", pre)
     # a stored PRE code also satisfies the builtin
     lex2 = parse_lexicon("von,.PART+PRE")
-    assert token_has_mask(lex2, "von", pre)
+    assert _has_mask(lex2, "von", pre)
 
 
 def test_token_has_mask_builtin_mot():
     lex = parse_lexicon("")
     mot = LexicalMask(builtin="MOT")
-    assert token_has_mask(lex, "casa", mot)
-    assert not token_has_mask(lex, "123", mot)
+    assert _has_mask(lex, "casa", mot)
+    assert not _has_mask(lex, "123", mot)
 
 
 def test_token_has_mask_dictionary():
     lex = parse_lexicon("Marilyn Monroe,.N+PR\nrainha,.N+Hum")
-    assert token_has_mask(lex, "Marilyn Monroe", LexicalMask(pos="N", codes=frozenset({"PR"})))
-    assert token_has_mask(lex, "rainha", LexicalMask(codes=frozenset({"Hum"})))
-    assert not token_has_mask(lex, "rainha", LexicalMask(codes=frozenset({"PR"})))
+    assert _has_mask(lex, "Marilyn Monroe", LexicalMask(pos="N", codes=frozenset({"PR"})))
+    assert _has_mask(lex, "rainha", LexicalMask(codes=frozenset({"Hum"})))
+    assert not _has_mask(lex, "rainha", LexicalMask(codes=frozenset({"PR"})))
+    # a capitalized surface also has its lowercase form's entries, and only
+    # a capitalized one
+    assert _has_mask(lex, "Rainha", LexicalMask(codes=frozenset({"Hum"})))
+    assert not _has_mask(parse_lexicon("RAINHA,.N"), "rainha", LexicalMask(pos="N"))
 
 
 def test_pre_builtin_ignores_lexicon_contents():
@@ -103,7 +105,7 @@ def test_pre_builtin_ignores_lexicon_contents():
     big = parse_lexicon("Joana,.N+PR")
     empty = parse_lexicon("")
     for lex in (big, empty):
-        assert token_has_mask(lex, "Joana", LexicalMask(builtin="PRE"))
+        assert _has_mask(lex, "Joana", LexicalMask(builtin="PRE"))
 
 
 def test_loading_monotonicity():
@@ -112,7 +114,7 @@ def test_loading_monotonicity():
     for cut in range(len(lines) + 1):
         prefix = parse_lexicon("\n".join(lines[:cut]))
         for s in ("a", "b", "c"):
-            assert lookup(prefix, s) <= lookup(full, s)
+            assert set(prefix.entries.get(s, ())) <= set(full.entries[s])
 
 
 _surface = st.text(

@@ -8,15 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 from lgw.grammar import (
     Graph, GraphBox, GrammarSet, InputAtom, LexicalMask, MorphFilter, load_grammar_set,
 )
-from lgw.lexicon import _escape, parse_lexicon, token_has_mask
+from lgw.lexicon import _escape, parse_lexicon
 from lgw.matcher import (
     ALL_MATCHES,
     LONGEST_ONLY,
     Occurrence,
+    _first_sets,
     apply_grammar,
     compile_grammar_set,
     filter_longest,
-    tokenize,
 )
 from lgw.matcher import _engine as _pure
 
@@ -27,39 +27,40 @@ from oracles import _lex_entries, brute_matches, brute_tokenize, random_literal_
 
 
 def test_tokenize_example():
-    toks = tokenize("Sra. Joana")
-    assert [(t.surface, t.kind) for t in toks] == [
-        ("Sra", "word"),
-        (".", "punct"),
-        (" ", "space"),
-        ("Joana", "word"),
+    # (surface, start, end, kind) with kind 0=word, 1=number, 2=punct
+    assert _pure.tokenize_raw("Sra. Joana") == [
+        ("Sra", 0, 3, 0),
+        (".", 3, 4, 2),
+        ("Joana", 5, 10, 0),
     ]
-    assert toks[0].start == 0 and toks[0].end == 3
-    assert toks[3].start == 5 and toks[3].end == 10
 
 
 def test_tokenize_numbers_and_punct_runs():
-    toks = tokenize("em 1978!!")
-    assert [(t.surface, t.kind) for t in toks] == [
-        ("em", "word"),
-        (" ", "space"),
-        ("1978", "number"),
-        ("!", "punct"),
-        ("!", "punct"),
+    assert _pure.tokenize_raw("em 1978!!") == [
+        ("em", 0, 2, 0),
+        ("1978", 3, 7, 1),
+        ("!", 7, 8, 2),
+        ("!", 8, 9, 2),
     ]
+
+
+_KINDS = {"word": 0, "number": 1, "punct": 2}
 
 
 @given(st.text(max_size=120))
 def test_tokenize_partitions_text(text):
-    toks = tokenize(text)
-    assert "".join(t.surface for t in toks) == text
-    pos = 0
-    for t in toks:
-        assert (t.start, t.end) == (pos, pos + len(t.surface))
-        pos = t.end
-    assert [(t.surface, t.start, t.end) for t in toks] == [
-        (s, a, b) for s, a, b, _ in brute_tokenize(text)
+    # the tokens and the whitespace gaps between them partition the text
+    toks = _pure.tokenize_raw(text)
+    assert toks == [
+        (s, a, b, _KINDS[k]) for s, a, b, k in brute_tokenize(text) if k != "space"
     ]
+    gaps = []
+    pos = 0
+    for _, start, end, _ in toks:
+        gaps.append(text[pos:start])
+        pos = end
+    gaps.append(text[pos:])
+    assert all(c.isspace() for gap in gaps for c in gap)
 
 
 # --- sentence boundaries -----------------------------------------------------
@@ -98,7 +99,7 @@ def test_match_does_not_cross_boundary(g1, lexicon):
     # sentence even though the tokens would otherwise chain.
     text = "A Sra. Joana saiu. Maria ficou."
     occs = apply_grammar(g1, text, lexicon, mode=LONGEST_ONLY)
-    assert [o.surface for o in occs] == ["Sra. Joana"]
+    assert [text[o.start : o.end] for o in occs] == ["Sra. Joana"]
 
 
 def test_match_may_end_at_but_not_cross_a_boundary():
@@ -127,8 +128,7 @@ def test_g1_merged_example(g1, lexicon):
         "Sra. <NOME>Joana da Silva</NOME>",
         "Dr. <NOME>Pedro</NOME>",
     ]
-    assert occs[0].surface == "Sra. Joana da Silva"
-    assert text[occs[0].start : occs[0].end] == occs[0].surface
+    assert text[occs[0].start : occs[0].end] == "Sra. Joana da Silva"
 
 
 def test_g1_all_matches_includes_shorter(g1, lexicon):
@@ -184,14 +184,14 @@ def test_merged_without_tags_equals_surface(g1, g2, lexicon):
     for gs in (g1, g2):
         for o in apply_grammar(gs, text, lexicon, ALL_MATCHES):
             stripped = o.merged.replace("<NOME>", "").replace("</NOME>", "")
-            assert stripped == o.surface
+            assert stripped == text[o.start : o.end]
 
 
 # --- LongestOnly filter ------------------------------------------------------
 
 
 def _occ(s, e):
-    return Occurrence(s, e, "x" * (e - s), "x" * (e - s), "G")
+    return Occurrence(s, e, "x" * (e - s), "G")
 
 
 def test_filter_longest_keeps_max_end_per_start():
@@ -212,6 +212,7 @@ def test_filter_longest_idempotent_and_dominant(occs):
     occs = sorted(occs, key=lambda o: (o.start, o.end, o.merged))
     kept = filter_longest(occs)
     assert filter_longest(kept) == kept
+    assert filter_longest(occs[::-1]) == kept  # the input order does not matter
     starts = {o.start for o in occs}
     assert {o.start for o in kept} == starts
     for o in kept:
@@ -394,7 +395,9 @@ def _generated_lexicon(rng, n):
 
 
 @pytest.mark.parametrize("which", ["shipped", "generated"])
-def test_token_has_mask_agrees_with_matcher(which, lexicon):
+def test_one_mask_grammars_agree_with_path_oracle(which, lexicon):
+    # each entry, its capitalized form and its first half, under a mask of
+    # each of the entry's symbol sets
     lex = lexicon if which == "shipped" else _generated_lexicon(random.Random(5), 150)
     checked = 0
     for surface, entries in lex.entries.items():
@@ -405,11 +408,13 @@ def test_token_has_mask_agrees_with_matcher(which, lexicon):
             " ".join(words[: (len(words) + 1) // 2]),
         }
         for symbols in {e.symbols for e in entries}:
-            gs, mask = _mask_grammar(symbols)
+            gs, _ = _mask_grammar(symbols)
             for text in variants:
-                whole = (0, len(text)) in _spans(gs, text, lex)
-                assert whole == token_has_mask(lex, text, mask), (text, symbols)
-                checked += whole
+                assert not _bounds(text), text  # the oracle ignores boundaries
+                occs = apply_grammar(gs, text, lex, ALL_MATCHES)
+                got = {(o.start, o.end, o.merged) for o in occs}
+                assert got == brute_matches(gs, text, lex), (text, symbols)
+                checked += (0, len(text), text) in got
     assert checked >= len(lex.entries)
 
 
@@ -430,8 +435,7 @@ def test_token_has_mask_agrees_with_matcher(which, lexicon):
 )
 def test_lowercase_probe_edge_cases(entry, text):
     lex = parse_lexicon(f"{entry},.N+PR")
-    gs, mask = _mask_grammar({"N", "PR"})
-    assert token_has_mask(lex, text, mask)
+    gs, _ = _mask_grammar({"N", "PR"})
     assert (0, len(text)) in _spans(gs, text, lex)
 
 
@@ -553,7 +557,7 @@ def test_indexes_agree_with_path_oracle(rng):
 
 
 def test_first_set_of_titled_names(g1):
-    first = compile_grammar_set(g1)["graphs"][g1.main]["first"]
+    first = compile_grammar_set(g1)["first"]
     assert first == (
         frozenset({"Sr", "Sra", "Srta", "Dr", "Dra", "D", "Prof", "Profa"}),
         frozenset(),
@@ -576,11 +580,12 @@ def test_first_set_sees_through_nullable_prefixes():
         [("i", "tag"), ("tag", "loop"), ("loop", "tag"), ("tag", "a"), ("a", "f")],
     )
     gs = GrammarSet({"M": main, "Opt": opt}, "M")
-    graphs = compile_grammar_set(gs)["graphs"]
-    assert graphs["M"]["first"] == (
+    cgs = compile_grammar_set(gs)
+    assert cgs["first"] == (
         frozenset({"Rei"}), frozenset({"de"}), frozenset({("mask", frozenset(), "PRE", None)})
     )
-    assert graphs["Opt"]["first"] == (frozenset(), frozenset({"de"}), frozenset())
+    opt_first = _first_sets(cgs["graphs"])["Opt"][0]
+    assert opt_first == (frozenset(), frozenset({"de"}), frozenset())
 
 
 def test_left_recursive_grammar_gets_an_exact_first_set():
@@ -593,7 +598,7 @@ def test_left_recursive_grammar_gets_an_exact_first_set():
         [("i", "a"), ("a", "f")],
     )
     gs = GrammarSet({"R": rec}, "R")
-    assert compile_grammar_set(gs)["graphs"]["R"]["first"] == (
+    assert compile_grammar_set(gs)["first"] == (
         frozenset(), frozenset({"y"}), frozenset()
     )
     # a recursive call after the first consuming atom leaves FIRST exact
@@ -602,12 +607,12 @@ def test_left_recursive_grammar_gets_an_exact_first_set():
         [GraphBox("a", ((InputAtom.lit("x"), InputAtom.call("R")), (InputAtom.lit("y"),)))],
         [("i", "a"), ("a", "f")],
     )
-    first = compile_grammar_set(GrammarSet({"R": tail}, "R"))["graphs"]["R"]["first"]
+    first = compile_grammar_set(GrammarSet({"R": tail}, "R"))["first"]
     assert first == (frozenset(), frozenset({"x", "y"}), frozenset())
 
 
 def test_first_set_of_dictionary_names(g2):
-    first = compile_grammar_set(g2)["graphs"][g2.main]["first"]
+    first = compile_grammar_set(g2)["first"]
     assert first == (
         frozenset(), frozenset(),
         frozenset({("mask", frozenset({"Hum"}), "", None),  # <Hum> and <N+PR>
@@ -723,8 +728,7 @@ def test_start_filter_agrees_with_unfiltered_walk(gs, words):
             _pure.sentence_boundaries(toks, frozenset()))
     filtered = _pure.find_matches(cgs, *args)
     # a FIRST set that admits every token
-    for g in cgs["graphs"].values():
-        g["first"] = (frozenset(t[0] for t in toks), frozenset(), frozenset())
+    cgs["first"] = (frozenset(t[0] for t in toks), frozenset(), frozenset())
     assert filtered == _pure.find_matches(cgs, *args)
 
 
