@@ -22,7 +22,8 @@ from .concorddiff import Action, DiffCounts, Relation, RelationReport
 from .errors import EmptyKeepSet, LgwError, TextMismatch, UsageError, located
 # parse_graph is not called here: perfbench/trace.py wraps lgw.cli.parse_graph
 from .grammar import _ID, load_grammar_set, parse_graph, render_graph, validate_set
-from .lexicon import Lexicon, merge_lexicons, parse_lexicon
+# perfbench/trace.py wraps lgw.cli.parse_lexicon and lgw.cli.merge_lexicons
+from .lexicon import Lexicon, merge_lexicons, parse_lexicon, read_sidecar, write_sidecar
 from .matcher import ALL_MATCHES, LONGEST_ONLY, apply_grammar
 
 
@@ -150,8 +151,26 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _load_lexicon(path: str) -> Lexicon:
+    """The lexicon in the file at path: rebuilt from its sidecar when that
+    was written for the file's current bytes, else parsed, and the sidecar
+    written for the next load."""
+    try:
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LgwError(f"cannot read {path}: {exc}") from None
+    name = Path(path).stem
+    lex = read_sidecar(path, data, text, name)
+    if lex is None:
+        with located(path):
+            lex = parse_lexicon(text, name=name)
+        write_sidecar(path, data, lex)
+    return lex
+
+
 def _load_lexicons(paths) -> Lexicon:
-    lexicons = [_parse(parse_lexicon, p, name=Path(p).stem) for p in paths]
+    lexicons = [_load_lexicon(p) for p in paths]
     return merge_lexicons(lexicons, name="+".join(Path(p).stem for p in paths))
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the workbench.
+"""Exception types shared across the workbench, and the line numbers
+their messages give.
 
 Every error carries an ``exit_code`` used by the CLI: 1 for usage errors,
 2 for input/parse problems, 3 for semantic mismatches, 4 for empty-result
@@ -21,6 +22,15 @@ def located(name: str):
     except LgwError as exc:
         exc.args = (f"{name}: {exc}",)
         raise
+
+
+def numbered_lines(text: str):
+    """(line number, line) of each line of ``text``.  A line ends only at
+    "\\n", "\\r\\n" or "\\r": ``str.splitlines`` would also end one at a
+    form feed, "\\x85" or U+2028, which a comment or a literal may hold."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return enumerate(text.split("\n"), 1)
 
 
 class UsageError(LgwError):

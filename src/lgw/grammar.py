@@ -30,6 +30,7 @@ from .errors import (
     RecursiveCall,
     UnresolvedSubgraph,
     located,
+    numbered_lines,
 )
 
 # POS tags recognized as the leading segment of a mask; anything else in
@@ -268,7 +269,7 @@ def parse_graph(text: str) -> Graph:
     edges = set()
     initial = None
     final = None
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in numbered_lines(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -4,14 +4,26 @@ One entry per line, ``surface,lemma.POS+Code+Code...``.  An empty lemma
 means the lemma equals the surface form.  Comma, period and backslash
 inside surface or lemma are escaped with a backslash.  ``#`` at column 0
 starts a comment line.
+
+A lexicon file can keep its matcher indexes in a sidecar,
+``__lgwcache__/<file name>.idx`` beside it (``read_sidecar`` and
+``write_sidecar``), so that a later load of the same bytes skips the parse.
 """
 
 from __future__ import annotations
 
+import contextlib
+import marshal
+import os
 import re
+import sys
+# hashlib.blake2b is _blake2.blake2b; importing hashlib would also load
+# OpenSSL, about 4 MB and 4 ms more for every lgw command
+from _blake2 import blake2b
+from pathlib import Path
 from typing import NamedTuple
 
-from .errors import MalformedLine
+from .errors import MalformedLine, numbered_lines
 from .matcher._engine import tokenize_raw
 
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
@@ -36,25 +48,34 @@ class LexEntry(NamedTuple):
 class Lexicon:
     """Distinct entries as rows ``(surface, lemma, pos, codes)``, first seen
     first, and the matcher's symbol and head indexes, built together by
-    ``_build``.  ``entries`` is built when first read, unless given."""
+    ``_build``.  ``entries`` is built when first read, unless given.  A
+    lexicon rebuilt from a sidecar has no rows until something asks for
+    them; they are then parsed from ``_text``."""
 
-    def __init__(self, entries=None, name="", _built=None):
+    def __init__(self, entries=None, name="", _built=None, _text=None):
         self.name = name
         self._entries = entries
         self._built = _built or _build(e for es in entries.values() for e in es)
+        self._text = _text
+
+    @property
+    def _rows(self) -> dict:
+        if self._built[0] is None:
+            self._built = (dict.fromkeys(_read_rows(self._text)), *self._built[1:])
+        return self._built[0]
 
     @property
     def entries(self) -> dict:
         """surface -> tuple of LexEntry, both in first-seen order."""
         if self._entries is None:
             groups: dict = {}
-            for r in self._built[0]:
+            for r in self._rows:
                 groups.setdefault(r[0], []).append(r if type(r) is LexEntry else LexEntry._make(r))
             self._entries = {s: tuple(es) for s, es in groups.items()}
         return self._entries
 
     def __len__(self):
-        return len(self._built[0])
+        return len(self._rows)
 
     def symbol_index(self) -> dict:
         """surface -> tuple of symbol sets, the matcher's probe structure."""
@@ -115,7 +136,7 @@ def _parse_tag(gram: str, line_no: int) -> tuple:
 def _read_rows(text: str):
     """The row ``(surface, lemma, pos, codes)`` of every entry line."""
     tags: dict = {}  # raw text after the period -> (pos, codes)
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in numbered_lines(text):
         if not raw.strip() or raw.startswith("#"):
             continue
         if "\\" in raw:
@@ -154,8 +175,80 @@ def render_lexicon(lex: Lexicon) -> str:
 def merge_lexicons(lexicons, name: str = "") -> Lexicon:
     """The distinct entries of ``lexicons``, first seen first.  A single
     lexicon's rows and indexes are kept as they are."""
-    built = [lex._built for lex in lexicons]
-    if len(built) == 1:
-        return Lexicon(name=name, _built=built[0])
-    return Lexicon(name=name, _built=_build(r for b in built for r in b[0]))
+    lexicons = list(lexicons)
+    if len(lexicons) == 1:
+        (lex,) = lexicons
+        return Lexicon(name=name, _built=lex._built, _text=lex._text)
+    return Lexicon(name=name, _built=_build(r for lex in lexicons for r in lex._rows))
+
+
+# The sidecar: its key, then marshal data of five columns, in version 2,
+# which builds no reference table while it writes or reads them:
+# the distinct symbol-set tuples; the surfaces in index order; for each
+# surface the number of its tuple, as bytes when 256 numbers suffice; the
+# head widths dict.fromkeys(<alphabetic surfaces>, 1) does not give; and the
+# widest head.  Bump SIDECAR_FORMAT whenever these columns, or what
+# parse_lexicon makes of a text, change.
+SIDECAR_FORMAT = 2
+
+
+def _sidecar_path(path) -> Path:
+    path = Path(path)
+    return path.parent / "__lgwcache__" / f"{path.name}.idx"
+
+
+def _sidecar_key(data: bytes) -> bytes:
+    """The first bytes of the sidecar of a file holding ``data``: the
+    format, the Python version that wrote it and the digest of ``data``."""
+    head = b"lgw lexicon index %d python %d.%d\n" % (SIDECAR_FORMAT, *sys.version_info[:2])
+    return head + blake2b(data).digest()
+
+
+def read_sidecar(path, data: bytes, text: str, name: str = ""):
+    """The lexicon of the file at ``path``, which holds ``data`` decoded as
+    ``text``, rebuilt from its sidecar; None when there is no sidecar for
+    these bytes or it cannot be read."""
+    key = _sidecar_key(data)
+    try:
+        blob = _sidecar_path(path).read_bytes()
+    except OSError:
+        return None
+    if not blob.startswith(key):
+        return None
+    try:
+        sets, surfaces, ids, wider, longest = marshal.loads(memoryview(blob)[len(key):])
+        symidx = dict(zip(surfaces, map(sets.__getitem__, ids), strict=True))
+        heads = dict.fromkeys(filter(str.isalpha, surfaces), 1)
+        heads.update(wider)
+    except (EOFError, ValueError, TypeError, IndexError, AttributeError):
+        return None  # truncated or not written by write_sidecar
+    return Lexicon(name=name, _built=(None, symidx, (heads, longest)), _text=text)
+
+
+def write_sidecar(path, data: bytes, lex: Lexicon) -> None:
+    """Keep ``lex``, parsed from the file at ``path`` holding ``data``, in
+    that file's sidecar, replacing it whole.  A directory that cannot be
+    written gets no sidecar."""
+    symidx = lex.symbol_index()
+    heads, longest = lex.head_index()
+    sets: dict = {}
+    ids = [sets.setdefault(v, len(sets)) for v in symidx.values()]
+    ones = dict.fromkeys(filter(str.isalpha, symidx), 1)
+    wider = {w: n for w, n in heads.items() if ones.get(w) != n}
+    columns = (tuple(sets), tuple(symidx), bytes(ids) if len(sets) <= 256 else tuple(ids),
+               wider, longest)
+    payload = marshal.dumps(columns, 2)
+    target = _sidecar_path(path)
+    # a process writes only its own temporary file; os.replace makes the
+    # whole new sidecar appear at once
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        target.parent.mkdir(exist_ok=True)
+        with open(tmp, "wb") as f:
+            f.write(_sidecar_key(data))
+            f.write(payload)  # not joined to the key: that copy raised peak memory
+        os.replace(tmp, target)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 

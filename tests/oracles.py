@@ -349,7 +349,8 @@ def oracle_parse_lexicon(text, name=""):
     deduplicated through one global set."""
     entries = {}
     seen = set()
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    # a line ends at "\n", "\r\n" or "\r" and nowhere else
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), 1):
         if not raw.strip() or raw.startswith("#"):
             continue
         comma = _oracle_find_unescaped(raw, ",")

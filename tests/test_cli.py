@@ -1,5 +1,7 @@
 import datetime
 import json
+import marshal
+import os
 import subprocess
 import sys
 
@@ -528,6 +530,8 @@ def test_parse_error_names_the_file(ws, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith(f"lgw {argv[0]}: error: {bad}: ")
     assert reason in err
+    if kind == "lexicon":  # the lexicon that parsed has a sidecar, the bad one none
+        assert [p.name for p in (ws / "__lgwcache__").iterdir()] == ["portugues.dic.idx"]
 
 
 def test_blank_literal_exits_2(tmp_path, capsys):
@@ -598,3 +602,133 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "apply" in proc.stdout and "compose" in proc.stdout
+
+
+# --- the lexicon sidecar -------------------------------------------------------
+# lgw apply keeps each lexicon file's indexes in __lgwcache__/<file>.idx
+# beside it; every case here must give what a parse gives.
+
+NAMES = "Ana,.N+PR\nZeca,.V+PR\n"
+
+
+@pytest.fixture()
+def named(tmp_path):
+    """ReconheceNomesCompostos, a corpus, and a lexicon in its own directory."""
+    name = "ReconheceNomesCompostos"
+    (tmp_path / f"{name}.lg").write_text(data.grammar_text(name), encoding="utf-8")
+    (tmp_path / "c.txt").write_text("Ana viu Zeca e a rainha Isabel.\n", encoding="utf-8")
+    (tmp_path / "lex").mkdir()
+    (tmp_path / "lex" / "n.dic").write_text(NAMES, encoding="utf-8")
+    return tmp_path
+
+
+def _apply_named(d, out):
+    return main(["apply", "--grammar", str(d / "ReconheceNomesCompostos.lg"),
+                 "--lexicon", str(d / "lex" / "n.dic"), "--out", str(d / out),
+                 "--cnc", "n.cnc", "--xml", "n.xml", str(d / "c.txt")])
+
+
+def _sidecar(d):
+    return d / "lex" / "__lgwcache__" / "n.dic.idx"
+
+
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_sidecar_of_an_edited_lexicon_is_not_used(named, capsys):
+    dic = named / "lex" / "n.dic"
+    assert _apply_named(named, "a") == 0
+    assert "1 occurrence(s)" in capsys.readouterr().out
+    first = _sidecar(named).read_bytes()
+    # same size and modification time: only the bytes tell the edit
+    stat = dic.stat()
+    dic.write_text(NAMES.replace("V+PR", "N+PR"), encoding="utf-8")
+    os.utime(dic, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert dic.stat().st_size == stat.st_size
+    assert _apply_named(named, "b") == 0
+    assert "2 occurrence(s)" in capsys.readouterr().out
+    assert _sidecar(named).read_bytes() != first
+    assert _apply_named(named, "c") == 0  # a hit on the rewritten sidecar
+    assert _outputs(named / "c") == _outputs(named / "b")
+
+
+@pytest.mark.parametrize("damage", [
+    "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape", "wrong-types",
+])
+def test_damaged_sidecar_is_rewritten(named, capsys, damage):
+    from lgw.lexicon import _sidecar_key
+
+    assert _apply_named(named, "a") == 0
+    sidecar = _sidecar(named)
+    good = sidecar.read_bytes()
+    key = _sidecar_key(NAMES.encode("utf-8"))
+    version = b"python %d.%d" % sys.version_info[:2]
+    assert good.startswith(key) and version in key
+    sidecar.write_bytes({
+        "truncated": good[: (len(key) + len(good)) // 2],
+        "key-only": key,
+        "garbage": b"\x00\xffnot a sidecar",
+        "empty": b"",
+        "other-python": good.replace(version, b"python 2.7", 1),
+        "wrong-shape": key + marshal.dumps((1, 2, 3), 2),
+        "wrong-types": key + marshal.dumps((1, 2, 3, 4, 5), 2),
+    }[damage])
+    capsys.readouterr()
+    assert _apply_named(named, "b") == 0
+    captured = capsys.readouterr()
+    assert "1 occurrence(s)" in captured.out
+    assert captured.err == ""
+    assert sidecar.read_bytes() == good
+    assert _outputs(named / "b") == _outputs(named / "a")
+
+
+@pytest.mark.parametrize("block", ["read-only", "file-in-the-way"])
+def test_unwritable_lexicon_directory_gets_no_sidecar(named, capsys, block):
+    lex = named / "lex"
+    if block == "file-in-the-way":
+        (lex / "__lgwcache__").write_text("not a directory", encoding="utf-8")
+    else:
+        lex.chmod(0o555)
+    try:
+        if block == "read-only" and os.access(lex, os.W_OK):
+            pytest.skip("this user may write a read-only directory")
+        for out in ("a", "b"):
+            assert _apply_named(named, out) == 0
+            assert "1 occurrence(s)" in capsys.readouterr().out
+        assert sorted(p.name for p in lex.iterdir()) == (
+            ["__lgwcache__", "n.dic"] if block == "file-in-the-way" else ["n.dic"]
+        )
+    finally:
+        lex.chmod(0o755)
+    assert _outputs(named / "b") == _outputs(named / "a")
+
+
+def test_malformed_lexicon_with_an_old_sidecar_exits_2(named, capsys):
+    assert _apply_named(named, "a") == 0
+    first = _sidecar(named).read_bytes()
+    dic = named / "lex" / "n.dic"
+    dic.write_text(NAMES + "sem virgula\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _apply_named(named, "b") == 2
+    err = capsys.readouterr().err
+    assert err == f"lgw apply: error: {dic}: line 3: missing ',' separator\n"
+    assert _sidecar(named).read_bytes() == first
+
+
+def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
+    from lgw import cli
+
+    grammars, extra = ["ReconheceNomesCompostos"], ["--xml", "s.xml"]
+    assert _apply(ws, ws / "miss", grammars, "g.cnc", extra) == 0
+    assert "<NOME>Marilyn Monroe</NOME>" in (ws / "miss" / "g.cnc").read_text(encoding="utf-8")
+    assert sorted(p.name for p in (ws / "__lgwcache__").iterdir()) == [
+        "ingles.dic.idx", "portugues.dic.idx"
+    ]
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a lexicon was parsed on a hit")
+
+    monkeypatch.setattr(cli, "parse_lexicon", no_parse)
+    assert _apply(ws, ws / "hit", grammars, "g.cnc", extra) == 0
+    assert _outputs(ws / "hit") == _outputs(ws / "miss")

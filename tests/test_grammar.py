@@ -109,6 +109,15 @@ def test_syntax_error_carries_line_number():
     assert e.value.line_no == 2
 
 
+def test_a_line_ends_only_at_a_line_break():
+    # str.splitlines would also end a line at the form feed and at "\x85"
+    text = MINIMAL.replace("\n", "\n# see\x0cpage 2\n", 1).replace('"x"', '"a\x85b"')
+    assert parse_graph(text).boxes[0].alternatives == ((InputAtom.lit("a\x85b"),),)
+    with pytest.raises(GraphSyntaxError) as e:
+        parse_graph("graph G\r\n\x0c\rbox b ???\ninit i\nfinal f")
+    assert e.value.line_no == 3
+
+
 @pytest.mark.parametrize("literal", ['""', '" "', '"   "', '"\t"'])
 def test_literal_without_a_token_is_rejected(literal):
     # a literal must hold a token; a blank one could never match

@@ -1,8 +1,11 @@
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from lgw import data
 from lgw.errors import MalformedLine
 from lgw.grammar import Graph, GraphBox, GrammarSet, InputAtom, LexicalMask
 from lgw.lexicon import (
@@ -10,7 +13,9 @@ from lgw.lexicon import (
     Lexicon,
     merge_lexicons,
     parse_lexicon,
+    read_sidecar,
     render_lexicon,
+    write_sidecar,
 )
 from lgw.matcher import ALL_MATCHES, apply_grammar
 from oracles import oracle_lexicon_index, oracle_parse_lexicon
@@ -52,6 +57,16 @@ def test_parse_malformed_line(bad):
     with pytest.raises(MalformedLine) as exc:
         parse_lexicon("ok,.N\n" + bad)
     assert exc.value.line_no == 2
+
+
+def test_a_line_ends_only_at_a_line_break():
+    # str.splitlines would also end a line at "\x85" and at the form feed
+    (entry,) = parse_lexicon("a\x85b,.N").entries["a\x85b"]
+    assert entry.lemma == "a\x85b"
+    for text in ("a,.N\n\x0c\nbad\n", "a,.N\r\n\x0c\rbad\r"):
+        with pytest.raises(MalformedLine) as exc:
+            parse_lexicon(text)
+        assert exc.value.line_no == 3
 
 
 def test_duplicate_lines_collapse():
@@ -199,9 +214,12 @@ def test_load_is_linear_in_the_entries_under_one_surface():
 
 # Lines mixing every case the parser distinguishes: escaped and unescaped
 # separators, lone trailing backslashes, empty fields and codes, comments,
-# blank and whitespace-only lines.  Well-formed lines are drawn more often,
-# so that most texts parse past their first line.
-_safe = st.sampled_from(["a", "Bé", " ", "x y", "\\,", "\\.", "\\\\", "\\x", "+", "#"])
+# blank and whitespace-only lines, "\r" line ends, and the form feed and
+# "\x85", which end no line.  Well-formed lines are drawn more often, so
+# that most texts parse past their first line.
+_safe = st.sampled_from(
+    ["a", "Bé", " ", "x y", "\\,", "\\.", "\\\\", "\\x", "+", "#", "\x85", "\x0c"]
+)
 _good_line = st.builds(
     lambda surface, lemma, tag: f"{surface},{lemma}.{tag}",
     st.lists(_safe, min_size=1, max_size=3).map("".join),
@@ -218,7 +236,7 @@ _any_line = st.one_of(
     _field,
     st.sampled_from([" # not a comment", "a\\", "\\", "a\\,.N", "a,b\\.N", ",x"]),
 )
-_skipped_line = st.sampled_from(["", "   ", "\t", "# c,.N", "#"])
+_skipped_line = st.sampled_from(["", "   ", "\t", "\x0c", "# c,.N", "#"])
 
 
 @st.composite
@@ -227,7 +245,7 @@ def _lexicon_text(draw):
     pool = [draw(draw(kinds)) for _ in range(draw(st.integers(1, 6)))]
     # drawing from a small pool repeats lines
     lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
                          max_size=len(lines)))
     return "".join(line + end for line, end in zip(lines, ends))
 
@@ -279,3 +297,60 @@ def test_merged_index_agrees_with_reference_index(texts):
             merged[s] = merged.get(s, ()) + tuple(e for e in es if e not in merged.get(s, ()))
     lex = merge_lexicons([lex for lex, _ in parsed])
     assert _index(lex) == oracle_lexicon_index(merged)
+
+
+def _hit_built(text, directory):
+    """The lexicon of ``text`` as ``lgw apply`` rebuilds it from the sidecar
+    its first load wrote: indexes only, no rows yet."""
+    path = Path(directory) / "x.dic"
+    raw = text.encode("utf-8")
+    path.write_bytes(raw)
+    write_sidecar(path, raw, parse_lexicon(text))
+    lex = read_sidecar(path, raw, text, name="x")
+    assert lex is not None and lex._built[0] is None
+    return lex
+
+
+def _check_hit_built(text, directory):
+    try:
+        ref = parse_lexicon(text, name="x")
+    except MalformedLine:
+        return
+    hit = _hit_built(text, directory)
+    assert list(hit.symbol_index().items()) == list(ref.symbol_index().items())
+    assert hit.head_index() == ref.head_index()
+    assert (hit.symbol_index(), hit.head_index()) == oracle_lexicon_index(
+        oracle_parse_lexicon(text).entries
+    )
+    # a merge asks a fresh hit-built lexicon for its rows
+    other = parse_lexicon("b c,.V\nzz,.N+PR\na,.N+Hum\n")
+    for order in (1, -1):
+        got = merge_lexicons([other, _hit_built(text, directory)][::order])
+        want = merge_lexicons([other, ref][::order])
+        assert list(got.symbol_index().items()) == list(want.symbol_index().items())
+        assert got.head_index() == want.head_index()
+        assert got.entries == want.entries
+    assert len(hit) == len(ref)
+    assert hit.entries == ref.entries
+    assert render_lexicon(hit) == render_lexicon(ref)
+
+
+@pytest.mark.parametrize("text", [
+    *(data.lexicon_text(n) for n in data.LEXICON_NAMES),
+    "Sr\\.,.N+Abrev\na\\,b,c\\\\d.N\nx\\y,.V\nSr\\.,Senhor.N+Abrev\n",
+    "Rio,.N+Top\nRio de Janeiro,.N+Top\nRio Branco,.N+PR\nde,.PREP\nRio,.N+Top\n",
+    "İstanbul,.N+Top\nİ,.N\ni,.N\n",
+    "3M,.N+PR\nO'Neil,.N+PR\nX-Men,.N\nJoão  Paulo,.N+PR\n",
+    # more distinct symbol-set tuples than one byte can number
+    "".join(f"w{k},.N+C{k}\nw{k},.V\n" for k in range(300)),
+    "",
+], ids=[*data.LEXICON_NAMES, "escapes", "multiword", "dotted-I", "non-alphabetic",
+        "many-tag-sets", "empty"])
+def test_sidecar_lexicon_equals_the_parsed_one(text, tmp_path):
+    _check_hit_built(text, tmp_path)
+
+
+@given(_lexicon_text())
+def test_sidecar_lexicon_equals_the_parsed_one_generated(text):
+    with tempfile.TemporaryDirectory() as directory:
+        _check_hit_built(text, directory)
