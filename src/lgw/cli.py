@@ -24,7 +24,7 @@ from .errors import EmptyKeepSet, LgwError, TextMismatch, UsageError, located
 from .grammar import _ID, load_grammar_set, parse_graph, render_graph, validate_set
 # perfbench/trace.py wraps lgw.cli.parse_lexicon and lgw.cli.merge_lexicons
 from .lexicon import Lexicon, merge_lexicons, parse_lexicon, read_sidecar, write_sidecar
-from .matcher import ALL_MATCHES, LONGEST_ONLY, apply_grammar
+from .matcher import ALL_MATCHES, LONGEST_ONLY, Tokenized, apply_grammar, corpus_tokens
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,6 +174,22 @@ def _load_lexicons(paths) -> Lexicon:
     return merge_lexicons(lexicons, name="+".join(Path(p).stem for p in paths))
 
 
+def _read_corpus(paths) -> Tokenized:
+    """The texts of the corpus files at ``paths`` joined with "\n", and its
+    tokens.  No token spans the joining "\n", so those are each file's
+    tokens (``corpus_tokens``), shifted by where its text starts."""
+    texts = [_read(p) for p in paths]
+    tokens, offset = [], 0
+    for p, text in zip(paths, texts):
+        toks = corpus_tokens(p, text)
+        if offset:
+            tokens += [(s, a + offset, b + offset, k) for s, a, b, k in toks]
+        else:
+            tokens = toks
+        offset += len(text) + 1
+    return Tokenized("\n".join(texts), tokens)
+
+
 def cmd_apply(args) -> int:
     for p in args.corpus:
         # the concordance header holds the corpus file names as one field
@@ -188,9 +204,12 @@ def cmd_apply(args) -> int:
     if any(d.severity == "error" for d in diags):
         return 2
     corpus = sorted(args.corpus, key=lambda p: Path(p).name)
-    text = "\n".join(_read(p) for p in corpus)
     text_id = "+".join(Path(p).name for p in corpus)
-    occs = apply_grammar(gs, text, lex, mode=args.mode)
+    tokenized = _read_corpus(corpus)
+    # five arguments, as perfbench/trace.py forwards them
+    occs = apply_grammar(gs, tokenized, lex, mode=args.mode)
+    text = tokenized.text
+    del tokenized  # keeping the tokens through the writes raised peak memory
     # annotate before writing anything: a text the XML refuses leaves no file
     if args.xml:
         annotated = evaluator.annotate(

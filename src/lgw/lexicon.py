@@ -12,17 +12,10 @@ A lexicon file can keep its matcher indexes in a sidecar,
 
 from __future__ import annotations
 
-import contextlib
-import marshal
-import os
 import re
-import sys
-# hashlib.blake2b is _blake2.blake2b; importing hashlib would also load
-# OpenSSL, about 4 MB and 4 ms more for every lgw command
-from _blake2 import blake2b
-from pathlib import Path
 from typing import NamedTuple
 
+from . import sidecar
 from .errors import MalformedLine, numbered_lines
 from .matcher._engine import tokenize_raw
 
@@ -182,53 +175,39 @@ def merge_lexicons(lexicons, name: str = "") -> Lexicon:
     return Lexicon(name=name, _built=_build(r for lex in lexicons for r in lex._rows))
 
 
-# The sidecar: its key, then marshal data of five columns, in version 2,
-# which builds no reference table while it writes or reads them:
-# the distinct symbol-set tuples; the surfaces in index order; for each
-# surface the number of its tuple, as bytes when 256 numbers suffice; the
-# head widths dict.fromkeys(<alphabetic surfaces>, 1) does not give; and the
-# widest head.  Bump SIDECAR_FORMAT whenever these columns, or what
+# The sidecar (see lgw.sidecar): its key, then marshal data of five
+# columns: the distinct symbol-set tuples; the surfaces in index order; for
+# each surface the number of its tuple, as bytes when 256 numbers suffice;
+# the head widths dict.fromkeys(<alphabetic surfaces>, 1) does not give; and
+# the widest head.  Bump SIDECAR_FORMAT whenever these columns, or what
 # parse_lexicon makes of a text, change.
 SIDECAR_FORMAT = 2
 
 
-def _sidecar_path(path) -> Path:
-    path = Path(path)
-    return path.parent / "__lgwcache__" / f"{path.name}.idx"
-
-
 def _sidecar_key(data: bytes) -> bytes:
-    """The first bytes of the sidecar of a file holding ``data``: the
-    format, the Python version that wrote it and the digest of ``data``."""
-    head = b"lgw lexicon index %d python %d.%d\n" % (SIDECAR_FORMAT, *sys.version_info[:2])
-    return head + blake2b(data).digest()
+    return sidecar.key(b"lexicon index", SIDECAR_FORMAT, data)
 
 
 def read_sidecar(path, data: bytes, text: str, name: str = ""):
     """The lexicon of the file at ``path``, which holds ``data`` decoded as
     ``text``, rebuilt from its sidecar; None when there is no sidecar for
     these bytes or it cannot be read."""
-    key = _sidecar_key(data)
-    try:
-        blob = _sidecar_path(path).read_bytes()
-    except OSError:
-        return None
-    if not blob.startswith(key):
+    columns = sidecar.read(path, "idx", _sidecar_key(data))
+    if columns is None:
         return None
     try:
-        sets, surfaces, ids, wider, longest = marshal.loads(memoryview(blob)[len(key):])
+        sets, surfaces, ids, wider, longest = columns
         symidx = dict(zip(surfaces, map(sets.__getitem__, ids), strict=True))
         heads = dict.fromkeys(filter(str.isalpha, surfaces), 1)
         heads.update(wider)
-    except (EOFError, ValueError, TypeError, IndexError, AttributeError):
-        return None  # truncated or not written by write_sidecar
+    except (ValueError, TypeError, IndexError, AttributeError):
+        return None  # not written by write_sidecar
     return Lexicon(name=name, _built=(None, symidx, (heads, longest)), _text=text)
 
 
 def write_sidecar(path, data: bytes, lex: Lexicon) -> None:
     """Keep ``lex``, parsed from the file at ``path`` holding ``data``, in
-    that file's sidecar, replacing it whole.  A directory that cannot be
-    written gets no sidecar."""
+    that file's sidecar."""
     symidx = lex.symbol_index()
     heads, longest = lex.head_index()
     sets: dict = {}
@@ -237,18 +216,4 @@ def write_sidecar(path, data: bytes, lex: Lexicon) -> None:
     wider = {w: n for w, n in heads.items() if ones.get(w) != n}
     columns = (tuple(sets), tuple(symidx), bytes(ids) if len(sets) <= 256 else tuple(ids),
                wider, longest)
-    payload = marshal.dumps(columns, 2)
-    target = _sidecar_path(path)
-    # a process writes only its own temporary file; os.replace makes the
-    # whole new sidecar appear at once
-    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-    try:
-        target.parent.mkdir(exist_ok=True)
-        with open(tmp, "wb") as f:
-            f.write(_sidecar_key(data))
-            f.write(payload)  # not joined to the key: that copy raised peak memory
-        os.replace(tmp, target)
-    except OSError:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-
+    sidecar.write(path, "idx", _sidecar_key(data), columns)

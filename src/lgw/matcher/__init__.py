@@ -2,12 +2,18 @@
 
 The matching kernel lives in ``_engine``; it reports where each output
 goes, and this module splices the outputs into the matched text.
+
+A corpus file can keep its kernel tokens in a sidecar,
+``__lgwcache__/<file name>.tok`` beside it (``corpus_tokens``), so that a
+later apply of the same text skips tokenizing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from .. import sidecar
 from ..data import default_abbreviations
 from ..grammar import GrammarSet, compile_filter
 
@@ -30,6 +36,34 @@ class Occurrence:
     grammar: str  # the name of the main graph that matched
     # (text offset, output) pairs in splice order; empty when built by hand
     events: tuple = ()
+
+
+class Tokenized(NamedTuple):
+    """A text and its kernel tokens, which ``apply_grammar`` takes in place
+    of the text alone and then does not tokenize again."""
+
+    text: str
+    tokens: list
+
+
+# The token sidecar (see lgw.sidecar): its key, then the marshal data of
+# the list of token tuples.  Bump TOKENS_FORMAT whenever the token tuple,
+# or what tokenize_raw makes of a text, changes.
+TOKENS_FORMAT = 1
+
+
+def corpus_tokens(path, text: str) -> list:
+    """The kernel tokens of ``text``, read from the file at ``path``: loaded
+    from the file's token sidecar when that was written for this text, else
+    tokenized, and the sidecar written for the next apply."""
+    key = sidecar.key(b"tokens", TOKENS_FORMAT, text.encode("utf-8"))
+    toks = sidecar.read(path, "tok", key)
+    # a list of 4-tuples; the fields are trusted, as the key holds the
+    # digest of the text they were computed from
+    if type(toks) is not list or {*map(type, toks)} - {tuple} or {*map(len, toks)} - {4}:
+        toks = _impl.tokenize_raw(text)
+        sidecar.write(path, "tok", key, toks)
+    return toks
 
 
 def _compile_atom(atom):
@@ -151,21 +185,24 @@ def compile_grammar_set(gs: GrammarSet) -> dict:
 
 def apply_grammar(
     gs: GrammarSet,
-    text: str,
+    text: str | Tokenized,
     lex,
     mode: str = LONGEST_ONLY,
     abbreviations=None,
 ) -> list:
-    """Every initial-to-final path match of the main graph as Occurrences,
-    one per (start, end, merged), sorted by that key.  LongestOnly keeps,
-    per start offset, only the longest occurrences, and splices the
-    outputs of those alone.  Paths whose outputs splice to the same text
-    give one Occurrence, with the first of their events in sorted
-    order."""
+    """Every initial-to-final path match of the main graph in ``text``, a
+    str or a ``Tokenized`` text, as Occurrences, one per (start, end,
+    merged), sorted by that key.  LongestOnly keeps, per start offset, only
+    the longest occurrences, and splices the outputs of those alone.
+    Paths whose outputs splice to the same text give one Occurrence, with
+    the first of their events in sorted order."""
     if mode not in (ALL_MATCHES, LONGEST_ONLY):
         raise ValueError(f"unknown mode {mode!r}")
     cgs = compile_grammar_set(gs)
-    toks = _impl.tokenize_raw(text)
+    if isinstance(text, Tokenized):
+        text, toks = text
+    else:
+        toks = _impl.tokenize_raw(text)
     abbrevs = frozenset(
         abbreviations if abbreviations is not None else default_abbreviations()
     )

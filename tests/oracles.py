@@ -379,18 +379,15 @@ def oracle_parse_lexicon(text, name=""):
     return Lexicon({s: tuple(es) for s, es in entries.items()}, name=name)
 
 
-_ORACLE_TOKEN_RE = re.compile(r"[^\W\d_]+|\d+|\S")
-
-
 def oracle_lexicon_index(entries):
     """(symbol index, head index) of an entries dict (surface -> entries),
     rebuilt from the entries: one symbol set per entry, and each surface's
-    tokens counted by a regular expression instead of the kernel's
+    tokens counted by ``brute_tokenize`` instead of the kernel's
     tokenizer."""
     symidx = {s: tuple(e.codes | {e.pos} for e in es) for s, es in entries.items() if es}
     heads = {}
     for surface in symidx:
-        words = _ORACLE_TOKEN_RE.findall(surface)
+        words = [t[0] for t in brute_tokenize(surface) if t[3] != "space"]
         if words:
             heads[words[0]] = max(heads.get(words[0], 0), len(words))
     return symidx, (heads, max(heads.values(), default=0))

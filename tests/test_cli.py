@@ -4,6 +4,8 @@ import marshal
 import os
 import subprocess
 import sys
+import tempfile
+import types
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -717,18 +719,141 @@ def test_malformed_lexicon_with_an_old_sidecar_exits_2(named, capsys):
 
 
 def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
-    from lgw import cli
+    from lgw import cli, matcher
 
     grammars, extra = ["ReconheceNomesCompostos"], ["--xml", "s.xml"]
     assert _apply(ws, ws / "miss", grammars, "g.cnc", extra) == 0
     assert "<NOME>Marilyn Monroe</NOME>" in (ws / "miss" / "g.cnc").read_text(encoding="utf-8")
     assert sorted(p.name for p in (ws / "__lgwcache__").iterdir()) == [
-        "ingles.dic.idx", "portugues.dic.idx"
+        "corpus.txt.tok", "ingles.dic.idx", "portugues.dic.idx"
     ]
 
     def no_parse(*args, **kwargs):
         raise AssertionError("a lexicon was parsed on a hit")
 
+    def no_tokenize(*args, **kwargs):
+        raise AssertionError("the corpus was tokenized on a hit")
+
     monkeypatch.setattr(cli, "parse_lexicon", no_parse)
+    # the kernel as apply_grammar and corpus_tokens reach it
+    kernel = {**vars(matcher._engine), "tokenize_raw": no_tokenize}
+    monkeypatch.setattr(matcher, "_impl", types.SimpleNamespace(**kernel))
     assert _apply(ws, ws / "hit", grammars, "g.cnc", extra) == 0
     assert _outputs(ws / "hit") == _outputs(ws / "miss")
+
+
+# --- the token sidecar ---------------------------------------------------------
+# lgw apply keeps each corpus file's tokens in __lgwcache__/<file>.tok beside
+# it; every case here must give what tokenizing gives.
+
+def _tok_sidecar(d):
+    return d / "__lgwcache__" / "c.txt.tok"
+
+
+def test_token_sidecar_of_an_edited_corpus_is_not_used(named, capsys):
+    corpus = named / "c.txt"
+    assert _apply_named(named, "a") == 0
+    assert "1 occurrence(s)" in capsys.readouterr().out
+    first = _tok_sidecar(named).read_bytes()
+    # same size and modification time: only the text tells the edit
+    stat = corpus.stat()
+    corpus.write_text("Zeca viu Ana e a rainha Isabel.\n", encoding="utf-8")
+    os.utime(corpus, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert corpus.stat().st_size == stat.st_size
+    assert _apply_named(named, "b") == 0
+    assert "1 occurrence(s)" in capsys.readouterr().out
+    assert _tok_sidecar(named).read_bytes() != first
+    assert (named / "b" / "n.xml").read_text(encoding="utf-8") == (
+        'Zeca viu <EM CATEG="PESSOA" TIPO="INDIVIDUAL">Ana</EM> e a rainha Isabel.\n'
+    )
+    assert _apply_named(named, "c") == 0  # a hit on the rewritten sidecar
+    assert _outputs(named / "c") == _outputs(named / "b")
+
+
+@pytest.mark.parametrize("damage", [
+    "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape",
+    "wrong-tuples", "not-tuples",
+])
+def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
+    from lgw.matcher import TOKENS_FORMAT
+    from lgw.sidecar import key as sidecar_key
+
+    assert _apply_named(named, "a") == 0
+    sidecar = _tok_sidecar(named)
+    good = sidecar.read_bytes()
+    text = (named / "c.txt").read_text(encoding="utf-8")
+    key = sidecar_key(b"tokens", TOKENS_FORMAT, text.encode("utf-8"))
+    version = b"python %d.%d" % sys.version_info[:2]
+    assert good.startswith(key) and version in key
+    sidecar.write_bytes({
+        "truncated": good[: (len(key) + len(good)) // 2],
+        "key-only": key,
+        "garbage": b"\x00\xffnot a sidecar",
+        "empty": b"",
+        "other-python": good.replace(version, b"python 2.7", 1),
+        "wrong-shape": key + marshal.dumps((1, 2, 3), 2),
+        "wrong-tuples": key + marshal.dumps([("Ana", 0, 3, 0), ("viu", 4)], 2),
+        "not-tuples": key + marshal.dumps([["Ana", 0, 3, 0]], 2),
+    }[damage])
+    capsys.readouterr()
+    assert _apply_named(named, "b") == 0
+    captured = capsys.readouterr()
+    assert "1 occurrence(s)" in captured.out
+    assert captured.err == ""
+    assert sidecar.read_bytes() == good
+    assert _outputs(named / "b") == _outputs(named / "a")
+
+
+def test_unwritable_corpus_directory_gets_no_token_sidecar(named, capsys):
+    (named / "__lgwcache__").write_text("not a directory", encoding="utf-8")
+    for out in ("a", "b"):
+        assert _apply_named(named, out) == 0
+        assert "1 occurrence(s)" in capsys.readouterr().out
+    assert (named / "__lgwcache__").read_text(encoding="utf-8") == "not a directory"
+    assert _outputs(named / "b") == _outputs(named / "a")
+
+
+def test_non_utf8_corpus_exits_2_and_gets_no_token_sidecar(named, capsys):
+    corpus = named / "c.txt"
+    corpus.write_bytes(b"Ana \xff viu Zeca.\n")
+    assert _apply_named(named, "a") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"lgw apply: error: cannot read {corpus}: ")
+    assert "can't decode byte 0xff" in err and err.count("\n") == 1
+    assert not (named / "__lgwcache__").exists()
+    assert not (named / "a").exists()
+
+
+# every character class the tokenizer tells apart, and the line ends that
+# reading the file translates to "\n"
+_corpus_piece = st.sampled_from(
+    ["Ana", "a", "²", "½", "三", "İ", "ς", "\x85", "_", "\r\n", "\r", "\n", " ", "42", ".", ","]
+)
+_corpus_file = st.builds(
+    lambda pieces, end: "".join(pieces) + end,
+    st.lists(_corpus_piece, max_size=8),
+    st.sampled_from(["", "\n", "\r\n"]),
+)
+
+
+@given(st.lists(_corpus_file, min_size=1, max_size=4))
+@example(["", "Ana²", ""])
+@example(["a\r", "\rb", "½三\x85İς_"])
+def test_corpus_tokens_equal_the_joined_texts_tokens(texts):
+    from lgw.cli import _read_corpus
+    from lgw.matcher._engine import tokenize_raw
+
+    with tempfile.TemporaryDirectory() as directory:
+        paths = []
+        for i, text in enumerate(texts):
+            path = os.path.join(directory, f"c{i}.txt")
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+            paths.append(path)
+        miss = _read_corpus(paths)
+        assert miss.text == "\n".join(t.replace("\r\n", "\n").replace("\r", "\n")
+                                      for t in texts)
+        assert miss.tokens == tokenize_raw(miss.text)
+        assert len(os.listdir(os.path.join(directory, "__lgwcache__"))) == len(texts)
+        hit = _read_corpus(paths)
+        assert hit == miss

@@ -215,10 +215,11 @@ def test_load_is_linear_in_the_entries_under_one_surface():
 # Lines mixing every case the parser distinguishes: escaped and unescaped
 # separators, lone trailing backslashes, empty fields and codes, comments,
 # blank and whitespace-only lines, "\r" line ends, and the form feed and
-# "\x85", which end no line.  Well-formed lines are drawn more often, so
-# that most texts parse past their first line.
+# "\x85", which end no line, and "²" and "½", which the tokenizer classes
+# otherwise than a regular expression's \d and \w do.  Well-formed lines
+# are drawn more often, so that most texts parse past their first line.
 _safe = st.sampled_from(
-    ["a", "Bé", " ", "x y", "\\,", "\\.", "\\\\", "\\x", "+", "#", "\x85", "\x0c"]
+    ["a", "Bé", " ", "x y", "x²y", "½", "\\,", "\\.", "\\\\", "\\x", "+", "#", "\x85", "\x0c"]
 )
 _good_line = st.builds(
     lambda surface, lemma, tag: f"{surface},{lemma}.{tag}",
@@ -281,6 +282,7 @@ def _index(lex):
 
 @given(_lexicon_text())
 @example("a,.N\na,.N\na,x.N+PR\nx y,.N\nx\\,y,.N\n")
+@example("x²y,.N\n")
 def test_index_agrees_with_reference_index(text):
     parsed = _parsed(text)
     if parsed is not None:

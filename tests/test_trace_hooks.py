@@ -28,11 +28,17 @@ def test_traced_apply_records_the_layer_spans(tmp_path):
     (tmp_path / "corpus.txt").write_text("A Sra. Joana da Silva falou.\n", encoding="utf-8")
     argv += ["--lexicon", str(tmp_path / "portugues.dic"), str(tmp_path / "corpus.txt")]
 
-    tracer = _load_trace().Tracer()
-    tracer.install()
-    try:
-        assert tracer.command("apply", main, argv) == 0
-    finally:
-        tracer.uninstall()
-    recorded = {(layer, name) for _, _, _, name, layer, *_ in tracer.spans}
-    assert {("matcher", "apply"), ("matcher", "filter_longest"), ("grammar", "load")} <= recorded
+    # the first apply tokenizes the corpus and writes its token sidecar, the
+    # second reads it: both reach apply_grammar through the traced wrapper
+    for run in ("miss", "hit"):
+        tracer = _load_trace().Tracer()
+        tracer.install()
+        try:
+            assert tracer.command("apply", main, argv) == 0
+        finally:
+            tracer.uninstall()
+        recorded = {(layer, name) for _, _, _, name, layer, *_ in tracer.spans}
+        assert {("matcher", "apply"), ("matcher", "filter_longest"),
+                ("grammar", "load")} <= recorded
+        assert (("matcher", "tokenize") in recorded) == (run == "miss")
+    assert (tmp_path / "__lgwcache__" / "corpus.txt.tok").exists()
