@@ -206,10 +206,11 @@ def cmd_apply(args) -> int:
     corpus = sorted(args.corpus, key=lambda p: Path(p).name)
     text_id = "+".join(Path(p).name for p in corpus)
     tokenized = _read_corpus(corpus)
-    # five arguments, as perfbench/trace.py forwards them
+    # the tokens ride in the text argument: perfbench/trace.py forwards
+    # exactly apply_grammar's five parameters
     occs = apply_grammar(gs, tokenized, lex, mode=args.mode)
     text = tokenized.text
-    del tokenized  # keeping the tokens through the writes raised peak memory
+    del tokenized  # keeping the tokens through annotate and the concordance raised peak memory
     # annotate before writing anything: a text the XML refuses leaves no file
     if args.xml:
         annotated = evaluator.annotate(
