@@ -43,13 +43,7 @@ from .grammar import (  # noqa: F401
     validate,
     validate_set,
 )
-from .lexicon import (  # noqa: F401
-    LexEntry,
-    Lexicon,
-    merge_lexicons,
-    parse_lexicon,
-    render_lexicon,
-)
+from .lexicon import Lexicon, merge_lexicons, parse_lexicon  # noqa: F401
 from .matcher import (  # noqa: F401
     ALL_MATCHES,
     LONGEST_ONLY,

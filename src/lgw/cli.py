@@ -161,7 +161,7 @@ def _load_lexicon(path: str) -> Lexicon:
     except (OSError, UnicodeDecodeError) as exc:
         raise LgwError(f"cannot read {path}: {exc}") from None
     name = Path(path).stem
-    lex = read_sidecar(path, data, text, name)
+    lex = read_sidecar(path, data, name)
     if lex is None:
         with located(path):
             lex = parse_lexicon(text, name=name)

@@ -109,7 +109,7 @@ def parse_concordance(s: str) -> Concordance:
         lines.pop()
     if not lines:
         raise MalformedConcordanceLine(1, "missing header")
-    m = re.fullmatch(r"#concordance v1 (\S+) (\S+) (\d+) (\d+)", lines[0])
+    m = re.fullmatch(r"#concordance v1 (\S+) (\S+) ([0-9]+) ([0-9]+)", lines[0])
     if not m:
         raise MalformedConcordanceLine(1, f"bad header {lines[0]!r}")
     grammar = "" if m.group(1) == "-" else m.group(1)
@@ -123,10 +123,11 @@ def parse_concordance(s: str) -> Concordance:
             raise MalformedConcordanceLine(
                 line_no, f"expected 5 TAB-separated fields, got {len(fields)}"
             )
-        try:
-            start, end = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise MalformedConcordanceLine(line_no, "non-integer span") from None
+        a, b = fields[0], fields[1]
+        # int() would also take "+1", " 12", "1_0" and non-ASCII digits
+        if not (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()):
+            raise MalformedConcordanceLine(line_no, "span is not two ASCII digit runs")
+        start, end = int(a), int(b)
         if not 0 <= start < end:
             raise MalformedConcordanceLine(
                 line_no, f"span ({start}, {end}) is not 0 <= start < end"

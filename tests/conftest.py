@@ -1,6 +1,7 @@
 import pytest
 
 from lgw import data, load_grammar_set, merge_lexicons, parse_lexicon
+from oracles import oracle_parse_lexicon
 
 G1_FILES = ("ReconheceFormasDeTratamento", "Preposicao", "Abreviacoes")
 G1E_FILES = ("ReconheceFormasDeTratamentoEtiquetaAntes", "Preposicao", "Abreviacoes")
@@ -15,6 +16,12 @@ def lexicon():
         ],
         name="portugues+ingles",
     )
+
+
+@pytest.fixture(scope="session")
+def oracle_lexicon():
+    """The oracle's parse of the lines of both shipped lexicons."""
+    return oracle_parse_lexicon(data.lexicon_text("portugues") + data.lexicon_text("ingles"))
 
 
 @pytest.fixture(scope="session")

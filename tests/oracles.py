@@ -11,11 +11,12 @@ of the package's faster ones.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from lgw.concordance import Concordance, ConcordanceLine
 from lgw.errors import MalformedLine
 from lgw.grammar import Graph, GraphBox, GrammarSet, InputAtom
-from lgw.lexicon import LexEntry, Lexicon
+
 
 def _char_kind(c):
     if c.isspace():
@@ -343,6 +344,27 @@ def _oracle_unescape(s):
     return _ORACLE_ESCAPE_RE.sub(lambda m: m.group(1), s)
 
 
+class OracleEntry(NamedTuple):
+    """One distinct lexicon line."""
+
+    surface: str
+    lemma: str
+    pos: str
+    codes: frozenset
+
+    @property
+    def symbols(self):
+        return self.codes | {self.pos}
+
+
+class OracleLexicon(NamedTuple):
+    """What ``brute_matches`` reads of a lexicon: ``entries``, surface ->
+    its entries, first seen first."""
+
+    entries: dict
+    name: str = ""
+
+
 def oracle_parse_lexicon(text, name=""):
     """The original line-by-line parser: every line through the
     per-character separator scan, every tag split again, every entry
@@ -370,21 +392,21 @@ def oracle_parse_lexicon(text, name=""):
             raise MalformedLine(line_no, "empty POS code")
         if any(not s for s in segs[1:]):
             raise MalformedLine(line_no, "empty semantic code")
-        entry = LexEntry(surface, lemma, segs[0], frozenset(segs[1:]))
+        entry = OracleEntry(surface, lemma, segs[0], frozenset(segs[1:]))
         if entry in seen:
             continue
         seen.add(entry)
         entries.setdefault(surface, [])
         entries[surface].append(entry)
-    return Lexicon({s: tuple(es) for s, es in entries.items()}, name=name)
+    return OracleLexicon({s: tuple(es) for s, es in entries.items()}, name)
 
 
 def oracle_lexicon_index(entries):
     """(symbol index, head index) of an entries dict (surface -> entries),
-    rebuilt from the entries: one symbol set per entry, and each surface's
-    tokens counted by ``brute_tokenize`` instead of the kernel's
-    tokenizer."""
-    symidx = {s: tuple(e.codes | {e.pos} for e in es) for s, es in entries.items() if es}
+    rebuilt from the entries: each distinct symbol set of a surface once,
+    first seen first, and each surface's tokens counted by
+    ``brute_tokenize`` instead of the kernel's tokenizer."""
+    symidx = {s: tuple(dict.fromkeys(e.symbols for e in es)) for s, es in entries.items() if es}
     heads = {}
     for surface in symidx:
         words = [t[0] for t in brute_tokenize(surface) if t[3] != "space"]

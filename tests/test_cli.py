@@ -657,9 +657,10 @@ def test_sidecar_of_an_edited_lexicon_is_not_used(named, capsys):
 
 @pytest.mark.parametrize("damage", [
     "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape", "wrong-types",
+    "format-2",
 ])
 def test_damaged_sidecar_is_rewritten(named, capsys, damage):
-    from lgw.lexicon import _sidecar_key
+    from lgw.lexicon import SIDECAR_FORMAT, _sidecar_key
 
     assert _apply_named(named, "a") == 0
     sidecar = _sidecar(named)
@@ -675,6 +676,8 @@ def test_damaged_sidecar_is_rewritten(named, capsys, damage):
         "other-python": good.replace(version, b"python 2.7", 1),
         "wrong-shape": key + marshal.dumps((1, 2, 3), 2),
         "wrong-types": key + marshal.dumps((1, 2, 3, 4, 5), 2),
+        # format 2, before a surface kept each symbol set once: a miss
+        "format-2": good.replace(b"index %d python" % SIDECAR_FORMAT, b"index 2 python", 1),
     }[damage])
     capsys.readouterr()
     assert _apply_named(named, "b") == 0
@@ -719,7 +722,7 @@ def test_malformed_lexicon_with_an_old_sidecar_exits_2(named, capsys):
 
 
 def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
-    from lgw import cli, matcher
+    from lgw import cli, lexicon, matcher
 
     grammars, extra = ["ReconheceNomesCompostos"], ["--xml", "s.xml"]
     assert _apply(ws, ws / "miss", grammars, "g.cnc", extra) == 0
@@ -731,10 +734,15 @@ def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
     def no_parse(*args, **kwargs):
         raise AssertionError("a lexicon was parsed on a hit")
 
+    def no_read(*args, **kwargs):
+        raise AssertionError("a lexicon's lines were read on a hit")
+
     def no_tokenize(*args, **kwargs):
         raise AssertionError("the corpus was tokenized on a hit")
 
     monkeypatch.setattr(cli, "parse_lexicon", no_parse)
+    # the merge of the two hits reads no line either
+    monkeypatch.setattr(lexicon, "_read_lines", no_read)
     # the kernel as apply_grammar and corpus_tokens reach it
     kernel = {**vars(matcher._engine), "tokenize_raw": no_tokenize}
     monkeypatch.setattr(matcher, "_impl", types.SimpleNamespace(**kernel))

@@ -109,6 +109,24 @@ def test_parse_errors(bad, line_no):
     assert exc.value.line_no == line_no
 
 
+@pytest.mark.parametrize(
+    "bad,line_no",
+    [
+        ("#concordance v1 G t 40 60\n+1\t2\tl\tm\tr\n", 2),
+        ("#concordance v1 G t 40 60\n0\t 12\tl\tm\tr\n", 2),
+        ("#concordance v1 G t 40 60\n1_0\t12\tl\tm\tr\n", 2),
+        ("#concordance v1 G t 40 60\n0\t\u0663\tl\tm\tr\n", 2),
+        ("#concordance v1 G t \u0664 60\n", 1),
+    ],
+    ids=["plus-sign", "leading-space", "underscore", "arabic-indic-span", "arabic-indic-width"],
+)
+def test_spans_and_widths_are_ascii_digits(bad, line_no):
+    # int() reads each of these as a number that writes back as other bytes
+    with pytest.raises(MalformedConcordanceLine) as exc:
+        parse_concordance(bad)
+    assert exc.value.line_no == line_no
+
+
 _ctx = st.text(
     st.characters(blacklist_categories=("Cs",)), max_size=12
 )

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from lgw.grammar import (
     Graph, GraphBox, GrammarSet, InputAtom, LexicalMask, MorphFilter, load_grammar_set,
 )
-from lgw.lexicon import _escape, parse_lexicon
+from lgw.lexicon import parse_lexicon
 from lgw.matcher import (
     ALL_MATCHES,
     LONGEST_ONLY,
@@ -20,7 +20,13 @@ from lgw.matcher import (
 )
 from lgw.matcher import _engine as _pure
 
-from oracles import _lex_entries, brute_matches, brute_tokenize, random_literal_grammar
+from oracles import (
+    _lex_entries,
+    brute_matches,
+    brute_tokenize,
+    oracle_parse_lexicon,
+    random_literal_grammar,
+)
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -258,7 +264,9 @@ def test_all_matches_agrees_with_path_oracle(seed):
     words = [rng.choice(VOCAB) for _ in range(rng.randint(3, 14))]
     text = _spaced(rng, words)
     occs = apply_grammar(gs, text, lex, mode=ALL_MATCHES)
-    assert {(o.start, o.end, o.merged) for o in occs} == brute_matches(gs, text, lex)
+    assert {(o.start, o.end, o.merged) for o in occs} == brute_matches(
+        gs, text, oracle_parse_lexicon("")
+    )
     assert all(_events_splice_to_merged(text, o) for o in occs)
 
 
@@ -290,7 +298,7 @@ edge prep f
 """
 
 
-def test_oracle_agreement_with_masks_and_calls(lexicon):
+def test_oracle_agreement_with_masks_and_calls(lexicon, oracle_lexicon):
     from lgw.grammar import load_grammar_set
 
     gs = load_grammar_set([("Topo", _ORACLE_TOP), ("Lig", _ORACLE_LIG)], "Topo")
@@ -300,17 +308,17 @@ def test_oracle_agreement_with_masks_and_calls(lexicon):
         (o.start, o.end, o.merged)
         for o in apply_grammar(gs, text, lexicon, mode=ALL_MATCHES)
     }
-    assert got == brute_matches(gs, text, lexicon)
+    assert got == brute_matches(gs, text, oracle_lexicon)
     assert got  # non-vacuous
 
 
-def test_oracle_agreement_with_dictionary_masks(g2, lexicon):
+def test_oracle_agreement_with_dictionary_masks(g2, lexicon, oracle_lexicon):
     text = "a rainha Isabel II e Marilyn Monroe cantaram juntas"
     got = {
         (o.start, o.end, o.merged)
         for o in apply_grammar(g2, text, lexicon, mode=ALL_MATCHES)
     }
-    assert got == brute_matches(g2, text, lexicon)
+    assert got == brute_matches(g2, text, oracle_lexicon)
     assert got
 
 
@@ -361,13 +369,19 @@ def _surfaces(draw, max_pieces):
     return "".join(p + sep for p, sep in zip(pieces, seps)).strip()
 
 
+def _escaped(s):
+    """``s`` as the surface field of a lexicon line."""
+    return s.replace("\\", "\\\\").replace(",", "\\,").replace(".", "\\.")
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(_surfaces(4), st.sampled_from(["N+PR", "N+Hum", "A"])), max_size=8),
     _surfaces(12),
 )
 def test_entries_at_agrees_with_brute_probe(entries, text):
-    lex = parse_lexicon("".join(f"{_escape(s)},.{tag}\n" for s, tag in entries))
+    lines = "".join(f"{_escaped(s)},.{tag}\n" for s, tag in entries)
+    lex, ref = parse_lexicon(lines), oracle_parse_lexicon(lines)
     toks = _pure.tokenize_raw(text)
     for i, tok in enumerate(toks):
         # every token-aligned prefix from token i, longest first: the exact
@@ -375,7 +389,7 @@ def test_entries_at_agrees_with_brute_probe(entries, text):
         want = []
         for j in range(len(toks) - 1, i - 1, -1):
             surface = text[tok[1] : toks[j][2]]
-            found = _lex_entries(lex, surface)
+            found = _lex_entries(ref, surface)
             if found:
                 want.append((j + 1, surface, tuple(e.symbols for e in found)))
         got = _pure._entries_at(toks, text, lex.symbol_index(), lex.head_index(), i)
@@ -391,31 +405,35 @@ def _generated_lexicon(rng, n):
             words[0] = words[0].capitalize()
         code = rng.choice(["PR", "Hum", "Loc"])
         lines.append(f"{' '.join(words)},.N+{code}")
-    return parse_lexicon("\n".join(lines))
+    return "\n".join(lines)
 
 
 @pytest.mark.parametrize("which", ["shipped", "generated"])
-def test_one_mask_grammars_agree_with_path_oracle(which, lexicon):
-    # each entry, its capitalized form and its first half, under a mask of
-    # each of the entry's symbol sets
-    lex = lexicon if which == "shipped" else _generated_lexicon(random.Random(5), 150)
+def test_one_mask_grammars_agree_with_path_oracle(which, lexicon, oracle_lexicon):
+    # each surface, its capitalized form and its first half, under a mask of
+    # each of the surface's symbol sets
+    if which == "shipped":
+        lex, ref = lexicon, oracle_lexicon
+    else:
+        text = _generated_lexicon(random.Random(5), 150)
+        lex, ref = parse_lexicon(text), oracle_parse_lexicon(text)
     checked = 0
-    for surface, entries in lex.entries.items():
+    for surface, sets in lex.symbol_index().items():
         words = surface.split(" ")
         variants = {
             surface,
             surface[:1].upper() + surface[1:],
             " ".join(words[: (len(words) + 1) // 2]),
         }
-        for symbols in {e.symbols for e in entries}:
+        for symbols in sets:
             gs, _ = _mask_grammar(symbols)
             for text in variants:
                 assert not _bounds(text), text  # the oracle ignores boundaries
                 occs = apply_grammar(gs, text, lex, ALL_MATCHES)
                 got = {(o.start, o.end, o.merged) for o in occs}
-                assert got == brute_matches(gs, text, lex), (text, symbols)
+                assert got == brute_matches(gs, text, ref), (text, symbols)
                 checked += (0, len(text), text) in got
-    assert checked >= len(lex.entries)
+    assert checked >= len(lex.symbol_index())
 
 
 @pytest.mark.parametrize(
@@ -444,10 +462,11 @@ def test_dictionary_mask_takes_the_longest_entry_its_filter_accepts():
     mask = LexicalMask(pos="N", codes=frozenset({"PR"}))
     box = GraphBox("b", ((InputAtom.masked(mask, MorphFilter("[A-Z][a-z]+")),),))
     gs = GrammarSet({"M": _graph("M", [box], [("i", "b"), ("b", "f")])}, "M")
-    lex = parse_lexicon("Ana Maria,.N+PR\nAna,.N+PR")
+    lines = "Ana Maria,.N+PR\nAna,.N+PR"
     text = "a Ana Maria e Rui"
-    got = {(o.start, o.end, o.merged) for o in apply_grammar(gs, text, lex, ALL_MATCHES)}
-    assert got == brute_matches(gs, text, lex) == {(2, 5, "Ana")}
+    occs = apply_grammar(gs, text, parse_lexicon(lines), ALL_MATCHES)
+    got = {(o.start, o.end, o.merged) for o in occs}
+    assert got == brute_matches(gs, text, oracle_parse_lexicon(lines)) == {(2, 5, "Ana")}
 
 
 def test_multiword_entry_needs_its_exact_whitespace():
@@ -552,7 +571,9 @@ def test_indexes_agree_with_path_oracle(rng):
     words = [_cased(rng, rng.choice(_DISPATCH_WORDS)) for _ in range(rng.randint(2, 10))]
     text = _spaced(rng, words)
     occs = apply_grammar(gs, text, lex, mode=ALL_MATCHES)
-    assert {(o.start, o.end, o.merged) for o in occs} == brute_matches(gs, text, lex)
+    assert {(o.start, o.end, o.merged) for o in occs} == brute_matches(
+        gs, text, oracle_parse_lexicon(_DISPATCH_LEX)
+    )
     assert all(_events_splice_to_merged(text, o) for o in occs)
 
 

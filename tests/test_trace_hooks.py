@@ -41,4 +41,12 @@ def test_traced_apply_records_the_layer_spans(tmp_path):
         assert {("matcher", "apply"), ("matcher", "filter_longest"),
                 ("grammar", "load")} <= recorded
         assert (("matcher", "tokenize") in recorded) == (run == "miss")
+        # the miss parses the lexicon and counts its symbol sets; the hit
+        # rebuilds it from its sidecar and parses nothing
+        parses = [counts for _, _, _, name, layer, _, _, counts in tracer.spans
+                  if (layer, name) == ("lexicon", "parse")]
+        if run == "miss":
+            assert parses and all(c["entries"] > 0 for c in parses)
+        else:
+            assert parses == []
     assert (tmp_path / "__lgwcache__" / "corpus.txt.tok").exists()
