@@ -109,7 +109,9 @@ def parse_concordance(s: str) -> Concordance:
         lines.pop()
     if not lines:
         raise MalformedConcordanceLine(1, "missing header")
-    m = re.fullmatch(r"#concordance v1 (\S+) (\S+) ([0-9]+) ([0-9]+)", lines[0])
+    m = re.fullmatch(
+        r"#concordance v1 (\S+) (\S+) (0|[1-9][0-9]*) (0|[1-9][0-9]*)", lines[0]
+    )
     if not m:
         raise MalformedConcordanceLine(1, f"bad header {lines[0]!r}")
     grammar = "" if m.group(1) == "-" else m.group(1)
@@ -124,9 +126,11 @@ def parse_concordance(s: str) -> Concordance:
                 line_no, f"expected 5 TAB-separated fields, got {len(fields)}"
             )
         a, b = fields[0], fields[1]
-        # int() would also take "+1", " 12", "1_0" and non-ASCII digits
+        # int() would also take "+1", " 12", "1_0", "01" and non-ASCII digits
         if not (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()):
             raise MalformedConcordanceLine(line_no, "span is not two ASCII digit runs")
+        if a[0] == "0" != a or b[0] == "0" != b:
+            raise MalformedConcordanceLine(line_no, "span has a leading zero")
         start, end = int(a), int(b)
         if not 0 <= start < end:
             raise MalformedConcordanceLine(

@@ -28,6 +28,12 @@ alternative is a tuple of atoms:
 * ``("eps",)``;
 * ``("call", graph_name)``.
 
+``find_matches`` numbers every (graph, box) of the set once and walks
+over that table, so that a walk state stays small: the boxes entered
+since the last consumed token are one int with a bit per box number, and
+the subgraph calls to return to are one index into a table of return
+frames that each start token builds afresh.
+
 ``first``, the main graph's FIRST set, is ``(exact_pieces, folded_pieces,
 masks)``: a match can only begin with a token equal to an exact piece,
 whose lowercase form is a folded piece, or that one of ``masks``
@@ -47,6 +53,8 @@ start token or of a token a dictionary mask reached, and every
 dictionary mask at that token, on every path from every start, reads
 that one list.
 """
+
+from operator import itemgetter
 
 WORD = 0
 NUMBER = 1
@@ -207,7 +215,31 @@ def _may_start(first, toks, text, symindex, heads, i, entries):
     return False
 
 
-_NO_BOXES = frozenset()
+def _number_boxes(graphs):
+    """Number every (graph, box) of a compiled grammar set once.  Returns
+    the table, indexed by box number, of ``(output, final, successors)``:
+    ``final`` is the number of the final box of the box's graph, and each
+    successor is already resolved to ``(number, bit, rest, exact,
+    folded)``, where ``bit`` is ``1 << number``; and ``{graph name:
+    (number, bit) of its initial box}``, for the calls."""
+    number, initial = {}, {}
+    for gname, g in graphs.items():
+        for b in g["boxes"]:
+            number[gname, b] = len(number)
+        node = number[gname, g["initial"]]
+        initial[gname] = (node, 1 << node)
+    table = []
+    for (gname, b), node in number.items():
+        g = graphs[gname]
+        succs = []
+        for t in g["succ"].get(b, ()):
+            m = number[gname, t]
+            succs.append((m, 1 << m, *g["boxes"][t][1:]))
+        table.append((g["boxes"][b][0], number[gname, g["final"]], tuple(succs)))
+    return table, initial
+
+
+_offset = itemgetter(0)  # an event's text offset, the splice order
 
 
 def find_matches(cgs, text, toks, symindex, heads, boundaries):
@@ -226,20 +258,24 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     dictionary mask reached, so a rejected start's list is dropped at
     once.
 
-    The walk is one loop over an explicit stack.  A stack state is one
+    The walk is one loop over an explicit stack.  Every (graph, box) of
+    the set is numbered once (``_number_boxes``).  A stack state is one
     alternative of one box, resumed at atom ``k`` and token ``i``; the
     last consumed token is ``i - 1``.  The state also carries the
     (char_pos, output) events so far, the token where the box was
     entered, the slot in the events for the box's output (which precedes
     the outputs of the calls inside its alternative), the boxes entered
-    since the last consumed token (a box is not re-entered at the same
-    token on one path) and the return stack of subgraph calls.  A box
-    entry already reached from the same start with equal events, visited
-    boxes and return stack has the same continuations, so it is skipped.
+    since the last consumed token, as an int with bit ``1 << number`` set
+    for each (a box is not re-entered at the same token on one path), and
+    the return frame of the innermost subgraph call.  A return frame
+    ``(box, alternative, atom, entry, slot, visited, parent frame)`` is
+    interned in a per-start table, so a state names it, and the whole
+    call stack, by its index.  A box entry already reached from the same
+    start with equal events, visited boxes and return frame has the same
+    continuations, so it is skipped.
     """
-    graphs = cgs["graphs"]
-    main = cgs["main"]
-    initial = graphs[main]["initial"]
+    table, initial = _number_boxes(cgs["graphs"])
+    root, root_bit = initial[cgs["main"]]
     first = cgs["first"]
     n = len(toks)
     results = set()
@@ -257,10 +293,12 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                 rejected.add(surface)
             continue
         seen = set()
-        stack = [(main, initial, (), 0, s, (), s, 0, frozenset({(main, initial)}), None)]
+        frames = []  # return frame index -> frame
+        frame_ids = {}  # frame -> its index
+        stack = [(root, (), 0, s, (), s, 0, root_bit, None)]
+        push = stack.append
         while stack:
-            gname, box_id, alt, k, i, events, entry, slot, vis, ret = stack.pop()
-            g = graphs[gname]
+            node, alt, k, i, events, entry, slot, vis, ret = stack.pop()
             succs = ()
             while k < len(alt):
                 atom = alt[k]
@@ -285,20 +323,22 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                         break
                 elif kind == "call":
                     # enter the callee's initial box; its successors follow
-                    sub = atom[1]
-                    callee = graphs[sub]
-                    key = (sub, callee["initial"])
+                    callee, bit = initial[atom[1]]
                     if i != entry:
-                        vis = _NO_BOXES
-                    if key in vis:
+                        vis = 0
+                    if vis & bit:
                         break
-                    ret = (gname, box_id, alt, k + 1, entry, slot, vis, ret)
-                    gname, g, vis = sub, callee, vis | {key}
-                    succs = callee["succ"].get(key[1], ())
+                    frame = (node, alt, k + 1, entry, slot, vis, ret)
+                    ret = frame_ids.setdefault(frame, len(frames))
+                    if ret == len(frames):
+                        frames.append(frame)
+                    node = callee
+                    vis |= bit
+                    _, final, succs = table[node]
                     break
                 k += 1
             else:
-                out = g["boxes"][box_id][0]
+                out, final, succs = table[node]
                 if out is not None:
                     # before the first token the alternative consumed, else
                     # right after the last token consumed before the box
@@ -308,34 +348,33 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                         pos = toks[entry - 1][2]
                     events = events[:slot] + ((pos, out),) + events[slot:]
                 if i != entry:
-                    vis = _NO_BOXES
-                succs = g["succ"].get(box_id, ())
-            final = g["final"]
-            for b in succs:
+                    vis = 0
+            for b, bit, alts, exact, folded in succs:
                 if b == final:
                     if ret is not None:
-                        rg, rb, ralt, rk, rentry, rslot, rvis, rret = ret
-                        stack.append((rg, rb, ralt, rk, i, events, rentry, rslot, rvis, rret))
+                        rnode, ralt, rk, rentry, rslot, rvis, rret = frames[ret]
+                        push((rnode, ralt, rk, i, events, rentry, rslot, rvis, rret))
                     elif i > s:
                         # in splice order: by offset, stable
-                        ordered = tuple(sorted(events, key=lambda e: e[0]))
+                        ordered = tuple(sorted(events, key=_offset))
                         results.add((toks[s][1], toks[i - 1][2], ordered))
                     continue
-                key = (gname, b)
-                if key in vis:
+                if vis & bit:
                     continue
-                state = (key, i, events, vis, ret)
-                if state in seen:
+                size = len(seen)
+                seen.add((b, i, events, vis, ret))
+                if len(seen) == size:
                     continue
-                seen.add(state)
-                out, alts, exact, folded = g["boxes"][b]
-                if exact or folded:
-                    # a literal-first alternative can only match if its first
-                    # piece is the next token
-                    if i < limit:
-                        tok = toks[i][0]
-                        alts = alts + exact.get(tok, ()) + folded.get(tok.lower(), ())
-                bvis = vis | {key}
+                bvis = vis | bit
+                at = len(events)
                 for a in alts:
-                    stack.append((gname, b, a, 0, i, events, i, len(events), bvis, ret))
+                    push((b, a, 0, i, events, i, at, bvis, ret))
+                # a literal-first alternative can only match if its first
+                # piece is the next token
+                if (exact or folded) and i < limit:
+                    tok = toks[i][0]
+                    for a in exact.get(tok, ()):
+                        push((b, a, 0, i, events, i, at, bvis, ret))
+                    for a in folded.get(tok.lower(), ()):
+                        push((b, a, 0, i, events, i, at, bvis, ret))
     return sorted(results)

@@ -2,7 +2,9 @@
 
 Nothing here shares code with the package's matcher or diff classifier:
 the matcher oracle enumerates every initial-to-final path of a (cycle-free)
-grammar and tries it at every start token with its own token scanner; the
+grammar and tries it at every start token with its own token scanner, and
+``oracle_grammar`` unrolls a cyclic grammar into a cycle-free one with the
+same matches on one sentence; the
 diff oracle classifies lines by direct interval comparison; the lexicon
 parser and the annotation subset are the original straightforward versions
 of the package's faster ones.
@@ -10,6 +12,7 @@ of the package's faster ones.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import NamedTuple
 
@@ -72,7 +75,6 @@ def enumerate_paths(gs: GrammarSet):
             box = box_map[bid]
             for alt in box.alternatives:
                 alt_paths = [[]]
-                consuming = any(a.kind != "epsilon" for a in alt)
                 for atom in alt:
                     if atom.kind == "call":
                         subs = expand(atom.graph_name)
@@ -90,8 +92,11 @@ def enumerate_paths(gs: GrammarSet):
                         )
                         alt_paths = [p + [item] for p in alt_paths]
                 if box.output is not None:
+                    # trailing when this path through the alternative, its
+                    # calls included, consumes no token
                     alt_paths = [
-                        [("out", box.output, not consuming)] + p for p in alt_paths
+                        [("out", box.output, all(item[0] == "out" for item in p))] + p
+                        for p in alt_paths
                     ]
                 here.extend(alt_paths)
             result = [h + t for h in here for t in tails]
@@ -231,6 +236,197 @@ def brute_matches(gs: GrammarSet, text: str, lex) -> set:
                 end, merged = got
                 results.add((tok[1], end, merged))
     return results
+
+
+# ---------------------------------------------------------------------------
+# cyclic grammars: a cycle-free grammar with the same matches on one sentence
+
+_PATH_LIMIT = 20_000  # oracle paths per sentence; beyond this it gives up
+
+
+def _nonspace(text):
+    return [t for t in brute_tokenize(text) if t[3] != "space"]
+
+
+def _callees(g):
+    return {a.graph_name for b in g.boxes for alt in b.alternatives for a in alt
+            if a.kind == "call"}
+
+
+def _graphs_reached(gs, name):
+    """The graphs ``name`` reaches through calls, itself included, each
+    after the graphs it calls unless the calls are recursive."""
+    order, seen = [], set()
+
+    def visit(n):
+        seen.add(n)
+        for callee in sorted(_callees(gs.graphs[n])):
+            if callee not in seen:
+                visit(callee)
+        order.append(n)
+
+    visit(name)
+    return order
+
+
+def _run_bound(gs, name, toks, lex):
+    """Most consecutive non-space tokens a match of graph ``name`` can
+    consume: a longest run of tokens each accepted by some atom reachable
+    from it.  A dictionary mask may span tokens it accepts only together,
+    so it makes every token count."""
+    atoms = [a for n in _graphs_reached(gs, name) for b in gs.graphs[n].boxes
+             for alt in b.alternatives for a in alt]
+    if any(a.kind == "mask" and not a.mask.builtin for a in atoms):
+        return len(toks)
+    pieces = {t[0].lower() for a in atoms if a.kind == "literal" for t in _nonspace(a.literal)}
+    builtins = {a.mask.builtin for a in atoms if a.kind == "mask"}
+
+    def accepted(tok):
+        w = tok[0]
+        if w.lower() in pieces or ("MOT" in builtins and w.isalpha()):
+            return True
+        return "PRE" in builtins and (w[:1].isupper() or any(
+            "PRE" in e.symbols for e in _lex_entries(lex, w)))
+
+    best = run = 0
+    for tok in toks:
+        run = run + 1 if accepted(tok) else 0
+        best = max(best, run)
+    return best
+
+
+def _versions(alt, kinds):
+    """``(consumes, alternative)`` for each way the alternative can go.  One
+    with a literal or a mask always consumes and is kept as it is.  In any
+    other, each call goes to the ``~0`` variant of its graph (which
+    consumes nothing) or the ``~1`` variant (which consumes), where that
+    variant has a path; ``kinds[name]`` says which do."""
+    if any(a.kind in ("literal", "mask") for a in alt):
+        return [(True, alt)]
+    versions = [(False, ())]
+    for a in alt:
+        if a.kind != "call":
+            versions = [(c, v + (a,)) for c, v in versions]
+            continue
+        ways = [w for w in (False, True) if kinds[a.graph_name][w]]
+        versions = [(c or w, v + (InputAtom.call(f"{a.graph_name}~{int(w)}"),))
+                    for c, v in versions for w in ways]
+    return versions
+
+
+def _unroll(g, depth, kinds, consumes=None, name=None):
+    """Cycle-free copy of ``g`` with the paths of ``g`` that enter no box
+    twice between two consumed tokens and pass at most ``depth`` boxes
+    that consume; with ``consumes`` false or true, only those that consume
+    nothing or something.
+
+    A node is (box, consuming boxes so far, boxes entered since the last
+    one), so each box splits into its alternatives that consume and those
+    that do not (``_versions``).  Every step adds a consuming box or a box
+    not yet in the set, so no node is reached twice on one path."""
+    outputs = {b.id: b.output for b in g.boxes}
+    split = {b.id: ([], []) for b in g.boxes}
+    for b in g.boxes:
+        for alt in b.alternatives:
+            for c, version in _versions(alt, kinds):
+                split[b.id][c].append(version)
+    # the matcher's initial box has one empty alternative and no output
+    outputs[g.initial], split[g.initial] = None, ([()], [])
+    succ = g.successors()
+    start = (g.initial, 0, frozenset({g.initial}))
+
+    def node_id(node):
+        b, k, vis = node
+        return g.initial if node == start else f"{b}/{k}/{'.'.join(sorted(vis))}"
+
+    boxes, edges = {}, set()
+    todo, seen = [start], {start}
+    while todo:
+        b, k, vis = here = todo.pop()
+        for s in succ.get(b, ()):
+            if s == g.final:
+                if consumes is None or consumes == (k > 0):
+                    edges.add((node_id(here), g.final))
+                continue
+            if s in vis:
+                continue
+            for c in (False, True):
+                if not split[s][c] or (c and consumes is False) or k + c > depth:
+                    continue
+                node = (s, k + c, frozenset() if c else vis | {s})
+                edges.add((node_id(here), node_id(node)))
+                if node not in seen:
+                    seen.add(node)
+                    todo.append(node)
+                    boxes[node] = GraphBox(node_id(node), tuple(split[s][c]), outputs[s])
+    return Graph(name or g.name, tuple(boxes.values()), frozenset(edges), g.initial, g.final)
+
+
+def _count_paths(gs):
+    memo = {}
+
+    def graph_paths(name):
+        if name not in memo:
+            memo[name] = 0
+            g = gs.graphs[name]
+            box_map, succ = g.box_map(), g.successors()
+            from_box = {}
+
+            def paths(b):
+                if b == g.final:
+                    return 1
+                if b not in from_box:
+                    here = 1 if b == g.initial else sum(
+                        math.prod(graph_paths(a.graph_name) if a.kind == "call" else 1
+                                  for a in alt)
+                        for alt in box_map[b].alternatives)
+                    from_box[b] = here * sum(paths(s) for s in succ.get(b, ()))
+                return from_box[b]
+
+            memo[name] = paths(g.initial)
+        return memo[name]
+
+    return graph_paths(gs.main)
+
+
+def oracle_grammar(gs, sentence, lex):
+    """A cycle-free grammar with the same matches as ``gs`` on this
+    sentence, or None when its calls are recursive or the oracle would
+    enumerate too many paths.
+
+    Alternatives holding a literal whose words do not occur in the
+    sentence cannot match and are dropped.  Each graph is unrolled
+    (``_unroll``) to the longest run of tokens it could consume, as itself
+    and as its variants ``~0`` and ``~1`` for calls that must consume
+    nothing or something; callees come first, so a caller knows which
+    variants have a path."""
+    toks = _nonspace(sentence)
+    present = {t[0].lower() for t in toks}
+
+    def possible(alt):
+        return all(t[0].lower() in present for a in alt if a.kind == "literal"
+                   for t in _nonspace(a.literal))
+
+    pruned = GrammarSet({
+        name: Graph(g.name, tuple(
+            GraphBox(b.id, tuple(alt for alt in b.alternatives if possible(alt)), b.output)
+            for b in g.boxes), g.edges, g.initial, g.final)
+        for name, g in gs.graphs.items()
+    }, gs.main)
+    graphs, kinds = {}, {}
+    for name in _graphs_reached(pruned, gs.main):
+        g = pruned.graphs[name]
+        if not _callees(g) <= kinds.keys():
+            return None
+        depth = _run_bound(pruned, name, toks, lex)
+        graphs[name] = _unroll(g, depth, kinds)
+        for c in (False, True):
+            graphs[f"{name}~{int(c)}"] = _unroll(g, depth, kinds, c, f"{name}~{int(c)}")
+        kinds[name] = tuple(_count_paths(GrammarSet(graphs, f"{name}~{c}")) > 0 for c in (0, 1))
+    out = GrammarSet(graphs, gs.main)
+    if _count_paths(out) > _PATH_LIMIT:
+        return None
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,22 @@ def test_spans_and_widths_are_ascii_digits(bad, line_no):
     assert exc.value.line_no == line_no
 
 
+@pytest.mark.parametrize(
+    "bad,line_no",
+    [
+        ("#concordance v1 G t 40 60\n01\t2\tl\tm\tr\n", 2),
+        ("#concordance v1 G t 40 60\n0\t002\tl\tm\tr\n", 2),
+        ("#concordance v1 G t 040 60\n", 1),
+    ],
+    ids=["span-start", "span-end", "width"],
+)
+def test_spans_and_widths_have_no_leading_zero(bad, line_no):
+    # write_concordance would write these back as 1, 2 and 40
+    with pytest.raises(MalformedConcordanceLine) as exc:
+        parse_concordance(bad)
+    assert exc.value.line_no == line_no
+
+
 _ctx = st.text(
     st.characters(blacklist_categories=("Cs",)), max_size=12
 )

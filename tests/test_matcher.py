@@ -3,7 +3,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lgw.grammar import (
     Graph, GraphBox, GrammarSet, InputAtom, LexicalMask, MorphFilter, load_grammar_set,
@@ -24,6 +24,7 @@ from oracles import (
     _lex_entries,
     brute_matches,
     brute_tokenize,
+    oracle_grammar,
     oracle_parse_lexicon,
     random_literal_grammar,
 )
@@ -322,11 +323,114 @@ def test_oracle_agreement_with_dictionary_masks(g2, lexicon, oracle_lexicon):
     assert got
 
 
-# --- lexicon head index: dictionary-mask probe window ------------------------
-
-
 def _graph(name, boxes, edges):
     return Graph(name, tuple(boxes), frozenset(edges), "i", "f")
+
+
+# --- cyclic grammars against the unrolled path oracle -----------------------
+# Self-loops, <E> cycles and nullable calls, over texts with sentence
+# boundaries: each sentence is matched by brute_matches on oracle_grammar,
+# a cycle-free grammar with the same matches there.
+
+_CYCLE_WORDS = ["Ana", "ana", "Rui", "bela", "de", ".", ","]
+_MOT = InputAtom.masked(LexicalMask(builtin="MOT"))
+_PRE = InputAtom.masked(LexicalMask(builtin="PRE"))
+
+
+@st.composite
+def cyclic_grammars(draw):
+    """A main graph M and up to two subgraphs, S1 and S2; a graph calls only
+    the ones after it, so no call is recursive.  Each graph is a chain of
+    one to three boxes from initial to final with random extra edges, so
+    self-loops, back edges and <E> cycles are common; a box holds one or
+    two alternatives of literals, <MOT>, <PRE>, <E> and calls, and may
+    have an output."""
+    names = ["M", "S1", "S2"][: draw(st.integers(1, 3))]
+    graphs = {}
+    for g, name in enumerate(names):
+        atoms = [
+            st.sampled_from(_CYCLE_WORDS + ["Ana bela", "de Rui"]).map(InputAtom.lit),
+            st.sampled_from([_MOT, _PRE]),
+            st.just(InputAtom.eps()),
+            *[st.just(InputAtom.call(callee)) for callee in names[g + 1:]],
+        ]
+        alternative = st.lists(st.one_of(atoms), min_size=1, max_size=2).map(tuple)
+        ids = [f"b{j}" for j in range(draw(st.integers(1, 3)))]
+        boxes = [
+            GraphBox(b, tuple(draw(st.lists(alternative, min_size=1, max_size=2))),
+                     draw(st.sampled_from([None, f"<{name}{b}>"])))
+            for b in ids
+        ]
+        chain = ["i", *ids, "f"]
+        extra = draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids + ["f"])),
+                             max_size=3))
+        graphs[name] = _graph(name, boxes, set(zip(chain, chain[1:])) | extra)
+    return GrammarSet(graphs, "M")
+
+
+def _cycle_text(words_and_gaps):
+    return "".join(gap + w for w, gap in words_and_gaps).strip()
+
+
+# "." before a capitalized word often, so that most texts hold a boundary
+_cycle_texts = st.lists(
+    st.tuples(st.sampled_from(_CYCLE_WORDS + ["Ana", "Rui", "."]),
+              st.sampled_from([" ", "  ", "\n", "\t "])),
+    min_size=2, max_size=12,
+).map(_cycle_text)
+
+
+def _alts(*alts):
+    return tuple(tuple(alt) for alt in alts)
+
+
+# an <E> self-loop with an output, between two words: the loop is taken
+# once, and the output goes right after "Ana"
+_EPS_LOOP = GrammarSet({"M": _graph("M", [
+    GraphBox("b0", _alts([InputAtom.lit("Ana")])),
+    GraphBox("b1", _alts([InputAtom.eps()]), "<X>"),
+    GraphBox("b2", _alts([_MOT])),
+], {("i", "b0"), ("b0", "b1"), ("b1", "b1"), ("b1", "b2"), ("b2", "f"), ("b0", "f")})}, "M")
+# a word loop that would run across the sentence boundary
+_WORD_LOOP = GrammarSet({"M": _graph("M", [
+    GraphBox("b0", _alts([_MOT], [InputAtom.lit(".")]), "<W>"),
+], {("i", "b0"), ("b0", "b0"), ("b0", "f")})}, "M")
+# an <E> cycle through a nullable call whose graph has an output of its own
+_NULLABLE_CYCLE = GrammarSet({
+    "M": _graph("M", [
+        GraphBox("b0", _alts([InputAtom.call("S1")]), "<A>"),
+        GraphBox("b1", _alts([InputAtom.eps()], [_PRE]), "<B>"),
+    ], {("i", "b0"), ("b0", "b1"), ("b1", "b0"), ("b1", "f")}),
+    "S1": _graph("S1", [
+        GraphBox("b0", _alts([InputAtom.eps()], [InputAtom.lit("de")]), "<C>"),
+    ], {("i", "b0"), ("b0", "f")}),
+}, "M")
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclic_grammars(), _cycle_texts)
+@example(_EPS_LOOP, "Ana  bela Rui")
+@example(_WORD_LOOP, "ana bela. Rui de")
+@example(_NULLABLE_CYCLE, "de Ana  de\tRui. Ana")
+def test_cyclic_grammars_agree_with_unrolled_path_oracle(gs, text):
+    got = {(o.start, o.end, o.merged)
+           for o in apply_grammar(gs, text, parse_lexicon(""), ALL_MATCHES, frozenset())}
+    toks = _pure.tokenize_raw(text)
+    want = set()
+    first = 0
+    # each sentence ends with its boundary token, or with the last token
+    for last in sorted(_pure.sentence_boundaries(toks, frozenset())) + [len(toks) - 1]:
+        start = toks[first][1]
+        sentence = text[start : toks[last][2]]
+        ogs = oracle_grammar(gs, sentence, oracle_parse_lexicon(""))
+        assume(ogs is not None)
+        want |= {(a + start, b + start, merged)
+                 for a, b, merged in brute_matches(ogs, sentence, oracle_parse_lexicon(""))}
+        first = last + 1
+    assert got == want
+
+
+# --- lexicon head index: dictionary-mask probe window ------------------------
 
 
 def _mask_grammar(symbols):
@@ -856,6 +960,23 @@ def test_call_chain_deeper_than_the_recursion_limit(order):
     ][::order]
     gs = load_grammar_set(files, "G0")
     occs = apply_grammar(gs, "A Ana veio.", parse_lexicon(""))
+    assert [(o.start, o.end) for o in occs] == [(2, 5)]
+
+
+def test_call_chain_of_4800_graphs_applies_in_under_a_second():
+    # G0 calls G1 ... calls G4799, which reads "Ana": no token is consumed
+    # between the calls, so every state holds the whole call stack and the
+    # boxes entered along it
+    depth = 4800
+    atoms = [f":G{d}" for d in range(1, depth)] + ['"Ana"']
+    gs = load_grammar_set(
+        [(f"G{d}", f"graph G{d}\nbox b {atom}\ninit i\nfinal f\nedge i b\nedge b f\n")
+         for d, atom in enumerate(atoms)],
+        "G0",
+    )
+    t0 = time.perf_counter()
+    occs = apply_grammar(gs, "A Ana veio.", parse_lexicon(""))
+    assert time.perf_counter() - t0 < 1.0
     assert [(o.start, o.end) for o in occs] == [(2, 5)]
 
 
