@@ -131,7 +131,7 @@ def parse_concordance(s: str) -> Concordance:
             raise MalformedConcordanceLine(line_no, "span is not two ASCII digit runs")
         if a[0] == "0" != a or b[0] == "0" != b:
             raise MalformedConcordanceLine(line_no, "span has a leading zero")
-        start, end = int(a), int(b)
+        start, end = _digits_value(a, line_no), _digits_value(b, line_no)
         if not 0 <= start < end:
             raise MalformedConcordanceLine(
                 line_no, f"span ({start}, {end}) is not 0 <= start < end"
@@ -145,6 +145,16 @@ def parse_concordance(s: str) -> Concordance:
         conc_lines,
         source_grammar=grammar,
         source_text_id=text_id,
-        left_width=int(m.group(3)),
-        right_width=int(m.group(4)),
+        left_width=_digits_value(m.group(3), 1),
+        right_width=_digits_value(m.group(4), 1),
     )
+
+
+def _digits_value(digits: str, line_no: int) -> int:
+    # int() refuses more digits than sys.get_int_max_str_digits()
+    try:
+        return int(digits)
+    except ValueError:
+        raise MalformedConcordanceLine(
+            line_no, f"{len(digits)}-digit number is too long"
+        ) from None

@@ -97,35 +97,35 @@ def _compile_box(output, alts):
     return (output, tuple(rest), exact, folded)
 
 
-def _first_sets(graphs):
-    """name -> (first, nullable) of every compiled graph.
+def _first_sets(table, initial):
+    """name -> (first, nullable) of every graph of a compiled box table.
 
     ``first`` is the kernel's FIRST set (see ``_engine``); ``nullable`` is
-    true when initial reaches final consuming nothing.  Both are the least
-    fixpoint of their equations, found by a worklist: a graph is scanned
-    with the current values of the graphs it calls, and the callers of a
-    graph whose value grows are scanned again.  No scan recurses, so call
-    depth and call cycles need no special case.
+    true when the walk, entering the graph at its initial box's
+    successors, can reach its final box consuming nothing.  Both are the
+    least fixpoint of their equations, found by a worklist: a graph is
+    scanned with the current values of the graphs it calls, and the
+    callers of a graph whose value grows are scanned again.  No scan
+    recurses, so call depth and call cycles need no special case.
     """
-    value = {name: ((frozenset(),) * 3, False) for name in graphs}
-    callers = {name: set() for name in graphs}
-    queue = list(graphs)
+    value = {name: ((frozenset(),) * 3, False) for name in initial}
+    callers = {name: set() for name in initial}
+    queue = list(initial)
     while queue:
         name = queue.pop()
-        g = graphs[name]
+        _, final, succs = table[initial[name][0]]
         exact, folded, masks = set(), set(), set()
         nullable = False
         seen = set()
-        stack = [g["initial"]]
+        stack = list(succs)
         while stack:
-            box_id = stack.pop()
-            if box_id in seen:
+            box, _, rest, box_exact, box_folded = stack.pop()
+            if box in seen:
                 continue
-            seen.add(box_id)
-            if box_id == g["final"]:
+            seen.add(box)
+            if box == final:
                 nullable = True
                 continue
-            _, rest, box_exact, box_folded = g["boxes"][box_id]
             exact.update(box_exact)
             folded.update(box_folded)
             passable = False
@@ -149,7 +149,7 @@ def _first_sets(graphs):
                 else:
                     passable = True
             if passable:
-                stack.extend(g["succ"].get(box_id, ()))
+                stack.extend(table[box][2])
         new = ((frozenset(exact), frozenset(folded), frozenset(masks)), nullable)
         if new != value[name]:
             value[name] = new
@@ -158,10 +158,10 @@ def _first_sets(graphs):
 
 
 def compile_grammar_set(gs: GrammarSet) -> dict:
-    """Lower a GrammarSet to the primitive dict form the kernel interprets,
-    with each box's literal dispatch and the main graph's FIRST set of
-    leading literals and mask atoms (``_first_sets``)."""
-    graphs = {}
+    """Lower a GrammarSet to the numbered box table the kernel walks (see
+    ``_engine``), with each box's literal dispatch and the main graph's
+    FIRST set of leading literals and mask atoms (``_first_sets``)."""
+    table, initial = [], {}
     for name, g in gs.graphs.items():
         boxes = {
             b.id: _compile_box(
@@ -170,17 +170,21 @@ def compile_grammar_set(gs: GrammarSet) -> dict:
             )
             for b in g.boxes
         }
+        # an edge may lead back into the initial box: it holds one empty
+        # alternative, so entering it consumes nothing
         boxes[g.initial] = _compile_box(None, ((),))
-        if g.final not in boxes:
-            boxes[g.final] = _compile_box(None, ((),))
-        graphs[name] = {
-            "initial": g.initial,
-            "final": g.final,
-            "succ": {k: tuple(v) for k, v in g.successors().items()},
-            "boxes": boxes,
-        }
-    first, _ = _first_sets(graphs)[gs.main]
-    return {"main": gs.main, "graphs": graphs, "first": first}
+        boxes.setdefault(g.final, boxes[g.initial])  # never entered
+        number = {b: len(table) + j for j, b in enumerate(boxes)}
+        final = number[g.final]
+        succ = g.successors()
+        for b, (output, *_) in boxes.items():
+            succs = tuple(
+                (number[t], 1 << number[t], *boxes[t][1:]) for t in succ.get(b, ())
+            )
+            table.append((output, final, succs))
+        initial[name] = (number[g.initial], 1 << number[g.initial])
+    first, _ = _first_sets(table, initial)[gs.main]
+    return {"main": gs.main, "table": table, "initial": initial, "first": first}
 
 
 def apply_grammar(

@@ -7,14 +7,18 @@ matched text.
 
 Token tuples are ``(surface, start, end, kind)`` with kind 0=word,
 1=number, 2=punct; whitespace is the gap between two tokens, not a
-token.  Compiled grammars (built by
-``lgw.matcher.compile_grammar_set``) are plain dicts::
+token.  A compiled grammar set (built by
+``lgw.matcher.compile_grammar_set``) numbers every (graph, box) once::
 
     {"main": name,
-     "graphs": {name: {"initial": id, "final": id,
-                       "succ": {id: (id, ...)},
-                       "boxes": {id: (output_or_None, rest, exact, folded)}}},
+     "table": [(output_or_None, final, successors), ...],
+     "initial": {name: (number, bit)},
      "first": first_set_of_main}
+
+``table[number]`` holds a box's output, the number of its graph's final
+box and its successors in edge order, each ``(number, bit, rest, exact,
+folded)`` with ``bit == 1 << number`` and the alternatives of the box it
+leads to.  ``initial`` gives each graph's initial box, for the calls.
 
 A box's alternatives are split for first-token dispatch: ``exact`` maps
 the first piece of each case-sensitive literal-first alternative to those
@@ -28,11 +32,10 @@ alternative is a tuple of atoms:
 * ``("eps",)``;
 * ``("call", graph_name)``.
 
-``find_matches`` numbers every (graph, box) of the set once and walks
-over that table, so that a walk state stays small: the boxes entered
-since the last consumed token are one int with a bit per box number, and
-the subgraph calls to return to are one index into a table of return
-frames that each start token builds afresh.
+Box numbers keep a walk state small: the boxes entered since the last
+consumed token are one int with a bit per box number, and the subgraph
+calls to return to are one index into a table of return frames that
+each start token builds afresh.
 
 ``first``, the main graph's FIRST set, is ``(exact_pieces, folded_pieces,
 masks)``: a match can only begin with a token equal to an exact piece,
@@ -215,30 +218,6 @@ def _may_start(first, toks, text, symindex, heads, i, entries):
     return False
 
 
-def _number_boxes(graphs):
-    """Number every (graph, box) of a compiled grammar set once.  Returns
-    the table, indexed by box number, of ``(output, final, successors)``:
-    ``final`` is the number of the final box of the box's graph, and each
-    successor is already resolved to ``(number, bit, rest, exact,
-    folded)``, where ``bit`` is ``1 << number``; and ``{graph name:
-    (number, bit) of its initial box}``, for the calls."""
-    number, initial = {}, {}
-    for gname, g in graphs.items():
-        for b in g["boxes"]:
-            number[gname, b] = len(number)
-        node = number[gname, g["initial"]]
-        initial[gname] = (node, 1 << node)
-    table = []
-    for (gname, b), node in number.items():
-        g = graphs[gname]
-        succs = []
-        for t in g["succ"].get(b, ()):
-            m = number[gname, t]
-            succs.append((m, 1 << m, *g["boxes"][t][1:]))
-        table.append((g["boxes"][b][0], number[gname, g["final"]], tuple(succs)))
-    return table, initial
-
-
 _offset = itemgetter(0)  # an event's text offset, the splice order
 
 
@@ -258,11 +237,11 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     dictionary mask reached, so a rejected start's list is dropped at
     once.
 
-    The walk is one loop over an explicit stack.  Every (graph, box) of
-    the set is numbered once (``_number_boxes``).  A stack state is one
-    alternative of one box, resumed at atom ``k`` and token ``i``; the
-    last consumed token is ``i - 1``.  The state also carries the
-    (char_pos, output) events so far, the token where the box was
+    The walk is one loop over an explicit stack, over the box table of
+    ``cgs`` as ``compile_grammar_set`` numbered it.  A stack state is one
+    alternative of one box (by number), resumed at atom ``k`` and token
+    ``i``; the last consumed token is ``i - 1``.  The state also carries
+    the (char_pos, output) events so far, the token where the box was
     entered, the slot in the events for the box's output (which precedes
     the outputs of the calls inside its alternative), the boxes entered
     since the last consumed token, as an int with bit ``1 << number`` set
@@ -274,7 +253,8 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     start with equal events, visited boxes and return frame has the same
     continuations, so it is skipped.
     """
-    table, initial = _number_boxes(cgs["graphs"])
+    table = cgs["table"]
+    initial = cgs["initial"]
     root, root_bit = initial[cgs["main"]]
     first = cgs["first"]
     n = len(toks)

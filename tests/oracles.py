@@ -73,7 +73,9 @@ def enumerate_paths(gs: GrammarSet):
                 tails.extend(from_box(s))
             here = []
             box = box_map[bid]
-            for alt in box.alternatives:
+            # a box with no path on to final adds no path: its alternatives,
+            # whose calls may spell out very many, are not expanded
+            for alt in box.alternatives if tails else ():
                 alt_paths = [[]]
                 for atom in alt:
                     if atom.kind == "call":

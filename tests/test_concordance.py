@@ -143,6 +143,24 @@ def test_spans_and_widths_have_no_leading_zero(bad, line_no):
     assert exc.value.line_no == line_no
 
 
+_HUGE = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "bad,line_no",
+    [
+        (f"#concordance v1 G t 40 60\n{_HUGE}\t2\tl\tm\tr\n", 2),
+        (f"#concordance v1 G t 40 60\n0\t{_HUGE}\tl\tm\tr\n", 2),
+        (f"#concordance v1 G t {_HUGE} 60\n", 1),
+    ],
+    ids=["span-start", "span-end", "width"],
+)
+def test_spans_and_widths_too_long_for_int(bad, line_no):
+    with pytest.raises(MalformedConcordanceLine) as exc:
+        parse_concordance(bad)
+    assert exc.value.line_no == line_no
+
+
 _ctx = st.text(
     st.characters(blacklist_categories=("Cs",)), max_size=12
 )

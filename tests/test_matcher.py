@@ -342,9 +342,9 @@ def cyclic_grammars(draw):
     """A main graph M and up to two subgraphs, S1 and S2; a graph calls only
     the ones after it, so no call is recursive.  Each graph is a chain of
     one to three boxes from initial to final with random extra edges, so
-    self-loops, back edges and <E> cycles are common; a box holds one or
-    two alternatives of literals, <MOT>, <PRE>, <E> and calls, and may
-    have an output."""
+    self-loops, back edges (into the initial box too) and <E> cycles are
+    common; a box holds one or two alternatives of literals, <MOT>, <PRE>,
+    <E> and calls, and may have an output."""
     names = ["M", "S1", "S2"][: draw(st.integers(1, 3))]
     graphs = {}
     for g, name in enumerate(names):
@@ -362,7 +362,7 @@ def cyclic_grammars(draw):
             for b in ids
         ]
         chain = ["i", *ids, "f"]
-        extra = draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids + ["f"])),
+        extra = draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(["i", *ids, "f"])),
                              max_size=3))
         graphs[name] = _graph(name, boxes, set(zip(chain, chain[1:])) | extra)
     return GrammarSet(graphs, "M")
@@ -406,12 +406,19 @@ _NULLABLE_CYCLE = GrammarSet({
     ], {("i", "b0"), ("b0", "f")}),
 }, "M")
 
+# an edge back into the initial box, which is entered again consuming
+# nothing: "Ana Ana" matches as a whole and as each "Ana"
+_BACK_TO_INITIAL = GrammarSet({"M": _graph("M", [
+    GraphBox("b0", _alts([InputAtom.lit("Ana")])),
+], {("i", "b0"), ("b0", "i"), ("b0", "f")})}, "M")
+
 
 @settings(max_examples=300, deadline=None)
 @given(cyclic_grammars(), _cycle_texts)
 @example(_EPS_LOOP, "Ana  bela Rui")
 @example(_WORD_LOOP, "ana bela. Rui de")
 @example(_NULLABLE_CYCLE, "de Ana  de\tRui. Ana")
+@example(_BACK_TO_INITIAL, "Ana Ana")
 def test_cyclic_grammars_agree_with_unrolled_path_oracle(gs, text):
     got = {(o.start, o.end, o.merged)
            for o in apply_grammar(gs, text, parse_lexicon(""), ALL_MATCHES, frozenset())}
@@ -709,7 +716,7 @@ def test_first_set_sees_through_nullable_prefixes():
     assert cgs["first"] == (
         frozenset({"Rei"}), frozenset({"de"}), frozenset({("mask", frozenset(), "PRE", None)})
     )
-    opt_first = _first_sets(cgs["graphs"])["Opt"][0]
+    opt_first = _first_sets(cgs["table"], cgs["initial"])["Opt"][0]
     assert opt_first == (frozenset(), frozenset({"de"}), frozenset())
 
 
@@ -829,6 +836,12 @@ _CALLER_LAST = GrammarSet({
 _TWO_MASKS = GrammarSet({"M": _single_box(
     (InputAtom.masked(_START_DICT_MASKS[0]),), (InputAtom.masked(_START_DICT_MASKS[2]),)
 )}, "M")
+# the initial box is also the final one: FIRST is scanned from the
+# initial box's successors, not stopped at the initial box itself
+_INITIAL_IS_FINAL = GrammarSet({"M": Graph(
+    "M", (GraphBox("b", ((InputAtom.lit("Ana"),),)),),
+    frozenset({("i", "b"), ("b", "i")}), "i", "i",
+)}, "M")
 
 
 @settings(max_examples=150, deadline=None)
@@ -844,6 +857,7 @@ _TWO_MASKS = GrammarSet({"M": _single_box(
 @example(_PR_ONLY, ["Ana", "de", "Ana", "Maria", ".", "Ana"])
 @example(_CALLER_LAST, ["de", "Ana", "bela", "Rui"])
 @example(_TWO_MASKS, ["bela", "Ana", "bela"])
+@example(_INITIAL_IS_FINAL, ["Ana", "bela", "Ana"])
 def test_start_filter_agrees_with_unfiltered_walk(gs, words):
     cgs = compile_grammar_set(gs)
     lex = parse_lexicon(_START_LEX)
@@ -868,7 +882,9 @@ def test_literal_dispatch_splits_alternatives():
         ),
     )
     gs = GrammarSet({"G": _graph("G", [box], [("i", "b"), ("b", "f")])}, "G")
-    _, rest, exact, folded = compile_grammar_set(gs)["graphs"]["G"]["boxes"]["b"]
+    cgs = compile_grammar_set(gs)
+    # the initial box's one successor carries box b's alternatives
+    (_, _, rest, exact, folded), = cgs["table"][cgs["initial"]["G"][0]][2]
     assert [alt[0][0] for alt in rest] == ["mask"]
     assert {k: len(v) for k, v in exact.items()} == {"Rio": 2}
     assert {k: len(v) for k, v in folded.items()} == {"rio": 1}
