@@ -1,6 +1,7 @@
 """Concordances: occurrences with one line of left/right context.
 
-File format (``.cnc``, UTF-8, LF): a header line
+File format (``.cnc``, UTF-8, LF): an optional first line
+``# generated <time>`` (what ``lgw apply --stamp`` writes), a header line
 
     #concordance v1 <grammar> <text_id> <left_width> <right_width>
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import MalformedConcordanceLine, SpanOutOfBounds
 
@@ -22,13 +25,23 @@ _ESCAPE_RE = re.compile(r"\\(.)", re.S)
 _UNESCAPE = {"t": "\t", "n": "\n", "r": "\r"}
 
 
-@dataclass(frozen=True)
-class ConcordanceLine:
+class ConcordanceLine(NamedTuple):
+    """One occurrence: its span in the text, ``match`` (the matched text
+    with the grammar's outputs spliced in) and up to the concordance's
+    widths of context on each side.  A named tuple: one small object,
+    built at about half the cost of a dataclass instance; lines compare
+    and hash by their five fields."""
+
     start: int
     end: int
     left: str
     match: str
     right: str
+
+
+# (start, end, match): the order of build_concordance and the identity
+# of an occurrence in concorddiff
+line_key = itemgetter(0, 1, 3)
 
 
 @dataclass
@@ -60,7 +73,7 @@ def build_concordance(
         before = _NEWLINE_RE.sub(" ", text[max(0, o.start - left) : o.start])
         after = _NEWLINE_RE.sub(" ", text[o.end : o.end + right])
         lines.append(ConcordanceLine(o.start, o.end, before, o.merged, after))
-    lines.sort(key=lambda l: (l.start, l.end, l.match))
+    lines.sort(key=line_key)
     return Concordance(
         lines,
         source_grammar=grammar,
@@ -102,22 +115,29 @@ def write_concordance(c: Concordance) -> str:
 
 
 def parse_concordance(s: str) -> Concordance:
+    """The concordance in the text of a ``.cnc`` file.  One first line
+    ``# generated ...`` is skipped; a line that does not parse raises
+    ``MalformedConcordanceLine`` with its line number in the file.
+    Escapes are undone only in a line that holds a backslash."""
     # split on LF only: splitlines() would also break on form feeds and
     # similar characters, which are legal (escaped-free) inside fields
-    lines = [l.rstrip("\r") for l in s.split("\n")]
-    if lines and lines[-1] == "":
+    lines = s.split("\n")
+    if "\r" in s:
+        lines = [l.rstrip("\r") for l in lines]
+    if lines[-1] == "":
         lines.pop()
-    if not lines:
-        raise MalformedConcordanceLine(1, "missing header")
+    head = 1 if lines and lines[0].startswith("# generated ") else 0
+    if len(lines) == head:
+        raise MalformedConcordanceLine(head + 1, "missing header")
     m = re.fullmatch(
-        r"#concordance v1 (\S+) (\S+) (0|[1-9][0-9]*) (0|[1-9][0-9]*)", lines[0]
+        r"#concordance v1 (\S+) (\S+) (0|[1-9][0-9]*) (0|[1-9][0-9]*)", lines[head]
     )
     if not m:
-        raise MalformedConcordanceLine(1, f"bad header {lines[0]!r}")
+        raise MalformedConcordanceLine(head + 1, f"bad header {lines[head]!r}")
     grammar = "" if m.group(1) == "-" else m.group(1)
     text_id = "" if m.group(2) == "-" else m.group(2)
     conc_lines = []
-    for line_no, raw in enumerate(lines[1:], 2):
+    for line_no, raw in enumerate(lines[head + 1 :], head + 2):
         if not raw:
             continue
         fields = raw.split("\t")
@@ -125,7 +145,7 @@ def parse_concordance(s: str) -> Concordance:
             raise MalformedConcordanceLine(
                 line_no, f"expected 5 TAB-separated fields, got {len(fields)}"
             )
-        a, b = fields[0], fields[1]
+        a, b, left, match, right = fields
         # int() would also take "+1", " 12", "1_0", "01" and non-ASCII digits
         if not (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()):
             raise MalformedConcordanceLine(line_no, "span is not two ASCII digit runs")
@@ -136,17 +156,15 @@ def parse_concordance(s: str) -> Concordance:
             raise MalformedConcordanceLine(
                 line_no, f"span ({start}, {end}) is not 0 <= start < end"
             )
-        conc_lines.append(
-            ConcordanceLine(
-                start, end, _unesc(fields[2]), _unesc(fields[3]), _unesc(fields[4])
-            )
-        )
+        if "\\" in raw:
+            left, match, right = _unesc(left), _unesc(match), _unesc(right)
+        conc_lines.append(ConcordanceLine(start, end, left, match, right))
     return Concordance(
         conc_lines,
         source_grammar=grammar,
         source_text_id=text_id,
-        left_width=_digits_value(m.group(3), 1),
-        right_width=_digits_value(m.group(4), 1),
+        left_width=_digits_value(m.group(3), head + 1),
+        right_width=_digits_value(m.group(4), head + 1),
     )
 
 

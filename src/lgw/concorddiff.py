@@ -11,12 +11,14 @@ keep/discard action.
 from __future__ import annotations
 
 import html
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
+from operator import itemgetter
 from typing import NamedTuple
 
-from .concordance import Concordance, ConcordanceLine
+from .concordance import Concordance, ConcordanceLine, line_key
 from .errors import TextMismatch
 
 
@@ -59,15 +61,22 @@ class DiffCounts(NamedTuple):
     unique_y: int
 
 
-@dataclass(frozen=True)
-class DiffLine:
+class DiffLine(NamedTuple):
+    """A concordance line of one side of a diff, with its class."""
+
     side: str  # "x" | "y"
     line: ConcordanceLine
     cls: DiffClass
 
 
 _OPPOSITE = {"x": "y", "y": "x"}
-_UNIQUE = {"x": DiffClass.UNIQUE_X, "y": DiffClass.UNIQUE_Y}
+# each read of an Enum member costs more than a line's class test, so
+# align and render_html read these names instead
+_COMMON, _CONFLICT, _PARTIAL = (
+    DiffClass.COMMON, DiffClass.OUTPUT_CONFLICT, DiffClass.PARTIAL_OVERLAP
+)
+_UNIQUE_X, _UNIQUE_Y = DiffClass.UNIQUE_X, DiffClass.UNIQUE_Y
+_span = itemgetter(0, 1)  # (start, end) of a ConcordanceLine
 
 
 @dataclass(frozen=True)
@@ -90,21 +99,29 @@ class RelationReport:
 
 
 def align(cx: Concordance, cy: Concordance) -> list:
-    """Classified lines of both sides, grouped by overlap component in
-    positional order; within a component X and Y lines are interleaved,
+    """Classified lines of both sides, grouped by overlap component.
+    Components come in order of their smallest (start, end, side), X
+    before Y, ties in input order; within a component the X and Y lines,
+    each sorted by (start, end, match) with ties in input order, alternate,
     X first.
 
-    One sweep in start order finds every X-Y overlap: a line overlaps
-    exactly the lines of the other side that are still open (end past its
-    start) and pass the interval test.  Those overlaps give both the
-    PARTIAL_OVERLAP flags and the union-find components."""
+    One sweep in (start, end) order finds every X-Y overlap: a line
+    overlaps exactly the lines of the other side that are still open (end
+    past its start) and pass the interval test.  Those overlaps give both
+    the PARTIAL_OVERLAP flags and the union-find components.  A line that
+    overlaps nothing is a component of its own; the others are gathered
+    by a second walk in the same order, which meets each component first
+    at its smallest (start, end, side)."""
     if cx.source_text_id != cy.source_text_id:
         raise TextMismatch(
             f"concordances come from different texts: "
             f"{cx.source_text_id!r} vs {cy.source_text_id!r}"
         )
-    lines = [("x", l) for l in cx.lines] + [("y", l) for l in cy.lines]
-    parent = list(range(len(lines)))
+    lines = cx.lines + cy.lines
+    nx, n = len(cx.lines), len(lines)  # line k is on side Y when k >= nx
+    keys = list(map(line_key, lines))
+    spans = list(map(_span, lines))
+    parent = list(range(n))
 
     def find(k):
         while parent[k] != k:
@@ -112,68 +129,80 @@ def align(cx: Concordance, cy: Concordance) -> list:
             k = parent[k]
         return k
 
-    overlapped = [False] * len(lines)
-    open_ = {"x": [], "y": []}
-    for k in sorted(range(len(lines)), key=lambda k: lines[k][1].start):
-        side, b = lines[k]
-        other = _OPPOSITE[side]
+    # a stable sort, so lines of one span keep input order, X first
+    order = sorted(range(n), key=spans.__getitem__)
+    overlapped = [False] * n
+    open_ = [[], []]  # open X lines, open Y lines
+    for k in order:
+        start, end = spans[k]
+        y = k >= nx
         still = []
-        for j in open_[other]:
-            a = lines[j][1]
-            if b.start < a.end:
+        for j in open_[not y]:
+            if start < spans[j][1]:
                 still.append(j)
-                if a.start < b.end:
+                if spans[j][0] < end:
                     overlapped[j] = overlapped[k] = True
                     parent[find(j)] = find(k)
-        open_[other] = still
-        open_[side].append(k)
+        open_[not y] = still
+        open_[y].append(k)
 
-    exact = {"x": set(), "y": set()}
-    spans = {"x": set(), "y": set()}
-    for side, l in lines:
-        exact[side].add((l.start, l.end, l.match))
-        spans[side].add((l.start, l.end))
+    diff_lines = []
+    for side, ks, other, unique in (
+        ("x", range(nx), slice(nx, n), _UNIQUE_X),
+        ("y", range(nx, n), slice(nx), _UNIQUE_Y),
+    ):
+        exact, same_span = set(keys[other]), set(spans[other])
+        for k in ks:
+            if keys[k] in exact:
+                cls = _COMMON
+            elif spans[k] in same_span:
+                cls = _CONFLICT
+            elif overlapped[k]:
+                cls = _PARTIAL
+            else:
+                cls = unique
+            diff_lines.append(DiffLine(side, lines[k], cls))
 
-    def diff_line(k):
-        side, l = lines[k]
-        other = _OPPOSITE[side]
-        if (l.start, l.end, l.match) in exact[other]:
-            cls = DiffClass.COMMON
-        elif (l.start, l.end) in spans[other]:
-            cls = DiffClass.OUTPUT_CONFLICT
-        elif overlapped[k]:
-            cls = DiffClass.PARTIAL_OVERLAP
-        else:
-            cls = _UNIQUE[side]
-        return DiffLine(side, l, cls)
-
-    groups = {}
-    for k in range(len(lines)):
-        groups.setdefault(find(k), []).append(k)
-
-    def position(k):
-        l = lines[k][1]
-        return (l.start, l.end, l.match)
+    # a component is an int, the one line of a component that overlaps
+    # nothing, or the lists of its X and Y lines; in order of smallest
+    # (start, end, side), as the walk in (start, end) order meets them
+    components = []
+    sides_of = {}
+    for k in order:
+        if not overlapped[k]:
+            components.append(k)
+            continue
+        root = find(k)
+        if root not in sides_of:
+            sides_of[root] = ([], [])
+            components.append(sides_of[root])
+        sides_of[root][k >= nx].append(k)
 
     result = []
-    for members in sorted(
-        groups.values(),
-        key=lambda ks: min((lines[k][1].start, lines[k][1].end, lines[k][0]) for k in ks),
-    ):
-        xs = sorted((k for k in members if lines[k][0] == "x"), key=position)
-        ys = sorted((k for k in members if lines[k][0] == "y"), key=position)
-        for pair in zip_longest(xs, ys):
-            result.extend(diff_line(k) for k in pair if k is not None)
+    for c in components:
+        if type(c) is int:
+            result.append(diff_lines[c])
+            continue
+        xs, ys = c
+        xs.sort(key=keys.__getitem__)  # in (start, end) order already
+        ys.sort(key=keys.__getitem__)
+        for kx, ky in zip_longest(xs, ys):
+            if kx is not None:
+                result.append(diff_lines[kx])
+            if ky is not None:
+                result.append(diff_lines[ky])
     return result
 
 
 def diff_counts(diff: list) -> DiffCounts:
-    common_pairs = sum(1 for d in diff if d.side == "x" and d.cls is DiffClass.COMMON)
-    conflict = sum(1 for d in diff if d.cls is DiffClass.OUTPUT_CONFLICT)
-    partial = sum(1 for d in diff if d.cls is DiffClass.PARTIAL_OVERLAP)
-    ux = sum(1 for d in diff if d.cls is DiffClass.UNIQUE_X)
-    uy = sum(1 for d in diff if d.cls is DiffClass.UNIQUE_Y)
-    return DiffCounts(common_pairs, conflict, partial, ux, uy)
+    n = Counter((side, cls) for side, _, cls in diff)
+    return DiffCounts(
+        n["x", _COMMON],
+        n["x", _CONFLICT] + n["y", _CONFLICT],
+        n["x", _PARTIAL] + n["y", _PARTIAL],
+        n["x", _UNIQUE_X],
+        n["y", _UNIQUE_Y],
+    )
 
 
 _BG = {"x": "#FFD7D7", "y": "#D7FFD7"}
@@ -205,22 +234,29 @@ td.l { text-align: right; }
 _HTML_TAIL = "</table>\n</body>\n</html>\n"
 
 
+def _escape(s: str) -> str:
+    """html.escape(s), without its five replace passes when s holds none
+    of the characters it replaces."""
+    if "&" in s or "<" in s or ">" in s or '"' in s or "'" in s:
+        return html.escape(s)
+    return s
+
+
 def render_html(diff: list) -> str:
     """Self-contained HTML table: pink rows for the first concordance,
     green rows for the second, character color by diff class, and an empty
     filler row opposite every unique line."""
     rows = []
-    for d in diff:
-        style = f"background:{_BG[d.side]};color:{_FG[d.cls]}"
-        l = d.line
+    for side, (start, end, left, match, right), cls in diff:
         rows.append(
-            f'<tr style="{style}"><td>{l.start}-{l.end}</td>'
-            f'<td class="l">{html.escape(l.left)}</td>'
-            f"<td>{html.escape(l.match)}</td>"
-            f"<td>{html.escape(l.right)}</td></tr>"
+            f'<tr style="background:{_BG[side]};color:{_FG[cls]}">'
+            f"<td>{start}-{end}</td>"
+            f'<td class="l">{_escape(left)}</td>'
+            f"<td>{_escape(match)}</td>"
+            f"<td>{_escape(right)}</td></tr>"
         )
-        if d.cls in (DiffClass.UNIQUE_X, DiffClass.UNIQUE_Y):
-            filler = _BG[_OPPOSITE[d.side]]
+        if cls in (_UNIQUE_X, _UNIQUE_Y):
+            filler = _BG[_OPPOSITE[side]]
             rows.append(
                 f'<tr style="background:{filler}">'
                 "<td></td><td></td><td></td><td></td></tr>"
@@ -236,10 +272,8 @@ def infer_relation(cx: Concordance, cy: Concordance, diff: list = None) -> Relat
     if diff is None:
         diff = align(cx, cy)  # also validates the text ids
     counts = diff_counts(diff)
-    sx = {(l.start, l.end, l.match) for l in cx.lines}
-    sy = {(l.start, l.end, l.match) for l in cy.lines}
-    spans_x = sorted((l.start, l.end) for l in cx.lines)
-    spans_y = sorted((l.start, l.end) for l in cy.lines)
+    sx, sy = set(map(line_key, cx.lines)), set(map(line_key, cy.lines))
+    spans_x, spans_y = sorted(map(_span, cx.lines)), sorted(map(_span, cy.lines))
 
     def report(rel, act):
         return RelationReport(

@@ -436,6 +436,20 @@ def test_diff_stamp_writes_one_time(ws):
     assert f"<!-- generated {stamp} -->\n</body>" in html
 
 
+def test_diff_reads_stamped_concordances(ws):
+    # the "# generated" first line that apply --stamp writes is skipped
+    reports = {}
+    for run, extra in (("plain", []), ("stamped", ["--stamp"])):
+        out = ws / run
+        _apply(ws, out, G1_FILES, "g1.cnc", extra=extra)
+        _apply(ws, out, ("ReconheceNomesCompostos",), "g2.cnc", extra=extra)
+        assert main(["diff", str(out / "g1.cnc"), str(out / "g2.cnc"), "--out", str(out)]) == 0
+        reports[run] = json.loads((out / "relation.json").read_text(encoding="utf-8"))
+    assert (ws / "stamped" / "g1.cnc").read_text(encoding="utf-8").startswith("# generated ")
+    reports["stamped"].pop("stamp", None)
+    assert reports["stamped"] == reports["plain"]
+
+
 @pytest.mark.parametrize("corpus", ["latin1", "directory"])
 def test_unreadable_corpus_exits_2(ws, capsys, corpus):
     if corpus == "latin1":

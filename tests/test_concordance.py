@@ -71,6 +71,12 @@ def test_bad_spans_rejected(span):
 # --- serialization -----------------------------------------------------------
 
 
+def test_parse_skips_the_stamp_line():
+    body = "#concordance v1 G t 40 60\n0\t2\tl\tm\tr\n"
+    stamped = parse_concordance("# generated 2026-01-01T00:00:00+00:00\n" + body)
+    assert stamped == parse_concordance(body)
+
+
 def test_write_header_and_sentinels():
     c = Concordance([], source_grammar="", source_text_id="", left_width=4, right_width=6)
     assert write_concordance(c) == "#concordance v1 - - 4 6\n"
@@ -101,6 +107,12 @@ def test_write_escapes_tabs_and_newlines():
         ("#concordance v1 G t 40 60\n0\t2\tl\tm\tr\n7\t5\tl\tm\tr\n", 3),
         ("#concordance v1 G t 40 60\n5\t5\tl\tm\tr\n", 2),
         ("#concordance v1 G t 40 60\n-1\t2\tl\tm\tr\n", 2),
+        # after the "# generated" line of --stamp, line numbers stay file line numbers
+        ("# generated 2026-01-01T00:00:00+00:00\n", 2),
+        ("# generated 2026-01-01T00:00:00+00:00\n#concordance v2 G t 40 60\n", 2),
+        ("# generated 2026-01-01T00:00:00+00:00\n#concordance v1 G t 40 60\n1\t2\tl\tm\n", 3),
+        ("# generated 2026-01-01T00:00:00+00:00\n#concordance v1 G t 40 060\n", 2),
+        ("#concordance v1 G t 40 60\n# generated 2026-01-01T00:00:00+00:00\n", 2),
     ],
 )
 def test_parse_errors(bad, line_no):
@@ -181,6 +193,16 @@ _name = st.text(st.sampled_from("GgTt19_."), min_size=1, max_size=6)
     st.one_of(st.just(""), _name),
 )
 @example([ConcordanceLine(0, 1000, "ends\\", "\\x", "a\\\nb\\")], "G", "t")
+@example(
+    [
+        ConcordanceLine(0, 1000, "plain", "m", "r"),
+        ConcordanceLine(1, 1001, "a\\b", "x\ty", "c\r"),
+        ConcordanceLine(2, 1002, "no", "escape", "here"),
+        ConcordanceLine(3, 1003, "", "\\", ""),
+    ],
+    "G",
+    "t",
+)
 def test_write_parse_round_trip(lines, grammar, text_id):
     c = Concordance(lines, grammar, text_id, 40, 60)
     back = parse_concordance(write_concordance(c))

@@ -1,3 +1,6 @@
+import html
+import re
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -127,6 +130,9 @@ def _raw_cnc(triples):
     [(9, 12, "b"), (3, 6, "a"), (3, 6, "a"), (6, 6, "c"), (6, 9, "a")],
     [(6, 9, "b"), (0, 3, "a"), (6, 6, "c"), (3, 6, "a"), (4, 4, "a")],
 )
+# an X line overlapping no Y line, nested in the range of a longer X line
+# that holds two Y lines: a component inside another's range comes after it
+@example([(4, 5, "c"), (0, 10, "a")], [(6, 8, "b"), (1, 3, "a")])
 def test_align_sequence_agrees_with_all_pairs_oracle(tx, ty):
     diff = align(_raw_cnc(tx), _raw_cnc(ty))
     got = [(d.side, d.line.start, d.line.end, d.line.match, d.cls.value) for d in diff]
@@ -265,6 +271,27 @@ def test_render_html_escapes_markup():
     out = render_html(diff)
     assert "&lt;NOME&gt;" in out
     assert "<NOME>" not in out
+
+
+_cell_text = st.text(
+    st.one_of(
+        st.sampled_from("&<>\"'\\\t\n"), st.characters(blacklist_categories=("Cs",))
+    ),
+    max_size=8,
+)
+
+
+@given(st.lists(st.tuples(_cell_text, _cell_text, _cell_text), max_size=4))
+@example([("it's", 'a "b"', "c & d"), ("<x>", "plain", "\\\t\n")])
+def test_render_html_cells_equal_html_escape(fields):
+    lines = [ConcordanceLine(2 * i, 2 * i + 1, l, m, r) for i, (l, m, r) in enumerate(fields)]
+    diff = align(Concordance(lines, source_text_id="t"), Concordance([], source_text_id="t"))
+    cells = re.findall(
+        r'<td>\d+-\d+</td><td class="l">(.*?)</td><td>(.*?)</td><td>(.*?)</td></tr>',
+        render_html(diff),
+        re.S,
+    )
+    assert cells == [tuple(html.escape(f) for f in row) for row in fields]
 
 
 def test_render_html_empty_diff():
