@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from bisect import bisect_left
+from operator import itemgetter
 from pathlib import Path
 
 from . import concorddiff, evaluator
@@ -23,7 +24,10 @@ from .errors import EmptyKeepSet, LgwError, TextMismatch, UsageError, located
 # parse_graph is not called here: perfbench/trace.py wraps lgw.cli.parse_graph
 from .grammar import _ID, load_grammar_set, parse_graph, render_graph, validate_set
 # perfbench/trace.py wraps lgw.cli.parse_lexicon and lgw.cli.merge_lexicons
-from .lexicon import Lexicon, merge_lexicons, parse_lexicon, read_sidecar, write_sidecar
+from .lexicon import (
+    Lexicon, lexicon_set, merge_lexicons, parse_lexicon, read_sidecar, read_text_sidecar,
+    text_lexicon, write_sidecar, write_text_sidecar,
+)
 from .matcher import ALL_MATCHES, LONGEST_ONLY, Tokenized, apply_grammar, corpus_tokens
 
 
@@ -151,14 +155,32 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load_lexicon(path: str) -> Lexicon:
-    """The lexicon in the file at path: rebuilt from its sidecar when that
-    was written for the file's current bytes, else parsed, and the sidecar
-    written for the next load."""
+def _read_bytes(path: str) -> bytes:
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise LgwError(f"cannot read {path}: {exc}") from None
+
+
+def _attempt(read, path: str):
+    """read(path), or the LgwError it raises, for the command to raise
+    where it would have read the file."""
+    try:
+        return read(path)
+    except LgwError as exc:
+        return exc
+
+
+def _load_lexicon(path: str, data) -> Lexicon:
+    """The lexicon in the file at path, which holds ``data`` (or the
+    LgwError reading it raised): rebuilt from its sidecar when that was
+    written for these bytes, else parsed, and the sidecar written for the
+    next load."""
+    if isinstance(data, LgwError):
+        raise data
+    try:
         text = data.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise LgwError(f"cannot read {path}: {exc}") from None
     name = Path(path).stem
     lex = read_sidecar(path, data, name)
@@ -169,16 +191,56 @@ def _load_lexicon(path: str) -> Lexicon:
     return lex
 
 
-def _load_lexicons(paths) -> Lexicon:
-    lexicons = [_load_lexicon(p) for p in paths]
-    return merge_lexicons(lexicons, name="+".join(Path(p).stem for p in paths))
+def _set_name(paths) -> str:
+    return "+".join(Path(p).stem for p in paths)
 
 
-def _read_corpus(paths) -> Tokenized:
-    """The texts of the corpus files at ``paths`` joined with "\n", and its
-    tokens.  No token spans the joining "\n", so those are each file's
-    tokens (``corpus_tokens``), shifted by where its text starts."""
-    texts = [_read(p) for p in paths]
+def _load_lexicons(paths, data) -> Lexicon:
+    lexicons = [_load_lexicon(p, d) for p, d in zip(paths, data)]
+    return merge_lexicons(lexicons, name=_set_name(paths))
+
+
+def _find_text_lexicons(corpus, texts, lexicons, data):
+    """(``lexicon_set``, the text lexicon of each corpus file from its
+    sidecar, or None) for the lexicon files at ``lexicons`` holding
+    ``data``.  Without lexicons, or when a file could not be read, there
+    is no set and every text lexicon is None: the lexicons load as they
+    would without text lexicons, and the command fails where it would."""
+    if not data or any(isinstance(x, LgwError) for x in (*texts, *data)):
+        return None, [None] * len(corpus)
+    lset = lexicon_set(lexicons, data)
+    return lset, [read_text_sidecar(p, lset, t) for p, t in zip(corpus, texts)]
+
+
+_token_start = itemgetter(1)
+
+
+def _cut_text_lexicons(paths, texts, tokenized, found, full, lset) -> list:
+    """The text lexicons of the corpus files at ``paths``: each one
+    ``found`` in its sidecar, or else cut from the ``full`` lexicon with
+    the file's share of the ``tokenized`` corpus and kept in its sidecar.
+    No lexicon key holds the "\n" that joins the files, so their merge is
+    the text lexicon of the joined corpus."""
+    tokens = tokenized.tokens
+    cut, offset = [], 0
+    for p, text, lex in zip(paths, texts, found):
+        if lex is None:
+            a = bisect_left(tokens, offset, key=_token_start)
+            b = bisect_left(tokens, offset + len(text), lo=a, key=_token_start)
+            lex = text_lexicon(full, tokens[a:b], tokenized.text)
+            write_text_sidecar(p, lset, text, lex)
+        cut.append(lex)
+        offset += len(text) + 1
+    return cut
+
+
+def _read_corpus(paths, texts=None) -> Tokenized:
+    """The texts of the corpus files at ``paths`` (``texts`` when read
+    already) joined with "\n", and its tokens.  No token spans the joining
+    "\n", so those are each file's tokens (``corpus_tokens``), shifted by
+    where its text starts."""
+    if texts is None:
+        texts = [_read(p) for p in paths]
     tokens, offset = [], 0
     for p, text in zip(paths, texts):
         toks = corpus_tokens(p, text)
@@ -196,16 +258,30 @@ def cmd_apply(args) -> int:
         if any(c.isspace() for c in Path(p).name):
             raise UsageError(f"corpus file name contains whitespace: {Path(p).name!r}")
     stamp = _stamp(args)
-    lex = _load_lexicons(args.lexicon)
+    corpus = sorted(args.corpus, key=lambda p: Path(p).name)
+    # the corpus and the lexicon bytes are read first, to look up the text
+    # lexicons; a read error is raised only where the file's load raises it
+    texts = [_attempt(_read, p) for p in corpus]
+    data = [_attempt(_read_bytes, p) for p in args.lexicon]
+    lset, found = _find_text_lexicons(corpus, texts, args.lexicon, data)
+    lex = _load_lexicons(args.lexicon, data) if None in found else None
+    del data  # not kept through the walk: a 20k-entry lexicon file is about 330 kB
     gs = load_grammar_set([(p, _read(p)) for p in args.grammar], args.main)
     diags = validate_set(gs)
     for d in diags:
         print(f"{d.severity}: {d.code}: {d.detail}", file=sys.stderr)
     if any(d.severity == "error" for d in diags):
         return 2
-    corpus = sorted(args.corpus, key=lambda p: Path(p).name)
+    for text in texts:
+        if isinstance(text, LgwError):
+            raise text
     text_id = "+".join(Path(p).name for p in corpus)
-    tokenized = _read_corpus(corpus)
+    tokenized = _read_corpus(corpus, texts)
+    if lset is not None:
+        # the walk needs only the text lexicon: the full lexicon is dropped
+        found = _cut_text_lexicons(corpus, texts, tokenized, found, lex, lset)
+        lex = merge_lexicons(found, name=_set_name(args.lexicon))
+        del found
     # the tokens ride in the text argument: perfbench/trace.py forwards
     # exactly apply_grammar's five parameters
     occs = apply_grammar(gs, tokenized, lex, mode=args.mode)

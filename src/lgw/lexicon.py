@@ -14,15 +14,20 @@ give one symbol set.
 A lexicon file can keep its matcher indexes in a sidecar,
 ``__lgwcache__/<file name>.idx`` beside it (``read_sidecar`` and
 ``write_sidecar``), so that a later load of the same bytes skips the parse.
+A corpus file can keep its text lexicon, the part of a lexicon that the
+matcher can look up on its text (``text_lexicon``), in a sidecar beside
+it (``read_text_sidecar`` and ``write_text_sidecar``), so that a later
+apply with the same lexicon files loads neither them nor their sidecars.
 """
 
 from __future__ import annotations
 
+import os
 import re
 
 from . import sidecar
 from .errors import MalformedLine, numbered_lines
-from .matcher._engine import tokenize_raw
+from .matcher._engine import probe_keys, tokenize_raw
 
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
 # surface, comma, lemma, period, tag; a backslash escapes the next character
@@ -119,7 +124,8 @@ def _read_lines(text: str):
 
 
 def parse_lexicon(text: str, name: str = "") -> Lexicon:
-    return Lexicon(*_build(_read_lines(text)), name)
+    # a leading byte order mark is not part of the first surface
+    return Lexicon(*_build(_read_lines(text.removeprefix("\ufeff"))), name)
 
 
 def merge_lexicons(lexicons, name: str = "") -> Lexicon:
@@ -143,24 +149,41 @@ def merge_lexicons(lexicons, name: str = "") -> Lexicon:
     return Lexicon(symidx, (heads, max((lex._heads[1] for lex in lexicons), default=0)), name)
 
 
+def text_lexicon(lex: Lexicon, toks: list, text: str) -> Lexicon:
+    """The part of ``lex`` that the matcher can look up on the tokens of
+    ``text``: the entries and head widths under the keys it can probe
+    there (``_engine.probe_keys``), and the same longest entry.  The
+    matcher finds the same entries on that text with it as with ``lex``."""
+    symidx = lex.symbol_index()
+    heads, longest = lex.head_index()
+    symbols, widths = {}, {}
+    for key in probe_keys(toks, text, (heads, longest)):
+        if key in symidx:
+            symbols[key] = symidx[key]
+        if key in heads:
+            widths[key] = heads[key]
+    return Lexicon(symbols, (widths, longest), lex.name)
+
+
 # The sidecar (see lgw.sidecar): its key, then marshal data of five
 # columns: the distinct symbol-set tuples; the surfaces in index order; for
 # each surface the number of its tuple, as bytes when 256 numbers suffice;
 # the head widths dict.fromkeys(<alphabetic surfaces>, 1) does not give; and
 # the widest head.  Bump SIDECAR_FORMAT whenever these columns, or what
 # parse_lexicon makes of a text, change.
-SIDECAR_FORMAT = 3
+SIDECAR_FORMAT = 4
+
+# A text lexicon's sidecar holds the same columns after a key of its own.
+# Bump TEXT_LEXICON_FORMAT whenever what text_lexicon keeps changes.
+TEXT_LEXICON_FORMAT = 1
 
 
 def _sidecar_key(data: bytes) -> bytes:
     return sidecar.key(b"lexicon index", SIDECAR_FORMAT, data)
 
 
-def read_sidecar(path, data: bytes, name: str = ""):
-    """The lexicon of the file at ``path``, which holds ``data``, rebuilt
-    from its sidecar; None when there is no sidecar for these bytes or it
-    cannot be read."""
-    columns = sidecar.read(path, "idx", _sidecar_key(data))
+def _read_columns(path, suffix: str, key: bytes, name: str):
+    columns = sidecar.read(path, suffix, key)
     if columns is None:
         return None
     try:
@@ -169,13 +192,11 @@ def read_sidecar(path, data: bytes, name: str = ""):
         heads = dict.fromkeys(filter(str.isalpha, surfaces), 1)
         heads.update(wider)
     except (ValueError, TypeError, IndexError, AttributeError):
-        return None  # not written by write_sidecar
+        return None  # not written by _write_columns
     return Lexicon(symidx, (heads, longest), name)
 
 
-def write_sidecar(path, data: bytes, lex: Lexicon) -> None:
-    """Keep ``lex``, parsed from the file at ``path`` holding ``data``, in
-    that file's sidecar."""
+def _write_columns(path, suffix: str, key: bytes, lex: Lexicon) -> None:
     symidx = lex.symbol_index()
     heads, longest = lex.head_index()
     sets: dict = {}
@@ -184,4 +205,47 @@ def write_sidecar(path, data: bytes, lex: Lexicon) -> None:
     wider = {w: n for w, n in heads.items() if ones.get(w) != n}
     columns = (tuple(sets), tuple(symidx), bytes(ids) if len(sets) <= 256 else tuple(ids),
                wider, longest)
-    sidecar.write(path, "idx", _sidecar_key(data), columns)
+    sidecar.write(path, suffix, key, columns)
+
+
+def read_sidecar(path, data: bytes, name: str = ""):
+    """The lexicon of the file at ``path``, which holds ``data``, rebuilt
+    from its sidecar; None when there is no sidecar for these bytes or it
+    cannot be read."""
+    return _read_columns(path, "idx", _sidecar_key(data), name)
+
+
+def write_sidecar(path, data: bytes, lex: Lexicon) -> None:
+    """Keep ``lex``, parsed from the file at ``path`` holding ``data``, in
+    that file's sidecar."""
+    _write_columns(path, "idx", _sidecar_key(data), lex)
+
+
+def lexicon_set(paths, data) -> tuple:
+    """What names the lexicon files at ``paths``, holding ``data``, to a
+    text lexicon sidecar: its suffix, one per list of paths, so that
+    applies alternating lexicon sets all hit, and the digests of the
+    files' bytes in order, which its key holds."""
+    where = b"\0".join(os.fsencode(os.path.abspath(p)) for p in paths)
+    return f"{sidecar.digest(where)[:8].hex()}.lex", b"".join(map(sidecar.digest, data))
+
+
+def _text_sidecar(lexicons: tuple, text: str) -> tuple:
+    """(suffix, key) of the text lexicon sidecar, for the ``lexicon_set``
+    ``lexicons``, of a corpus file holding ``text``."""
+    suffix, digests = lexicons
+    content = b"index %d\n%s%s" % (SIDECAR_FORMAT, digests, text.encode("utf-8"))
+    return suffix, sidecar.key(b"text lexicon", TEXT_LEXICON_FORMAT, content)
+
+
+def read_text_sidecar(path, lexicons: tuple, text: str, name: str = ""):
+    """The text lexicon for the ``lexicon_set`` ``lexicons`` of the corpus
+    file at ``path``, which holds ``text``, from its sidecar; None when
+    there is none for this text and these lexicons or it cannot be read."""
+    return _read_columns(path, *_text_sidecar(lexicons, text), name)
+
+
+def write_text_sidecar(path, lexicons: tuple, text: str, lex: Lexicon) -> None:
+    """Keep ``lex``, the text lexicon for the ``lexicon_set`` ``lexicons``
+    of the corpus file at ``path`` holding ``text``, in its sidecar."""
+    _write_columns(path, *_text_sidecar(lexicons, text), lex)

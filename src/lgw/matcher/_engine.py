@@ -54,7 +54,8 @@ entries that start at a token at most once per call, with
 token or at a token the walk reached.  It keeps the list of an admitted
 start token or of a token a dictionary mask reached, and every
 dictionary mask at that token, on every path from every start, reads
-that one list.
+that one list.  ``probe_keys`` lists every key those lookups can read on
+a text, so a lexicon cut down to them matches that text alike.
 """
 
 from operator import itemgetter
@@ -116,7 +117,15 @@ def sentence_boundaries(toks, abbreviations):
     return bset
 
 
+def _lookup_keys(surface):
+    """The keys a lexicon lookup of ``surface`` reads: the surface and, for
+    a capitalized one, its lower()."""
+    return (surface, surface.lower()) if surface[:1].isupper() else (surface,)
+
+
 def _lex_symbol_sets(symindex, surface):
+    """The symbol sets of ``surface`` and, for a capitalized one, of its
+    lower(): the lookups of ``_lookup_keys``, inlined."""
     syms = symindex.get(surface, ())
     if surface[:1].isupper():
         low = symindex.get(surface.lower())
@@ -153,19 +162,45 @@ def _probe_width(heads, surface):
     return width
 
 
+def _window(toks, heads, i):
+    """The probe window of token i: the ends of the token spans starting
+    there that a lexicon entry may cover, longest first.  A span ending at
+    ``end`` is ``text[toks[i][1] : toks[end - 1][2]]``."""
+    return range(min(i + _probe_width(heads, toks[i][0]), len(toks)), i, -1)
+
+
 def _entries_at(toks, text, symindex, heads, i):
     """``((end, surface, symbol_sets), ...)`` for every lexicon entry that
     starts at token i (i < len(toks)), longest first; ``end`` is the index
     after the entry's last token."""
-    width = _probe_width(heads, toks[i][0])
     start = toks[i][1]
     found = []
-    for end in range(min(i + width, len(toks)), i, -1):
+    for end in _window(toks, heads, i):
         surface = text[start : toks[end - 1][2]]
         sets = _lex_symbol_sets(symindex, surface)
         if sets:
             found.append((end, surface, sets))
     return tuple(found)
+
+
+def probe_keys(toks, text, heads):
+    """Yield every key that ``_probe_width``, ``_entries_at`` and
+    ``_is_pre`` can look up, in either lexicon index, at a token of
+    ``toks``: the lookup keys of each token's surface and of each span of
+    its window, in text order (a key may come more than once).  A lexicon
+    cut down to these keys gives the same answers on this text.  A window
+    one token wide is the token's own surface, so only the surfaces whose
+    window is wider are probed token by token."""
+    wide = set()
+    for surface in dict.fromkeys(tok[0] for tok in toks):
+        yield from _lookup_keys(surface)
+        if _probe_width(heads, surface) > 1:
+            wide.add(surface)
+    if wide:
+        for i, tok in enumerate(toks):
+            if tok[0] in wide:
+                for end in _window(toks, heads, i):
+                    yield from _lookup_keys(text[tok[1] : toks[end - 1][2]])
 
 
 def _match_mask(atom, toks, text, symindex, heads, entries, i, limit):

@@ -5,6 +5,17 @@ begins with its key, which names the kind of sidecar, its format number,
 the Python ``major.minor`` that wrote it and a blake2b digest of the
 content it was computed from; marshal data follows.  A sidecar with any
 other key, or one that cannot be read or decoded, is a miss.
+
+There are three kinds:
+
+* ``name.dic.idx``, a lexicon file's matcher indexes (``lgw.lexicon``),
+  computed from the file's bytes;
+* ``name.txt.tok``, a corpus file's kernel tokens (``lgw.matcher``),
+  computed from its text;
+* ``name.txt.<set>.lex``, a corpus file's text lexicon (``lgw.lexicon``):
+  the part of a set of lexicons that the matcher can look up on the
+  text, computed from the text and the bytes of the set's files, with
+  one sidecar per set.
 """
 
 from __future__ import annotations
@@ -24,11 +35,15 @@ def _path(path, suffix: str) -> Path:
     return path.parent / "__lgwcache__" / f"{path.name}.{suffix}"
 
 
+def digest(content: bytes) -> bytes:
+    return blake2b(content).digest()
+
+
 def key(kind: bytes, fmt: int, content: bytes) -> bytes:
     """The first bytes of a ``kind`` sidecar in format ``fmt`` computed
     from ``content``."""
     head = b"lgw %s %d python %d.%d\n" % (kind, fmt, *sys.version_info[:2])
-    return head + blake2b(content).digest()
+    return head + digest(content)
 
 
 def read(path, suffix: str, key: bytes):

@@ -693,6 +693,9 @@ def test_damaged_sidecar_is_rewritten(named, capsys, damage):
         # format 2, before a surface kept each symbol set once: a miss
         "format-2": good.replace(b"index %d python" % SIDECAR_FORMAT, b"index 2 python", 1),
     }[damage])
+    # without its text lexicon, apply b loads the lexicon again
+    (text_sidecar,) = (named / "__lgwcache__").glob("c.txt.*.lex")
+    text_sidecar.unlink()
     capsys.readouterr()
     assert _apply_named(named, "b") == 0
     captured = capsys.readouterr()
@@ -737,11 +740,14 @@ def test_malformed_lexicon_with_an_old_sidecar_exits_2(named, capsys):
 
 def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
     from lgw import cli, lexicon, matcher
+    from lgw.lexicon import lexicon_set
 
     grammars, extra = ["ReconheceNomesCompostos"], ["--xml", "s.xml"]
     assert _apply(ws, ws / "miss", grammars, "g.cnc", extra) == 0
     assert "<NOME>Marilyn Monroe</NOME>" in (ws / "miss" / "g.cnc").read_text(encoding="utf-8")
+    suffix, _ = lexicon_set([ws / f"{n}.dic" for n in ("portugues", "ingles")], [])
     assert sorted(p.name for p in (ws / "__lgwcache__").iterdir()) == [
+        f"corpus.txt.{suffix}",
         "corpus.txt.tok", "ingles.dic.idx", "portugues.dic.idx"
     ]
 
@@ -751,10 +757,15 @@ def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
     def no_read(*args, **kwargs):
         raise AssertionError("a lexicon's lines were read on a hit")
 
+    def no_sidecar(*args, **kwargs):
+        raise AssertionError("a lexicon sidecar was read on a hit")
+
     def no_tokenize(*args, **kwargs):
         raise AssertionError("the corpus was tokenized on a hit")
 
     monkeypatch.setattr(cli, "parse_lexicon", no_parse)
+    # the text lexicon hits, so no lexicon is loaded at all
+    monkeypatch.setattr(cli, "read_sidecar", no_sidecar)
     # the merge of the two hits reads no line either
     monkeypatch.setattr(lexicon, "_read_lines", no_read)
     # the kernel as apply_grammar and corpus_tokens reach it
@@ -879,3 +890,196 @@ def test_corpus_tokens_equal_the_joined_texts_tokens(texts):
         assert len(os.listdir(os.path.join(directory, "__lgwcache__"))) == len(texts)
         hit = _read_corpus(paths)
         assert hit == miss
+
+
+# --- the text lexicon sidecar ---------------------------------------------------
+# lgw apply keeps each corpus file's text lexicon, for each list of lexicon
+# files, in __lgwcache__/<file>.<set>.lex beside it; every case here must
+# give what loading the whole lexicon gives.
+
+def _text_sidecar(d, corpus="c.txt"):
+    (path,) = (d / "__lgwcache__").glob(f"{corpus}.*.lex")
+    return path
+
+
+def _forbid_lexicon_loads(monkeypatch):
+    from lgw import cli
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a lexicon was loaded although its text lexicon was kept")
+
+    monkeypatch.setattr(cli, "read_sidecar", no_load)
+    monkeypatch.setattr(cli, "parse_lexicon", no_load)
+
+
+@pytest.mark.parametrize("edit", ["lexicon", "corpus"])
+def test_text_lexicon_of_an_edited_lexicon_or_corpus_is_not_used(named, capsys, monkeypatch,
+                                                                 edit):
+    path = named / "lex" / "n.dic" if edit == "lexicon" else named / "c.txt"
+    assert _apply_named(named, "a") == 0
+    assert "1 occurrence(s)" in capsys.readouterr().out
+    first = _text_sidecar(named).read_bytes()
+    # same size and modification time: only the bytes tell the edit
+    stat = path.stat()
+    if edit == "lexicon":
+        path.write_text(NAMES.replace("V+PR", "N+PR"), encoding="utf-8")
+        want = ("2 occurrence(s)", '<EM CATEG="PESSOA" TIPO="INDIVIDUAL">Zeca</EM>')
+    else:
+        path.write_text("Zeca viu Ana e a rainha Isabel.\n", encoding="utf-8")
+        want = ("1 occurrence(s)", 'Zeca viu <EM CATEG="PESSOA" TIPO="INDIVIDUAL">Ana</EM>')
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    assert _apply_named(named, "b") == 0
+    assert want[0] in capsys.readouterr().out
+    assert want[1] in (named / "b" / "n.xml").read_text(encoding="utf-8")
+    assert _text_sidecar(named).read_bytes() != first
+    _forbid_lexicon_loads(monkeypatch)
+    assert _apply_named(named, "c") == 0  # a hit on the rewritten sidecar
+    assert _outputs(named / "c") == _outputs(named / "b")
+
+
+@pytest.mark.parametrize("damage", [
+    "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape", "wrong-types",
+    "format-0",
+])
+def test_damaged_text_lexicon_sidecar_is_rewritten(named, capsys, damage):
+    from lgw.lexicon import TEXT_LEXICON_FORMAT, _text_sidecar as text_sidecar, lexicon_set
+
+    assert _apply_named(named, "a") == 0
+    sidecar = _text_sidecar(named)
+    good = sidecar.read_bytes()
+    lexicons = lexicon_set([named / "lex" / "n.dic"], [NAMES.encode("utf-8")])
+    text = (named / "c.txt").read_text(encoding="utf-8")
+    suffix, key = text_sidecar(lexicons, text)
+    version = b"python %d.%d" % sys.version_info[:2]
+    assert sidecar.name == f"c.txt.{suffix}"
+    assert good.startswith(key) and version in key
+    sidecar.write_bytes({
+        "truncated": good[: (len(key) + len(good)) // 2],
+        "key-only": key,
+        "garbage": b"\x00\xffnot a sidecar",
+        "empty": b"",
+        "other-python": good.replace(version, b"python 2.7", 1),
+        "wrong-shape": key + marshal.dumps((1, 2, 3), 2),
+        "wrong-types": key + marshal.dumps((1, 2, 3, 4, 5), 2),
+        "format-0": good.replace(b"lexicon %d python" % TEXT_LEXICON_FORMAT,
+                                 b"lexicon 0 python", 1),
+    }[damage])
+    capsys.readouterr()
+    assert _apply_named(named, "b") == 0
+    captured = capsys.readouterr()
+    assert "1 occurrence(s)" in captured.out
+    assert captured.err == ""
+    assert sidecar.read_bytes() == good
+    assert _outputs(named / "b") == _outputs(named / "a")
+
+
+def test_text_lexicon_key_names_the_lexicon_sidecar_format(named, capsys, monkeypatch):
+    # a text lexicon kept under another lexicon SIDECAR_FORMAT is a miss
+    from lgw import lexicon
+
+    with monkeypatch.context() as m:
+        m.setattr(lexicon, "SIDECAR_FORMAT", lexicon.SIDECAR_FORMAT - 1)
+        assert _apply_named(named, "a") == 0
+    old = _text_sidecar(named).read_bytes()
+    (named / "lex" / "__lgwcache__" / "n.dic.idx").unlink()
+    assert _apply_named(named, "b") == 0
+    assert (named / "lex" / "__lgwcache__" / "n.dic.idx").exists()  # loaded again
+    assert _text_sidecar(named).read_bytes() != old
+    assert _outputs(named / "b") == _outputs(named / "a")
+
+
+def test_unwritable_corpus_directory_gets_no_text_lexicon(named, capsys):
+    (named / "__lgwcache__").write_text("not a directory", encoding="utf-8")
+    for out in ("a", "b"):
+        assert _apply_named(named, out) == 0
+        assert "1 occurrence(s)" in capsys.readouterr().out
+    assert (named / "__lgwcache__").read_text(encoding="utf-8") == "not a directory"
+    assert _outputs(named / "b") == _outputs(named / "a")
+
+
+def test_several_corpus_files_merge_their_text_lexicons(named, capsys, monkeypatch):
+    # "Ana Zeca" would span the two files: no entry holds the "\n" joining them
+    (named / "lex" / "n.dic").write_text("Ana,.N+PR\nAna Zeca,.N+PR\nZeca,.N+PR\n",
+                                         encoding="utf-8")
+    (named / "c.txt").write_text("a rainha Ana", encoding="utf-8")
+    (named / "d.txt").write_text("Zeca viu Ana Zeca.\n", encoding="utf-8")
+
+    def apply(out):
+        return main(["apply", "--grammar", str(named / "ReconheceNomesCompostos.lg"),
+                     "--lexicon", str(named / "lex" / "n.dic"), "--out", str(named / out),
+                     "--xml", "n.xml", str(named / "d.txt"), str(named / "c.txt")])
+
+    assert apply("miss") == 0
+    assert "4 occurrence(s)" in capsys.readouterr().out
+    assert (named / "miss" / "n.xml").read_text(encoding="utf-8") == (
+        'a rainha <EM CATEG="PESSOA" TIPO="INDIVIDUAL">Ana</EM>\n'
+        '<EM CATEG="PESSOA" TIPO="INDIVIDUAL">Zeca</EM> viu '
+        '<EM CATEG="PESSOA" TIPO="INDIVIDUAL">Ana Zeca</EM>.\n'
+    )
+    _text_sidecar(named, "c.txt").unlink()
+    assert apply("one-miss") == 0  # c.txt misses, d.txt hits
+    _text_sidecar(named, "c.txt")
+    _forbid_lexicon_loads(monkeypatch)
+    assert apply("hit") == 0
+    assert _outputs(named / "one-miss") == _outputs(named / "hit") == _outputs(named / "miss")
+
+
+def test_lexicon_with_a_byte_order_mark_loses_no_entry(named, capsys):
+    dic = named / "lex" / "n.dic"
+    dic.write_bytes(b"\xef\xbb\xbfAna,.N+PR\nZeca,.N+PR\n")
+    (named / "c.txt").write_text("Ana viu Zeca.\n", encoding="utf-8")
+    assert _apply_named(named, "a") == 0
+    assert "2 occurrence(s)" in capsys.readouterr().out
+    # a grammar file with one still fails loudly
+    grammar = named / "ReconheceNomesCompostos.lg"
+    grammar.write_bytes(b"\xef\xbb\xbf" + grammar.read_bytes())
+    assert _apply_named(named, "b") == 2
+    assert capsys.readouterr().err.startswith(f"lgw apply: error: {grammar}: line 1: ")
+
+
+def test_lexicon_sidecar_of_a_byte_order_mark_before_format_4_is_not_used(named, capsys,
+                                                                          monkeypatch):
+    # format 3 kept "\ufeffAna" as a surface: such a sidecar must miss
+    from lgw import lexicon
+
+    data = b"\xef\xbb\xbfAna,.N+PR\nZeca,.N+PR\n"
+    dic = named / "lex" / "n.dic"
+    dic.write_bytes(data)
+    (named / "c.txt").write_text("Ana viu Zeca.\n", encoding="utf-8")
+    stale = lexicon.parse_lexicon("\ufeff\ufeffAna,.N+PR\nZeca,.N+PR\n")
+    assert "\ufeffAna" in stale.symbol_index()
+    with monkeypatch.context() as m:
+        m.setattr(lexicon, "SIDECAR_FORMAT", 3)
+        lexicon.write_sidecar(dic, data, stale)
+    assert _apply_named(named, "a") == 0
+    assert "2 occurrence(s)" in capsys.readouterr().out
+
+
+def test_apply_errors_come_in_command_order(named, capsys):
+    # the lexicons, then the grammars, then the corpus
+    bad_lexicon = named / "lex" / "bad.dic"
+    bad_lexicon.write_text("Ana,.N+PR\nsem virgula\n", encoding="utf-8")
+    bad_grammar = named / "bad.lg"
+    bad_grammar.write_text("graph B\nbox b ?\n", encoding="utf-8")
+    corpus = named / "c.txt"
+    corpus.write_bytes(b"Ana \xff viu Zeca.\n")
+    (named / "d.txt").write_text("Ana viu Zeca.\n", encoding="utf-8")
+
+    def apply(grammar, lexicon):
+        capsys.readouterr()
+        rc = main(["apply", "--grammar", str(grammar), "--lexicon", str(lexicon),
+                   "--out", str(named / "out"), str(named / "d.txt"), str(corpus)])
+        return rc, capsys.readouterr().err
+
+    good_grammar = named / "ReconheceNomesCompostos.lg"
+    good_lexicon = named / "lex" / "n.dic"
+    assert apply(bad_grammar, bad_lexicon) == (
+        2, f"lgw apply: error: {bad_lexicon}: line 2: missing ',' separator\n")
+    assert apply(bad_grammar, good_lexicon) == (
+        2, f"lgw apply: error: {bad_grammar}: line 2: unexpected character '?'\n")
+    rc, err = apply(good_grammar, good_lexicon)
+    assert rc == 2 and err.startswith(f"lgw apply: error: cannot read {corpus}: ")
+    # a corpus that cannot be read leaves no token sidecar and no text lexicon
+    assert not (named / "__lgwcache__").exists()
+    assert not (named / "out").exists()

@@ -3,7 +3,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lgw import data
 from lgw.errors import MalformedLine
@@ -320,3 +320,113 @@ def test_sidecar_lexicon_equals_the_parsed_one(text, tmp_path):
 def test_sidecar_lexicon_equals_the_parsed_one_generated(text):
     with tempfile.TemporaryDirectory() as directory:
         _check_hit_built(text, directory)
+
+
+def test_leading_byte_order_mark_is_dropped():
+    # a .dic saved with a UTF-8 byte order mark: "\ufeffAna" would be the
+    # first surface, and no token equals it
+    plain = "Ana,.N+PR\nZeca,.N+PR\n"
+    assert _ordered(parse_lexicon("\ufeff" + plain)) == _ordered(parse_lexicon(plain))
+    # only one: a second mark is part of the surface
+    assert list(parse_lexicon("\ufeff\ufeffAna,.N").symbol_index()) == ["\ufeffAna"]
+    with pytest.raises(MalformedLine) as err:
+        parse_lexicon("\ufeffsem virgula\n")
+    assert err.value.line_no == 1
+
+
+# --- the text lexicon: the part of a lexicon the matcher probes on a text ------
+
+# capitalized surfaces with lowercase twins, "İ" and "ς", whose lower() is
+# not one word of the same letters, and punctuation- and digit-initial ones
+_TEXT_WORDS = ["Ana", "ana", "ANA", "Rui", "rui", "de", "Sr", "İstanbul", "i̇stanbul",
+               "ΟΔΟΣ", "οδος", "οδοσ", "Σ", "ς", ".", "-", "'", "7", "3M"]
+_text_surface = st.builds(
+    lambda words, seps: "".join(w + s for w, s in zip(words, seps)).strip(),
+    st.lists(st.sampled_from(_TEXT_WORDS), min_size=1, max_size=4),
+    st.lists(st.sampled_from([" ", "", ". "]), min_size=4, max_size=4),
+)
+_text_entries = st.lists(
+    st.tuples(_text_surface, st.sampled_from(["N+PR", "N+Hum", "PRE", "A"]), st.booleans()),
+    max_size=10,
+)
+
+
+@st.composite
+def _entries_and_texts(draw):
+    """Lexicon entries and 1-3 corpus texts of words and of the entries'
+    surfaces, as written, capitalized, upper- and lowercased."""
+    entries = draw(_text_entries)
+    pool = list(_TEXT_WORDS)
+    for surface, _, _ in entries:
+        pool += [surface, surface.capitalize(), surface.upper(), surface.lower()]
+    piece = st.tuples(st.sampled_from(pool), st.sampled_from([" ", "", ". ", "\n", "  "]))
+    part = st.lists(piece, max_size=10).map(lambda pairs: "".join(w + s for w, s in pairs))
+    return entries, draw(st.lists(part, min_size=1, max_size=3))
+
+_TEXT_GRAMMAR = """\
+graph M
+box p <PRE>
+box h <Hum>
+box n out="<" <N+PR> ; <A> ; <N>
+init i
+final f
+edge i p
+edge i h
+edge i n
+edge p n
+edge h n
+edge n f
+edge p f
+"""
+
+
+def _escaped_surface(s):
+    return s.replace("\\", "\\\\").replace(",", "\\,").replace(".", "\\.")
+
+
+def _probes(lex, toks, text):
+    """Every answer of the matcher's lexicon lookups at every token."""
+    from lgw.matcher import _engine
+
+    symidx, heads = lex.symbol_index(), lex.head_index()
+    return [
+        (_engine._probe_width(heads, tok[0]),
+         _engine._entries_at(toks, text, symidx, heads, i),
+         _engine._is_pre(symidx, tok[0]))
+        for i, tok in enumerate(toks)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_entries_and_texts())
+@example(([("Ana Rui", "N+PR", True), ("i̇stanbul de", "N+PR", False)], ["İstanbul de ana rui"]))
+@example(([("οδοσ. Σ", "N+PR", False)], ["ΟΔΟΣ. Σ"]))
+@example(([("Ana", "N+PR", False)], ["Ana", "Ana"]))
+def test_text_lexicon_answers_as_the_full_lexicon(entries_and_texts):
+    from lgw.grammar import load_grammar_set
+    from lgw.lexicon import lexicon_set, read_text_sidecar, text_lexicon, write_text_sidecar
+    from lgw.matcher._engine import tokenize_raw
+
+    entries, parts = entries_and_texts
+    # every entry, and its lowercase twin for some
+    lines = "".join(
+        f"{_escaped_surface(s)},.{tag}\n" + (f"{_escaped_surface(s.lower())},.N\n" if twin else "")
+        for s, tag, twin in entries
+    )
+    full = parse_lexicon(lines)
+    # several corpus files are joined with "\n", and their text lexicons merged
+    text = "\n".join(parts)
+    toks = tokenize_raw(text)
+    cut = merge_lexicons([text_lexicon(full, tokenize_raw(p), p) for p in parts])
+    assert _probes(cut, toks, text) == _probes(full, toks, text)
+    gs = load_grammar_set([("M", _TEXT_GRAMMAR)], "M")
+    assert apply_grammar(gs, text, cut, ALL_MATCHES) == apply_grammar(gs, text, full, ALL_MATCHES)
+    # and its sidecar gives it back
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "c.txt"
+        lexicons = lexicon_set(["x.dic"], [lines.encode("utf-8")])
+        one = text_lexicon(full, tokenize_raw(parts[0]), parts[0])
+        write_text_sidecar(path, lexicons, parts[0], one)
+        assert _index(read_text_sidecar(path, lexicons, parts[0])) == _index(one)
+        edited = lexicon_set(["x.dic"], [lines.encode("utf-8") + b"#\n"])
+        assert read_text_sidecar(path, edited, parts[0]) is None

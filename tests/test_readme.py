@@ -71,3 +71,38 @@ def test_quick_tour_runs(tmp_path, monkeypatch, capsys, stamp):
         assert rc == 0, (command, capsys.readouterr().err)
         ran.append(argv[1])
     assert ran == ["apply", "apply", "diff", "compose", "apply", "eval"]
+
+
+def test_quick_tour_second_round_hits_every_sidecar(tmp_path, monkeypatch, capsys):
+    # the tour run twice in one directory: the second round loads no
+    # lexicon (g1 and the others apply different lexicon sets, and each
+    # set keeps its own text lexicon), tokenizes nothing, and writes the
+    # same outputs
+    import types
+
+    from lgw import cli, matcher
+
+    monkeypatch.chdir(tmp_path)
+
+    def tour():
+        for kind, command in _tour_commands():
+            if kind == "python":
+                exec(compile(command, "README.md", "exec"), {})
+                continue
+            argv = shlex.split(command, comments=True)
+            if argv[0] == "printf":
+                _printf(argv, tmp_path)
+            else:
+                assert main(argv[1:]) == 0, (command, capsys.readouterr().err)
+        return {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a lexicon was loaded or a corpus tokenized on the second round")
+
+    first = tour()
+    assert len(list((tmp_path / "__lgwcache__").glob("corpus.txt.*.lex"))) == 2
+    monkeypatch.setattr(cli, "read_sidecar", no_load)
+    monkeypatch.setattr(cli, "parse_lexicon", no_load)
+    monkeypatch.setattr(matcher, "_impl",
+                        types.SimpleNamespace(**{**vars(matcher._engine), "tokenize_raw": no_load}))
+    assert tour() == first
