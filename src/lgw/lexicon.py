@@ -238,11 +238,11 @@ def _text_sidecar(lexicons: tuple, text: str) -> tuple:
     return suffix, sidecar.key(b"text lexicon", TEXT_LEXICON_FORMAT, content)
 
 
-def read_text_sidecar(path, lexicons: tuple, text: str, name: str = ""):
+def read_text_sidecar(path, lexicons: tuple, text: str):
     """The text lexicon for the ``lexicon_set`` ``lexicons`` of the corpus
     file at ``path``, which holds ``text``, from its sidecar; None when
     there is none for this text and these lexicons or it cannot be read."""
-    return _read_columns(path, *_text_sidecar(lexicons, text), name)
+    return _read_columns(path, *_text_sidecar(lexicons, text), "")
 
 
 def write_text_sidecar(path, lexicons: tuple, text: str, lex: Lexicon) -> None:
