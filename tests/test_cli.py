@@ -694,8 +694,7 @@ def test_damaged_sidecar_is_rewritten(named, capsys, damage):
         "format-2": good.replace(b"index %d python" % SIDECAR_FORMAT, b"index 2 python", 1),
     }[damage])
     # without its text lexicon, apply b loads the lexicon again
-    (text_sidecar,) = (named / "__lgwcache__").glob("c.txt.*.lex")
-    text_sidecar.unlink()
+    _text_sidecar(named).unlink()
     capsys.readouterr()
     assert _apply_named(named, "b") == 0
     captured = capsys.readouterr()
@@ -1019,7 +1018,7 @@ def test_several_corpus_files_merge_their_text_lexicons(named, capsys, monkeypat
     )
     _text_sidecar(named, "c.txt").unlink()
     assert apply("one-miss") == 0  # c.txt misses, d.txt hits
-    _text_sidecar(named, "c.txt")
+    assert _text_sidecar(named, "c.txt").exists()
     _forbid_lexicon_loads(monkeypatch)
     assert apply("hit") == 0
     assert _outputs(named / "one-miss") == _outputs(named / "hit") == _outputs(named / "miss")

@@ -7,9 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from lgw import data
 from lgw.errors import MalformedLine
-from lgw.grammar import Graph, GraphBox, GrammarSet, InputAtom, LexicalMask
-from lgw.lexicon import merge_lexicons, parse_lexicon, read_sidecar, write_sidecar
-from lgw.matcher import ALL_MATCHES, apply_grammar
+from lgw.grammar import Graph, GraphBox, GrammarSet, InputAtom, LexicalMask, load_grammar_set
+from lgw.lexicon import (
+    lexicon_set, merge_lexicons, parse_lexicon, read_sidecar, read_text_sidecar, text_lexicon,
+    write_sidecar, write_text_sidecar,
+)
+from lgw.matcher import ALL_MATCHES, _engine, apply_grammar
 from oracles import oracle_lexicon_index, oracle_parse_lexicon
 
 N, V, NPR = frozenset({"N"}), frozenset({"V"}), frozenset({"N", "PR"})
@@ -363,6 +366,7 @@ def _entries_and_texts(draw):
     part = st.lists(piece, max_size=10).map(lambda pairs: "".join(w + s for w, s in pairs))
     return entries, draw(st.lists(part, min_size=1, max_size=3))
 
+
 _TEXT_GRAMMAR = """\
 graph M
 box p <PRE>
@@ -386,8 +390,6 @@ def _escaped_surface(s):
 
 def _probes(lex, toks, text):
     """Every answer of the matcher's lexicon lookups at every token."""
-    from lgw.matcher import _engine
-
     symidx, heads = lex.symbol_index(), lex.head_index()
     return [
         (_engine._probe_width(heads, tok[0]),
@@ -403,10 +405,6 @@ def _probes(lex, toks, text):
 @example(([("οδοσ. Σ", "N+PR", False)], ["ΟΔΟΣ. Σ"]))
 @example(([("Ana", "N+PR", False)], ["Ana", "Ana"]))
 def test_text_lexicon_answers_as_the_full_lexicon(entries_and_texts):
-    from lgw.grammar import load_grammar_set
-    from lgw.lexicon import lexicon_set, read_text_sidecar, text_lexicon, write_text_sidecar
-    from lgw.matcher._engine import tokenize_raw
-
     entries, parts = entries_and_texts
     # every entry, and its lowercase twin for some
     lines = "".join(
@@ -416,8 +414,8 @@ def test_text_lexicon_answers_as_the_full_lexicon(entries_and_texts):
     full = parse_lexicon(lines)
     # several corpus files are joined with "\n", and their text lexicons merged
     text = "\n".join(parts)
-    toks = tokenize_raw(text)
-    cut = merge_lexicons([text_lexicon(full, tokenize_raw(p), p) for p in parts])
+    toks = _engine.tokenize_raw(text)
+    cut = merge_lexicons([text_lexicon(full, _engine.tokenize_raw(p), p) for p in parts])
     assert _probes(cut, toks, text) == _probes(full, toks, text)
     gs = load_grammar_set([("M", _TEXT_GRAMMAR)], "M")
     assert apply_grammar(gs, text, cut, ALL_MATCHES) == apply_grammar(gs, text, full, ALL_MATCHES)
@@ -425,7 +423,7 @@ def test_text_lexicon_answers_as_the_full_lexicon(entries_and_texts):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "c.txt"
         lexicons = lexicon_set(["x.dic"], [lines.encode("utf-8")])
-        one = text_lexicon(full, tokenize_raw(parts[0]), parts[0])
+        one = text_lexicon(full, _engine.tokenize_raw(parts[0]), parts[0])
         write_text_sidecar(path, lexicons, parts[0], one)
         assert _index(read_text_sidecar(path, lexicons, parts[0])) == _index(one)
         edited = lexicon_set(["x.dic"], [lines.encode("utf-8") + b"#\n"])
