@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from bisect import bisect_left
-from operator import itemgetter
 from pathlib import Path
 
 from . import concorddiff, evaluator
@@ -212,22 +211,19 @@ def _find_text_lexicons(corpus, texts, lexicons, data):
     return lset, [read_text_sidecar(p, lset, t) for p, t in zip(corpus, texts)]
 
 
-_token_start = itemgetter(1)
-
-
 def _cut_text_lexicons(paths, texts, tokenized, found, full, lset) -> list:
     """The text lexicons of the corpus files at ``paths``: each one
     ``found`` in its sidecar, or else cut from the ``full`` lexicon with
     the file's share of the ``tokenized`` corpus and kept in its sidecar.
     No lexicon key holds the "\n" that joins the files, so their merge is
     the text lexicon of the joined corpus."""
-    tokens = tokenized.tokens
+    surfaces, starts, ends = tokenized.tokens
     cut, offset = [], 0
     for p, text, lex in zip(paths, texts, found):
         if lex is None:
-            a = bisect_left(tokens, offset, key=_token_start)
-            b = bisect_left(tokens, offset + len(text), lo=a, key=_token_start)
-            lex = text_lexicon(full, tokens[a:b], tokenized.text)
+            a = bisect_left(starts, offset)
+            b = bisect_left(starts, offset + len(text), lo=a)
+            lex = text_lexicon(full, (surfaces[a:b], starts[a:b], ends[a:b]), tokenized.text)
             write_text_sidecar(p, lset, text, lex)
         cut.append(lex)
         offset += len(text) + 1
@@ -241,11 +237,14 @@ def _read_corpus(paths, texts=None) -> Tokenized:
     where its text starts."""
     if texts is None:
         texts = [_read(p) for p in paths]
-    tokens, offset = [], 0
+    tokens, offset = None, 0
     for p, text in zip(paths, texts):
         toks = corpus_tokens(p, text)
         if offset:
-            tokens += [(s, a + offset, b + offset, k) for s, a, b, k in toks]
+            surfaces, starts, ends = tokens
+            surfaces += toks[0]
+            starts.extend(a + offset for a in toks[1])
+            ends.extend(b + offset for b in toks[2])
         else:
             tokens = toks
         offset += len(text) + 1

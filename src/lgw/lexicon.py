@@ -76,7 +76,7 @@ def _build(pairs) -> tuple:
         # letter runs joined by single spaces are tokenized by split()
         words = surface.split(" ")
         if "" in words or not "".join(words).isalpha():
-            words = [t[0] for t in tokenize_raw(surface)]
+            words = tokenize_raw(surface)[0]
         if words and len(words) > heads.get(words[0], 0):
             heads[words[0]] = len(words)
     for surface, sets in multi.items():
@@ -150,8 +150,8 @@ def merge_lexicons(lexicons, name: str = "") -> Lexicon:
 
 
 def text_lexicon(lex: Lexicon, toks: list, text: str) -> Lexicon:
-    """The part of ``lex`` that the matcher can look up on the tokens of
-    ``text``: the entries and head widths under the keys it can probe
+    """The part of ``lex`` that the matcher can look up on ``toks``, token
+    columns of ``text``: the entries and head widths under the keys it can probe
     there (``_engine.probe_keys``), and the same longest entry.  The
     matcher finds the same entries on that text with it as with ``lex``."""
     symidx = lex.symbol_index()

@@ -10,6 +10,7 @@ later apply of the same text skips tokenizing it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,37 +40,67 @@ class Occurrence:
 
 
 class Tokenized(NamedTuple):
-    """A text and its kernel tokens, which ``apply_grammar`` takes in place
-    of the text alone and then does not tokenize again."""
+    """A text and its kernel tokens, the ``(surfaces, starts, ends)``
+    columns of ``_engine.tokenize_raw``, which ``apply_grammar`` takes in
+    place of the text alone and then does not tokenize again."""
 
     text: str
-    tokens: list
+    tokens: tuple
 
 
 # The token sidecar (see lgw.sidecar): its key, then the marshal data of
-# the list of token tuples.  Bump TOKENS_FORMAT whenever the token tuple,
-# or what tokenize_raw makes of a text, changes.
-TOKENS_FORMAT = 1
+# four columns: the distinct surfaces, first seen first; for each token
+# the number of its surface, and its start and its end, each column as
+# the bytes of an array(_engine.OFFSETS).  Bump TOKENS_FORMAT whenever
+# these columns, or what tokenize_raw makes of a text, change.
+TOKENS_FORMAT = 2
 
 
-def corpus_tokens(path, text: str) -> list:
-    """The kernel tokens of ``text``, read from the file at ``path``: loaded
-    from the file's token sidecar when that was written for this text, else
-    tokenized, and the sidecar written for the next apply."""
+def _read_tokens(path, key: bytes):
+    """The token columns in the sidecar with ``key`` of the file at
+    ``path``; None when there is none or it was not written by
+    ``corpus_tokens``.  The values are trusted, as the key holds the
+    digest of the text they were computed from."""
+    columns = sidecar.read(path, "tok", key)
+    if type(columns) is not tuple or len(columns) != 4:
+        return None
+    distinct, *data = columns
+    if type(distinct) is not tuple or {*map(type, distinct)} - {str}:
+        return None
+    numbers, starts, ends = arrays = [array(_engine.OFFSETS) for _ in data]
+    try:
+        for column, raw in zip(arrays, data):
+            column.frombytes(raw)
+        surfaces = [distinct[i] for i in numbers]  # faster than map(distinct.__getitem__)
+    except (TypeError, ValueError, IndexError):
+        return None  # not bytes, not whole numbers, or past the distinct surfaces
+    if not len(surfaces) == len(starts) == len(ends):
+        return None
+    return surfaces, starts, ends
+
+
+def corpus_tokens(path, text: str) -> tuple:
+    """The kernel token columns of ``text``, read from the file at
+    ``path``: loaded from the file's token sidecar when that was written
+    for this text, else tokenized, and the sidecar written for the next
+    apply."""
     key = sidecar.key(b"tokens", TOKENS_FORMAT, text.encode("utf-8"))
-    toks = sidecar.read(path, "tok", key)
-    # a list of 4-tuples; the fields are trusted, as the key holds the
-    # digest of the text they were computed from
-    if type(toks) is not list or {*map(type, toks)} - {tuple} or {*map(len, toks)} - {4}:
+    toks = _read_tokens(path, key)
+    if toks is None:
         toks = _impl.tokenize_raw(text)
-        sidecar.write(path, "tok", key, toks)
+        surfaces, starts, ends = toks
+        distinct = {}
+        numbers = array(_engine.OFFSETS, [distinct.setdefault(s, len(distinct)) for s in surfaces])
+        columns = (tuple(distinct), numbers.tobytes(), starts.tobytes(), ends.tobytes())
+        sidecar.write(path, "tok", key, columns)
     return toks
 
 
 def _compile_atom(atom):
     if atom.kind == "literal":
         ci = not any(c.isupper() for c in atom.literal)
-        pieces = tuple(t[0].lower() if ci else t[0] for t in _engine.tokenize_raw(atom.literal))
+        surfaces = _engine.tokenize_raw(atom.literal)[0]
+        pieces = tuple(s.lower() for s in surfaces) if ci else tuple(surfaces)
         return ("lit", pieces, ci)
     if atom.kind == "epsilon":
         return ("eps",)

@@ -1,13 +1,17 @@
 """Matching kernel: tokenization, sentence boundaries and grammar application.
 
-This module is self-contained and works on primitive dicts and tuples
-only.  It reports where each box output goes, as a text offset, and
-builds no output strings: ``lgw.matcher`` splices the outputs into the
-matched text.
+This module is self-contained and works on primitive dicts, tuples,
+lists and arrays only.  It reports where each box output goes, as a text
+offset, and builds no output strings: ``lgw.matcher`` splices the
+outputs into the matched text.
 
-Token tuples are ``(surface, start, end, kind)`` with kind 0=word,
-1=number, 2=punct; whitespace is the gap between two tokens, not a
-token.  A compiled grammar set (built by
+A text's tokens are three columns, ``(surfaces, starts, ends)``: a list
+of the token surfaces, in which equal surfaces are one str, and two
+``array(OFFSETS)`` of their start and end offsets in the text.
+Whitespace is the gap between two tokens, not a token.  A token's kind
+is read off its surface's first character: a word begins with a letter,
+a number with a digit, and any other token is one punct character.  A
+compiled grammar set (built by
 ``lgw.matcher.compile_grammar_set``) numbers every (graph, box) once::
 
     {"main": name,
@@ -58,63 +62,64 @@ that one list.  ``probe_keys`` lists every key those lookups can read on
 a text, so a lexicon cut down to them matches that text alike.
 """
 
+from array import array
 from operator import itemgetter
 
-WORD = 0
-NUMBER = 1
-PUNCT = 2
+OFFSETS = "Q"  # the typecode of the starts and ends columns
 
 
 def tokenize_raw(text):
-    """Maximal letter runs are words and digit runs numbers; every other
-    character but whitespace is its own punct token.  Whitespace makes no
-    token."""
-    toks = []
+    """The ``(surfaces, starts, ends)`` token columns of ``text``.  Maximal
+    letter runs are words and digit runs numbers; every other character
+    but whitespace is its own punct token.  Whitespace makes no token."""
+    surfaces, starts, ends = [], array(OFFSETS), array(OFFSETS)
+    distinct = {}
     i = 0
     n = len(text)
     while i < n:
         c = text[i]
         if c.isspace():
             i += 1
-        elif c.isalpha():
-            j = i + 1
+            continue
+        j = i + 1
+        if c.isalpha():
             while j < n and text[j].isalpha():
                 j += 1
-            toks.append((text[i:j], i, j, WORD))
-            i = j
         elif c.isdigit():
-            j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append((text[i:j], i, j, NUMBER))
-            i = j
-        else:
-            toks.append((c, i, i + 1, PUNCT))
-            i += 1
-    return toks
+        surface = text[i:j]
+        surfaces.append(distinct.setdefault(surface, surface))
+        starts.append(i)
+        ends.append(j)
+        i = j
+    return surfaces, starts, ends
 
 
 def sentence_boundaries(toks, abbreviations):
     """Indices of '.' tokens that end a sentence: followed, after a gap, by
     an uppercase word, unless the word that touches the '.' from before is
     a known abbreviation or a single uppercase letter."""
+    surfaces, starts, ends = toks
     bset = set()
-    for idx in range(len(toks) - 1):
-        tok = toks[idx]
-        if tok[3] != PUNCT or tok[0] != ".":
-            continue
-        nxt = toks[idx + 1]
-        if nxt[1] == tok[2] or nxt[3] != WORD or not nxt[0][:1].isupper():
+    idx = -1
+    last = len(surfaces) - 1
+    while True:
+        try:
+            idx = surfaces.index(".", idx + 1, last)
+        except ValueError:
+            return bset
+        nxt = surfaces[idx + 1]
+        # a word: its first character is a letter
+        if starts[idx + 1] == ends[idx] or not (nxt[0].isalpha() and nxt[0].isupper()):
             continue
         if idx > 0:
-            prev = toks[idx - 1]
-            if prev[2] == tok[1] and prev[3] == WORD and (
-                prev[0] in abbreviations
-                or (len(prev[0]) == 1 and prev[0].isupper())
+            prev = surfaces[idx - 1]
+            if ends[idx - 1] == starts[idx] and prev[0].isalpha() and (
+                prev in abbreviations or (len(prev) == 1 and prev.isupper())
             ):
                 continue
         bset.add(idx)
-    return bset
 
 
 def _lookup_keys(surface):
@@ -165,18 +170,20 @@ def _probe_width(heads, surface):
 def _window(toks, heads, i):
     """The probe window of token i: the ends of the token spans starting
     there that a lexicon entry may cover, longest first.  A span ending at
-    ``end`` is ``text[toks[i][1] : toks[end - 1][2]]``."""
-    return range(min(i + _probe_width(heads, toks[i][0]), len(toks)), i, -1)
+    ``end`` is ``text[starts[i] : ends[end - 1]]``."""
+    surfaces = toks[0]
+    return range(min(i + _probe_width(heads, surfaces[i]), len(surfaces)), i, -1)
 
 
 def _entries_at(toks, text, symindex, heads, i):
     """``((end, surface, symbol_sets), ...)`` for every lexicon entry that
-    starts at token i (i < len(toks)), longest first; ``end`` is the index
-    after the entry's last token."""
-    start = toks[i][1]
+    starts at token i, longest first; ``end`` is the index after the
+    entry's last token."""
+    _, starts, ends = toks
+    start = starts[i]
     found = []
     for end in _window(toks, heads, i):
-        surface = text[start : toks[end - 1][2]]
+        surface = text[start : ends[end - 1]]
         sets = _lex_symbol_sets(symindex, surface)
         if sets:
             found.append((end, surface, sets))
@@ -191,16 +198,17 @@ def probe_keys(toks, text, heads):
     cut down to these keys gives the same answers on this text.  A window
     one token wide is the token's own surface, so only the surfaces whose
     window is wider are probed token by token."""
+    surfaces, starts, ends = toks
     wide = set()
-    for surface in dict.fromkeys(tok[0] for tok in toks):
+    for surface in dict.fromkeys(surfaces):
         yield from _lookup_keys(surface)
         if _probe_width(heads, surface) > 1:
             wide.add(surface)
     if wide:
-        for i, tok in enumerate(toks):
-            if tok[0] in wide:
+        for i, surface in enumerate(surfaces):
+            if surface in wide:
                 for end in _window(toks, heads, i):
-                    yield from _lookup_keys(text[tok[1] : toks[end - 1][2]])
+                    yield from _lookup_keys(text[starts[i] : ends[end - 1]])
 
 
 def _match_mask(atom, toks, text, symindex, heads, entries, i, limit):
@@ -214,7 +222,7 @@ def _match_mask(atom, toks, text, symindex, heads, entries, i, limit):
     builtin = atom[2]
     filt = atom[3]
     if builtin:
-        surface = toks[i][0]
+        surface = toks[0][i]
         if builtin == "PRE":
             ok = _is_pre(symindex, surface)
         else:  # MOT
@@ -242,10 +250,10 @@ def _may_start(first, toks, text, symindex, heads, i, entries):
     admitted starts are a superset of the real ones.  A rejected token
     keeps no list in ``entries``."""
     exact, folded, masks = first
-    surface = toks[i][0]
+    surface = toks[0][i]
     if surface in exact or surface.lower() in folded:
         return True
-    n = len(toks)
+    n = len(toks[0])
     for atom in masks:
         if _match_mask(atom, toks, text, symindex, heads, entries, i, n) is not None:
             return True
@@ -292,7 +300,8 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     initial = cgs["initial"]
     root, root_bit = initial[cgs["main"]]
     first = cgs["first"]
-    n = len(toks)
+    surfaces, starts, ends = toks
+    n = len(surfaces)
     results = set()
     entries = {}
     rejected = set()
@@ -300,7 +309,7 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     for s in range(n - 1, -1, -1):
         if s in boundaries:
             limit = s + 1
-        surface = toks[s][0]
+        surface = surfaces[s]
         if surface in rejected:
             continue
         if not _may_start(first, toks, text, symindex, heads, s, entries):
@@ -322,7 +331,7 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                     for piece in atom[1]:
                         if i == limit:
                             break
-                        surf = toks[i][0]
+                        surf = surfaces[i]
                         if (surf.lower() if atom[2] else surf) != piece:
                             break
                         i += 1
@@ -358,9 +367,9 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                     # before the first token the alternative consumed, else
                     # right after the last token consumed before the box
                     if i != entry or entry == s:
-                        pos = toks[entry][1]
+                        pos = starts[entry]
                     else:
-                        pos = toks[entry - 1][2]
+                        pos = ends[entry - 1]
                     events = events[:slot] + ((pos, out),) + events[slot:]
                 if i != entry:
                     vis = 0
@@ -372,7 +381,7 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                     elif i > s:
                         # in splice order: by offset, stable
                         ordered = tuple(sorted(events, key=_offset))
-                        results.add((toks[s][1], toks[i - 1][2], ordered))
+                        results.add((starts[s], ends[i - 1], ordered))
                     continue
                 if vis & bit:
                     continue
@@ -387,9 +396,9 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                 # a literal-first alternative can only match if its first
                 # piece is the next token
                 if (exact or folded) and i < limit:
-                    tok = toks[i][0]
-                    for a in exact.get(tok, ()):
+                    surf = surfaces[i]
+                    for a in exact.get(surf, ()):
                         push((b, a, 0, i, events, i, at, bvis, ret))
-                    for a in folded.get(tok.lower(), ()):
+                    for a in folded.get(surf.lower(), ()):
                         push((b, a, 0, i, events, i, at, bvis, ret))
     return sorted(results)

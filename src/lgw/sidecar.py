@@ -10,8 +10,10 @@ There are three kinds:
 
 * ``name.dic.idx``, a lexicon file's matcher indexes (``lgw.lexicon``),
   computed from the file's bytes;
-* ``name.txt.tok``, a corpus file's kernel tokens (``lgw.matcher``),
-  computed from its text;
+* ``name.txt.tok``, a corpus file's kernel token columns
+  (``lgw.matcher``): its distinct token surfaces and, for each token, the
+  number of its surface and its offsets, as array bytes; computed from
+  its text;
 * ``name.txt.<set>.lex``, a corpus file's text lexicon (``lgw.lexicon``):
   the part of a set of lexicons that the matcher can look up on the
   text, computed from the text and the bytes of the set's files, with

@@ -804,7 +804,8 @@ def test_token_sidecar_of_an_edited_corpus_is_not_used(named, capsys):
 
 @pytest.mark.parametrize("damage", [
     "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape",
-    "wrong-tuples", "not-tuples",
+    "wrong-tuples", "not-tuples", "format-1", "tuple-list", "unequal-columns",
+    "ragged-bytes", "index-past-surfaces", "non-str-surface", "three-columns",
 ])
 def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
     from lgw.matcher import TOKENS_FORMAT
@@ -817,6 +818,9 @@ def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
     key = sidecar_key(b"tokens", TOKENS_FORMAT, text.encode("utf-8"))
     version = b"python %d.%d" % sys.version_info[:2]
     assert good.startswith(key) and version in key
+    distinct, numbers, starts, ends = marshal.loads(good[len(key):])
+    # the (surface, start, end, kind) tuples format 1 kept in a list
+    tuples = marshal.dumps([("Ana", 0, 3, 0), ("viu", 4, 7, 0)], 2)
     sidecar.write_bytes({
         "truncated": good[: (len(key) + len(good)) // 2],
         "key-only": key,
@@ -826,6 +830,13 @@ def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
         "wrong-shape": key + marshal.dumps((1, 2, 3), 2),
         "wrong-tuples": key + marshal.dumps([("Ana", 0, 3, 0), ("viu", 4)], 2),
         "not-tuples": key + marshal.dumps([["Ana", 0, 3, 0]], 2),
+        "format-1": sidecar_key(b"tokens", 1, text.encode("utf-8")) + tuples,
+        "tuple-list": key + tuples,
+        "unequal-columns": key + marshal.dumps((distinct, numbers, starts, ends[:-8]), 2),
+        "ragged-bytes": key + marshal.dumps((distinct, numbers, starts, ends[:-1]), 2),
+        "index-past-surfaces": key + marshal.dumps((distinct[:-1], numbers, starts, ends), 2),
+        "non-str-surface": key + marshal.dumps((distinct[:-1] + (7,), numbers, starts, ends), 2),
+        "three-columns": key + marshal.dumps((distinct, numbers, starts + ends), 2),
     }[damage])
     capsys.readouterr()
     assert _apply_named(named, "b") == 0
@@ -889,6 +900,10 @@ def test_corpus_tokens_equal_the_joined_texts_tokens(texts):
         assert len(os.listdir(os.path.join(directory, "__lgwcache__"))) == len(texts)
         hit = _read_corpus(paths)
         assert hit == miss
+        # and of the same types: an array never equals a list
+        column_types = [(type(c), getattr(c, "typecode", None)) for c in tokenize_raw("")]
+        for tokens in (hit.tokens, miss.tokens):
+            assert [(type(c), getattr(c, "typecode", None)) for c in tokens] == column_types
 
 
 # --- the text lexicon sidecar ---------------------------------------------------

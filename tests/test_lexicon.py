@@ -392,10 +392,10 @@ def _probes(lex, toks, text):
     """Every answer of the matcher's lexicon lookups at every token."""
     symidx, heads = lex.symbol_index(), lex.head_index()
     return [
-        (_engine._probe_width(heads, tok[0]),
+        (_engine._probe_width(heads, surface),
          _engine._entries_at(toks, text, symidx, heads, i),
-         _engine._is_pre(symidx, tok[0]))
-        for i, tok in enumerate(toks)
+         _engine._is_pre(symidx, surface))
+        for i, surface in enumerate(toks[0])
     ]
 
 

@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from array import array
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -33,9 +34,18 @@ from oracles import (
 # --- tokenizer ---------------------------------------------------------------
 
 
+def _token_tuples(toks):
+    """The ``(surface, start, end, kind)`` tuples of token columns, with
+    kind 0=word, 1=number, 2=punct read off the surface's first character
+    as the kernel reads it."""
+    surfaces, starts, ends = toks
+    return [(s, a, b, 0 if s[0].isalpha() else 1 if s[0].isdigit() else 2)
+            for s, a, b in zip(surfaces, starts, ends, strict=True)]
+
+
 def test_tokenize_example():
     # (surface, start, end, kind) with kind 0=word, 1=number, 2=punct
-    assert _pure.tokenize_raw("Sra. Joana") == [
+    assert _token_tuples(_pure.tokenize_raw("Sra. Joana")) == [
         ("Sra", 0, 3, 0),
         (".", 3, 4, 2),
         ("Joana", 5, 10, 0),
@@ -43,12 +53,15 @@ def test_tokenize_example():
 
 
 def test_tokenize_numbers_and_punct_runs():
-    assert _pure.tokenize_raw("em 1978!!") == [
+    toks = _pure.tokenize_raw("em 1978!!")
+    assert _token_tuples(toks) == [
         ("em", 0, 2, 0),
         ("1978", 3, 7, 1),
         ("!", 7, 8, 2),
         ("!", 8, 9, 2),
     ]
+    # equal surfaces are one str
+    assert toks[0][2] is toks[0][3]
 
 
 _KINDS = {"word": 0, "number": 1, "punct": 2}
@@ -57,7 +70,11 @@ _KINDS = {"word": 0, "number": 1, "punct": 2}
 @given(st.text(max_size=120))
 def test_tokenize_partitions_text(text):
     # the tokens and the whitespace gaps between them partition the text
-    toks = _pure.tokenize_raw(text)
+    surfaces, starts, ends = columns = _pure.tokenize_raw(text)
+    assert type(surfaces) is list
+    assert type(starts) is type(ends) is array
+    assert starts.typecode == ends.typecode == _pure.OFFSETS
+    toks = _token_tuples(columns)
     assert toks == [
         (s, a, b, _KINDS[k]) for s, a, b, k in brute_tokenize(text) if k != "space"
     ]
@@ -80,7 +97,7 @@ def _bounds(text, abbrevs=frozenset()):
 def _boundary_offsets(text, abbrevs=frozenset()):
     """The character offsets of the '.'s that end a sentence."""
     toks = _pure.tokenize_raw(text)
-    return sorted(toks[i][1] for i in _pure.sentence_boundaries(toks, abbrevs))
+    return sorted(toks[1][i] for i in _pure.sentence_boundaries(toks, abbrevs))
 
 
 def test_boundary_after_period_and_capital():
@@ -99,6 +116,15 @@ def test_no_boundary_after_abbreviation_or_initial():
     assert sum(_bounds("D. Afonso")) == 0  # single capital letter
     assert sum(_bounds("fim. depois")) == 0  # lowercase continuation
     assert _boundary_offsets("fim.Novo") == []  # no gap after the '.'
+
+
+def test_boundary_needs_a_word_not_an_uppercase_symbol():
+    # "Ⓐ" and "Ⅰ" are isupper() but not isalpha(): punct tokens, not words
+    assert _boundary_offsets("fim. Ⓐ") == []
+    assert _boundary_offsets("fim. Ⅰ") == []
+    assert _boundary_offsets("fim. Ana") == [3]
+    # nor is such a token an initial that keeps the sentence open
+    assert _boundary_offsets("Ⓐ. Novo") == [1]
 
 
 def test_match_does_not_cross_boundary(g1, lexicon):
@@ -423,12 +449,13 @@ def test_cyclic_grammars_agree_with_unrolled_path_oracle(gs, text):
     got = {(o.start, o.end, o.merged)
            for o in apply_grammar(gs, text, parse_lexicon(""), ALL_MATCHES, frozenset())}
     toks = _pure.tokenize_raw(text)
+    _, starts, ends = toks
     want = set()
     first = 0
     # each sentence ends with its boundary token, or with the last token
-    for last in sorted(_pure.sentence_boundaries(toks, frozenset())) + [len(toks) - 1]:
-        start = toks[first][1]
-        sentence = text[start : toks[last][2]]
+    for last in sorted(_pure.sentence_boundaries(toks, frozenset())) + [len(starts) - 1]:
+        start = starts[first]
+        sentence = text[start : ends[last]]
         ogs = oracle_grammar(gs, sentence, oracle_parse_lexicon(""))
         assume(ogs is not None)
         want |= {(a + start, b + start, merged)
@@ -494,12 +521,13 @@ def test_entries_at_agrees_with_brute_probe(entries, text):
     lines = "".join(f"{_escaped(s)},.{tag}\n" for s, tag in entries)
     lex, ref = parse_lexicon(lines), oracle_parse_lexicon(lines)
     toks = _pure.tokenize_raw(text)
-    for i, tok in enumerate(toks):
+    _, starts, ends = toks
+    for i, start in enumerate(starts):
         # every token-aligned prefix from token i, longest first: the exact
         # surface, then the lowercase one for a capitalized surface
         want = []
-        for j in range(len(toks) - 1, i - 1, -1):
-            surface = text[tok[1] : toks[j][2]]
+        for j in range(len(ends) - 1, i - 1, -1):
+            surface = text[start : ends[j]]
             found = _lex_entries(ref, surface)
             if found:
                 want.append((j + 1, surface, tuple(e.symbols for e in found)))
@@ -867,7 +895,7 @@ def test_start_filter_agrees_with_unfiltered_walk(gs, words):
             _pure.sentence_boundaries(toks, frozenset()))
     filtered = _pure.find_matches(cgs, *args)
     # a FIRST set that admits every token
-    cgs["first"] = (frozenset(t[0] for t in toks), frozenset(), frozenset())
+    cgs["first"] = (frozenset(toks[0]), frozenset(), frozenset())
     assert filtered == _pure.find_matches(cgs, *args)
 
 
