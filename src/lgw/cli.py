@@ -13,9 +13,10 @@ import json
 import os
 import sys
 from bisect import bisect_left
+from functools import cache
 from pathlib import Path
 
-from . import concorddiff, evaluator
+from . import concorddiff, evaluator, sidecar
 from .composer import compose_main, select_keep_set
 from .concordance import build_concordance, parse_concordance, write_concordance
 from .concorddiff import Action, DiffCounts, Relation, RelationReport
@@ -63,6 +64,9 @@ def _graph_name(value: str) -> str:
     return value
 
 
+# one parser per process: building it costs about 1 ms, and ``main`` may
+# be called many times (by tests, library callers and the benchmark)
+@cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="lgw", description="local grammar workbench")
     sub = p.add_subparsers(dest="command", required=True)
@@ -154,6 +158,13 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _read_text(path: str) -> tuple:
+    """(text, digest) of the corpus file at ``path``: the digest of its
+    UTF-8 bytes keys both of the file's sidecars, so it is computed once."""
+    text = _read(path)
+    return text, sidecar.digest(text.encode("utf-8"))
+
+
 def _read_bytes(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
@@ -208,7 +219,7 @@ def _find_text_lexicons(corpus, texts, lexicons, data):
     if not data or any(isinstance(x, LgwError) for x in (*texts, *data)):
         return None, [None] * len(corpus)
     lset = lexicon_set(lexicons, data)
-    return lset, [read_text_sidecar(p, lset, t) for p, t in zip(corpus, texts)]
+    return lset, [read_text_sidecar(p, lset, digest) for p, (_, digest) in zip(corpus, texts)]
 
 
 def _cut_text_lexicons(paths, texts, tokenized, found, full, lset) -> list:
@@ -219,27 +230,27 @@ def _cut_text_lexicons(paths, texts, tokenized, found, full, lset) -> list:
     the text lexicon of the joined corpus."""
     surfaces, starts, ends = tokenized.tokens
     cut, offset = [], 0
-    for p, text, lex in zip(paths, texts, found):
+    for p, (text, digest), lex in zip(paths, texts, found):
         if lex is None:
             a = bisect_left(starts, offset)
             b = bisect_left(starts, offset + len(text), lo=a)
             lex = text_lexicon(full, (surfaces[a:b], starts[a:b], ends[a:b]), tokenized.text)
-            write_text_sidecar(p, lset, text, lex)
+            write_text_sidecar(p, lset, digest, lex)
         cut.append(lex)
         offset += len(text) + 1
     return cut
 
 
 def _read_corpus(paths, texts=None) -> Tokenized:
-    """The texts of the corpus files at ``paths`` (``texts`` when read
-    already) joined with "\n", and its tokens.  No token spans the joining
-    "\n", so those are each file's tokens (``corpus_tokens``), shifted by
-    where its text starts."""
+    """The texts of the corpus files at ``paths`` (``texts``, their
+    ``_read_text`` pairs, when read already) joined with "\n", and its
+    tokens.  No token spans the joining "\n", so those are each file's
+    tokens (``corpus_tokens``), shifted by where its text starts."""
     if texts is None:
-        texts = [_read(p) for p in paths]
+        texts = [_read_text(p) for p in paths]
     tokens, offset = None, 0
-    for p, text in zip(paths, texts):
-        toks = corpus_tokens(p, text)
+    for p, (text, digest) in zip(paths, texts):
+        toks = corpus_tokens(p, text, digest)
         if offset:
             surfaces, starts, ends = tokens
             surfaces += toks[0]
@@ -248,7 +259,7 @@ def _read_corpus(paths, texts=None) -> Tokenized:
         else:
             tokens = toks
         offset += len(text) + 1
-    return Tokenized("\n".join(texts), tokens)
+    return Tokenized("\n".join(text for text, _ in texts), tokens)
 
 
 def cmd_apply(args) -> int:
@@ -260,7 +271,7 @@ def cmd_apply(args) -> int:
     corpus = sorted(args.corpus, key=lambda p: Path(p).name)
     # the corpus and the lexicon bytes are read first, to look up the text
     # lexicons; a read error is raised only where the file's load raises it
-    texts = [_attempt(_read, p) for p in corpus]
+    texts = [_attempt(_read_text, p) for p in corpus]
     data = [_attempt(_read_bytes, p) for p in args.lexicon]
     lset, found = _find_text_lexicons(corpus, texts, args.lexicon, data)
     lex = _load_lexicons(args.lexicon, data) if None in found else None

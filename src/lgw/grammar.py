@@ -20,6 +20,7 @@ import graphlib
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     DuplicateBoxId,
@@ -43,8 +44,28 @@ POS_TAGS = frozenset(
 BUILTIN_MASKS = frozenset({"PRE", "MOT"})
 
 _ID = re.compile(r"[A-Za-z0-9_]+")
-_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"', re.S)
+# a quoted string: its value, in which a backslash escapes the next character
+_STRING = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
+_QUOTED = re.compile(_STRING, re.S)
 _ESCAPED = re.compile(r"\\(.)", re.S)
+# One match per atom of a box line, after any whitespace (\s is what
+# str.isspace accepts); its last group tells which atom it is.
+_ATOM = re.compile(
+    r"""\s*(?:
+        %s (?:\s*(;))?                  # 1 a literal, 2 the ';' after it
+      | (;)                             # 3 a ';'
+      | <([^>]*)> (?:<<(.*?)>>|(<<))?   # 4 a mask's body, 5 its filter, 6 a "<<" no ">>" closes
+      | :(%s)                           # 7 a subgraph name
+      | (\S)                            # 8 a character that begins no atom, or an unterminated one
+    )""" % (_STRING, _ID.pattern),
+    re.S | re.X,
+)
+# the message of an atom that group 8 begins
+_UNTERMINATED = {
+    '"': "unterminated string literal",
+    "<": "unterminated mask",
+    ":": "missing subgraph name after ':'",
+}
 # a filter atom: ".", a class or any other character, and an optional quantifier
 _FILTER_ATOM = re.compile(r"(\.|\[[^\[\]]*\]|[^*+{}\[\]])([*+]|\{[0-9]+(?:,[0-9]+)?\})?")
 
@@ -95,8 +116,17 @@ class LexicalMask:
         return frozenset(req)
 
 
-@dataclass(frozen=True)
-class InputAtom:
+class InputAtom(NamedTuple):
+    """One atom of a box alternative.  ``kind`` tells which other field it
+    uses: a ``"literal"`` its ``literal``, the text to match; a ``"mask"``
+    its ``mask`` and its ``filter`` (a MorphFilter or None); a ``"call"``
+    its ``graph_name``; an ``"epsilon"``, which consumes no token, none.
+    Build one with ``lit``, ``masked``, ``call`` or ``eps``.
+
+    A grammar holds one atom per alternative or more, and a named tuple is
+    the cheapest of them to build.  Like any tuple, an atom equals a plain
+    tuple of the same five values."""
+
     kind: str  # "literal" | "mask" | "epsilon" | "call"
     literal: str = None
     mask: LexicalMask = None
@@ -105,11 +135,11 @@ class InputAtom:
 
     @staticmethod
     def lit(s: str) -> "InputAtom":
-        return InputAtom("literal", literal=s)
+        return InputAtom("literal", s)
 
     @staticmethod
     def eps() -> "InputAtom":
-        return InputAtom("epsilon")
+        return _EPSILON
 
     @staticmethod
     def call(name: str) -> "InputAtom":
@@ -118,6 +148,9 @@ class InputAtom:
     @staticmethod
     def masked(mask: LexicalMask, filt: MorphFilter = None) -> "InputAtom":
         return InputAtom("mask", mask=mask, filter=filt)
+
+
+_EPSILON = InputAtom("epsilon")
 
 
 @dataclass(frozen=True)
@@ -185,58 +218,56 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _parse_atoms(s: str, line_no: int):
-    """Yield an InputAtom for each atom of s and None for each ';'."""
-    i = 0
-    n = len(s)
-    while i < n:
-        c = s[i]
-        if c.isspace():
-            i += 1
-        elif c == ";":
-            yield None
-            i += 1
-        elif c == '"':
-            val, i = _read_quoted(s, i, line_no)
-            if not val:
+def _mask_atom(m, line_no: int) -> InputAtom:
+    """The atom of an ``_ATOM`` match of a mask."""
+    if m.lastindex == 6:
+        raise GraphSyntaxError(line_no, "unterminated morphological filter")
+    body, filt = m.group(4, 5)
+    if body == "E":
+        if filt is not None:
+            raise GraphSyntaxError(line_no, "<E> cannot carry a filter")
+        return _EPSILON
+    mask = parse_mask_body(body, line_no)
+    if filt is not None:
+        try:
+            compile_filter(filt)
+        except ValueError as exc:
+            raise GraphSyntaxError(line_no, str(exc)) from None
+        filt = MorphFilter(filt)
+    return InputAtom.masked(mask, filt)
+
+
+def _parse_alternatives(s: str, line_no: int) -> list:
+    """The alternatives of the atoms ``s`` of a box line, as lists of
+    InputAtoms: each ';' begins one.  The first atom that cannot be read
+    raises its error."""
+    alt = []
+    alts = [alt]
+    for m in _ATOM.finditer(s):
+        group = m.lastindex
+        if group <= 2:
+            value = m.group(1)
+            if "\\" in value:
+                value = _ESCAPED.sub(lambda e: e.group(1), value)
+            if not value:
                 raise GraphSyntaxError(line_no, "empty literal")
-            if val.isspace():
+            if value.isspace():
                 raise GraphSyntaxError(line_no, "literal without a token")
-            yield InputAtom.lit(val)
-        elif c == "<":
-            j = s.find(">", i)
-            if j < 0:
-                raise GraphSyntaxError(line_no, "unterminated mask")
-            body = s[i + 1 : j]
-            i = j + 1
-            filt = None
-            if s.startswith("<<", i):
-                k = s.find(">>", i + 2)
-                if k < 0:
-                    raise GraphSyntaxError(line_no, "unterminated morphological filter")
-                filt = s[i + 2 : k]
-                i = k + 2
-            if body == "E":
-                if filt is not None:
-                    raise GraphSyntaxError(line_no, "<E> cannot carry a filter")
-                yield InputAtom.eps()
-                continue
-            mask = parse_mask_body(body, line_no)
-            if filt is not None:
-                try:
-                    compile_filter(filt)
-                except ValueError as exc:
-                    raise GraphSyntaxError(line_no, str(exc)) from None
-                filt = MorphFilter(filt)
-            yield InputAtom.masked(mask, filt)
-        elif c == ":":
-            m = _ID.match(s, i + 1)
-            if m is None:
-                raise GraphSyntaxError(line_no, "missing subgraph name after ':'")
-            yield InputAtom.call(m.group())
-            i = m.end()
+            alt.append(InputAtom("literal", value))
+            if group == 2:
+                alt = []
+                alts.append(alt)
+        elif group == 3:
+            alt = []
+            alts.append(alt)
+        elif group <= 6:
+            alt.append(_mask_atom(m, line_no))
+        elif group == 7:
+            alt.append(InputAtom.call(m.group(7)))
         else:
-            raise GraphSyntaxError(line_no, f"unexpected character {c!r}")
+            c = m.group(8)
+            raise GraphSyntaxError(line_no, _UNTERMINATED.get(c) or f"unexpected character {c!r}")
+    return alts
 
 
 def _parse_box_line(rest: str, line_no: int) -> GraphBox:
@@ -248,18 +279,13 @@ def _parse_box_line(rest: str, line_no: int) -> GraphBox:
     if rest.startswith('out="'):
         output, j = _read_quoted(rest, len("out="), line_no)
         rest = rest[j:]
-    alts = [[]]
-    for atom in _parse_atoms(rest, line_no):
-        if atom is None:
-            alts.append([])
-        else:
-            alts[-1].append(atom)
+    alts = _parse_alternatives(rest, line_no)
     for alt in alts:
         if not alt:
             raise GraphSyntaxError(line_no, "empty alternative")
-        if any(a.kind == "epsilon" for a in alt) and len(alt) > 1:
+        if len(alt) > 1 and _EPSILON in alt:
             raise GraphSyntaxError(line_no, "<E> must be alone in its alternative")
-    return GraphBox(m.group(), tuple(tuple(a) for a in alts), output)
+    return GraphBox(m.group(), tuple(map(tuple, alts)), output)
 
 
 def parse_graph(text: str) -> Graph:

@@ -179,7 +179,7 @@ TEXT_LEXICON_FORMAT = 1
 
 
 def _sidecar_key(data: bytes) -> bytes:
-    return sidecar.key(b"lexicon index", SIDECAR_FORMAT, data)
+    return sidecar.key(b"lexicon index", SIDECAR_FORMAT, sidecar.digest(data))
 
 
 def _read_columns(path, suffix: str, key: bytes, name: str):
@@ -230,22 +230,25 @@ def lexicon_set(paths, data) -> tuple:
     return f"{sidecar.digest(where)[:8].hex()}.lex", b"".join(map(sidecar.digest, data))
 
 
-def _text_sidecar(lexicons: tuple, text: str) -> tuple:
+def _text_sidecar(lexicons: tuple, digest: bytes) -> tuple:
     """(suffix, key) of the text lexicon sidecar, for the ``lexicon_set``
-    ``lexicons``, of a corpus file holding ``text``."""
+    ``lexicons``, of a corpus file whose text has the ``sidecar.digest``
+    ``digest``: the text itself is not digested again."""
     suffix, digests = lexicons
-    content = b"index %d\n%s%s" % (SIDECAR_FORMAT, digests, text.encode("utf-8"))
-    return suffix, sidecar.key(b"text lexicon", TEXT_LEXICON_FORMAT, content)
+    content = b"index %d\n%s%s" % (SIDECAR_FORMAT, digests, digest)
+    return suffix, sidecar.key(b"text lexicon", TEXT_LEXICON_FORMAT, sidecar.digest(content))
 
 
-def read_text_sidecar(path, lexicons: tuple, text: str):
+def read_text_sidecar(path, lexicons: tuple, digest: bytes):
     """The text lexicon for the ``lexicon_set`` ``lexicons`` of the corpus
-    file at ``path``, which holds ``text``, from its sidecar; None when
-    there is none for this text and these lexicons or it cannot be read."""
-    return _read_columns(path, *_text_sidecar(lexicons, text), "")
+    file at ``path``, whose text has the digest ``digest``, from its
+    sidecar; None when there is none for this text and these lexicons or
+    it cannot be read."""
+    return _read_columns(path, *_text_sidecar(lexicons, digest), "")
 
 
-def write_text_sidecar(path, lexicons: tuple, text: str, lex: Lexicon) -> None:
+def write_text_sidecar(path, lexicons: tuple, digest: bytes, lex: Lexicon) -> None:
     """Keep ``lex``, the text lexicon for the ``lexicon_set`` ``lexicons``
-    of the corpus file at ``path`` holding ``text``, in its sidecar."""
-    _write_columns(path, *_text_sidecar(lexicons, text), lex)
+    of the corpus file at ``path`` whose text has the digest ``digest``,
+    in its sidecar."""
+    _write_columns(path, *_text_sidecar(lexicons, digest), lex)

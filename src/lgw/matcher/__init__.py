@@ -79,12 +79,12 @@ def _read_tokens(path, key: bytes):
     return surfaces, starts, ends
 
 
-def corpus_tokens(path, text: str) -> tuple:
+def corpus_tokens(path, text: str, digest: bytes) -> tuple:
     """The kernel token columns of ``text``, read from the file at
-    ``path``: loaded from the file's token sidecar when that was written
-    for this text, else tokenized, and the sidecar written for the next
-    apply."""
-    key = sidecar.key(b"tokens", TOKENS_FORMAT, text.encode("utf-8"))
+    ``path``, whose UTF-8 bytes have the ``sidecar.digest`` ``digest``:
+    loaded from the file's token sidecar when that was written for this
+    text, else tokenized, and the sidecar written for the next apply."""
+    key = sidecar.key(b"tokens", TOKENS_FORMAT, digest)
     toks = _read_tokens(path, key)
     if toks is None:
         toks = _impl.tokenize_raw(text)
@@ -97,32 +97,36 @@ def corpus_tokens(path, text: str) -> tuple:
 
 
 def _compile_atom(atom):
-    if atom.kind == "literal":
-        ci = not any(c.isupper() for c in atom.literal)
-        surfaces = _engine.tokenize_raw(atom.literal)[0]
-        pieces = tuple(s.lower() for s in surfaces) if ci else tuple(surfaces)
-        return ("lit", pieces, ci)
-    if atom.kind == "epsilon":
+    """The kernel's atom of ``atom``; None for a blank literal, which the
+    parser refuses and a GrammarSet built by hand may hold."""
+    kind, literal, mask, graph_name, filt = atom
+    if kind == "literal":
+        surfaces = _engine.token_surfaces(literal)
+        if not surfaces:
+            return None
+        if any(map(str.isupper, literal)):
+            return ("lit", tuple(surfaces), False)
+        return ("lit", tuple(map(str.lower, surfaces)), True)
+    if kind == "epsilon":
         return ("eps",)
-    if atom.kind == "call":
-        return ("call", atom.graph_name)
-    filt = compile_filter(atom.filter.pattern) if atom.filter is not None else None
-    return ("mask", atom.mask.required, atom.mask.builtin or "", filt)
+    if kind == "call":
+        return ("call", graph_name)
+    filt = compile_filter(filt.pattern) if filt is not None else None
+    return ("mask", mask.required, mask.builtin or "", filt)
 
 
 def _compile_box(output, alts):
     """(output, rest, exact, folded): literal-first alternatives indexed by
     their first piece, the others kept in file order.  An alternative
-    holding a blank literal (the parser refuses one; a GrammarSet built by
-    hand may not) never matches and is dropped."""
+    holding a blank literal (a None atom) never matches and is dropped."""
     rest, exact, folded = [], {}, {}
     for alt in alts:
-        if any(atom[0] == "lit" and not atom[1] for atom in alt):
+        if None in alt:
             continue
         if alt and alt[0][0] == "lit":
-            index = folded if alt[0][2] else exact
-            piece = alt[0][1][0]
-            index[piece] = index.get(piece, ()) + (alt,)
+            _, pieces, ci = alt[0]
+            index = folded if ci else exact
+            index.setdefault(pieces[0], []).append(alt)
         else:
             rest.append(alt)
     return (output, tuple(rest), exact, folded)
@@ -195,10 +199,7 @@ def compile_grammar_set(gs: GrammarSet) -> dict:
     table, initial = [], {}
     for name, g in gs.graphs.items():
         boxes = {
-            b.id: _compile_box(
-                b.output,
-                tuple(tuple(_compile_atom(a) for a in alt) for alt in b.alternatives),
-            )
+            b.id: _compile_box(b.output, [tuple(map(_compile_atom, alt)) for alt in b.alternatives])
             for b in g.boxes
         }
         # an edge may lead back into the initial box: it holds one empty

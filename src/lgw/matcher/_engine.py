@@ -68,31 +68,52 @@ from operator import itemgetter
 OFFSETS = "Q"  # the typecode of the starts and ends columns
 
 
+def _chunk_tokens(chunk):
+    """The token surfaces of ``chunk``, a run of text without whitespace.
+    Maximal letter runs are words and digit runs numbers; every other
+    character is its own punct token.  So a chunk of letters is one word,
+    and only another chunk is read character by character."""
+    if chunk.isalpha():
+        return (chunk,)
+    tokens = []
+    i, n = 0, len(chunk)
+    while i < n:
+        c = chunk[i]
+        j = i + 1
+        if c.isalpha():
+            while j < n and chunk[j].isalpha():
+                j += 1
+        elif c.isdigit():
+            while j < n and chunk[j].isdigit():
+                j += 1
+        tokens.append(chunk[i:j])
+        i = j
+    return tokens
+
+
+def token_surfaces(text):
+    """The surfaces of ``tokenize_raw(text)`` without their offsets, for a
+    short text such as a grammar literal: a list of str."""
+    chunks = text.split()
+    if all(map(str.isalpha, chunks)):  # each chunk is one word
+        return chunks
+    return [surface for chunk in chunks for surface in _chunk_tokens(chunk)]
+
+
 def tokenize_raw(text):
-    """The ``(surfaces, starts, ends)`` token columns of ``text``.  Maximal
-    letter runs are words and digit runs numbers; every other character
-    but whitespace is its own punct token.  Whitespace makes no token."""
+    """The ``(surfaces, starts, ends)`` token columns of ``text``: the
+    tokens of each whitespace-split chunk (``_chunk_tokens``), in order.
+    Whitespace makes no token."""
     surfaces, starts, ends = [], array(OFFSETS), array(OFFSETS)
     distinct = {}
     i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        j = i + 1
-        if c.isalpha():
-            while j < n and text[j].isalpha():
-                j += 1
-        elif c.isdigit():
-            while j < n and text[j].isdigit():
-                j += 1
-        surface = text[i:j]
-        surfaces.append(distinct.setdefault(surface, surface))
-        starts.append(i)
-        ends.append(j)
-        i = j
+    for chunk in text.split():
+        i = text.find(chunk, i)
+        for surface in _chunk_tokens(chunk):
+            surfaces.append(distinct.setdefault(surface, surface))
+            starts.append(i)
+            i += len(surface)
+            ends.append(i)
     return surfaces, starts, ends
 
 

@@ -18,6 +18,9 @@ There are three kinds:
   the part of a set of lexicons that the matcher can look up on the
   text, computed from the text and the bytes of the set's files, with
   one sidecar per set.
+
+A corpus file's two sidecars are keyed on one digest of its text, which
+``lgw apply`` computes once.
 """
 
 from __future__ import annotations
@@ -41,11 +44,11 @@ def digest(content: bytes) -> bytes:
     return blake2b(content).digest()
 
 
-def key(kind: bytes, fmt: int, content: bytes) -> bytes:
+def key(kind: bytes, fmt: int, content_digest: bytes) -> bytes:
     """The first bytes of a ``kind`` sidecar in format ``fmt`` computed
-    from ``content``."""
+    from the content whose ``digest`` is ``content_digest``."""
     head = b"lgw %s %d python %d.%d\n" % (kind, fmt, *sys.version_info[:2])
-    return head + digest(content)
+    return head + content_digest
 
 
 def read(path, suffix: str, key: bytes):

@@ -809,13 +809,13 @@ def test_token_sidecar_of_an_edited_corpus_is_not_used(named, capsys):
 ])
 def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
     from lgw.matcher import TOKENS_FORMAT
-    from lgw.sidecar import key as sidecar_key
+    from lgw.sidecar import digest, key as sidecar_key
 
     assert _apply_named(named, "a") == 0
     sidecar = _tok_sidecar(named)
     good = sidecar.read_bytes()
     text = (named / "c.txt").read_text(encoding="utf-8")
-    key = sidecar_key(b"tokens", TOKENS_FORMAT, text.encode("utf-8"))
+    key = sidecar_key(b"tokens", TOKENS_FORMAT, digest(text.encode("utf-8")))
     version = b"python %d.%d" % sys.version_info[:2]
     assert good.startswith(key) and version in key
     distinct, numbers, starts, ends = marshal.loads(good[len(key):])
@@ -830,7 +830,7 @@ def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
         "wrong-shape": key + marshal.dumps((1, 2, 3), 2),
         "wrong-tuples": key + marshal.dumps([("Ana", 0, 3, 0), ("viu", 4)], 2),
         "not-tuples": key + marshal.dumps([["Ana", 0, 3, 0]], 2),
-        "format-1": sidecar_key(b"tokens", 1, text.encode("utf-8")) + tuples,
+        "format-1": sidecar_key(b"tokens", 1, digest(text.encode("utf-8"))) + tuples,
         "tuple-list": key + tuples,
         "unequal-columns": key + marshal.dumps((distinct, numbers, starts, ends[:-8]), 2),
         "ragged-bytes": key + marshal.dumps((distinct, numbers, starts, ends[:-1]), 2),
@@ -958,13 +958,14 @@ def test_text_lexicon_of_an_edited_lexicon_or_corpus_is_not_used(named, capsys, 
 ])
 def test_damaged_text_lexicon_sidecar_is_rewritten(named, capsys, damage):
     from lgw.lexicon import TEXT_LEXICON_FORMAT, _text_sidecar as text_sidecar, lexicon_set
+    from lgw.sidecar import digest
 
     assert _apply_named(named, "a") == 0
     sidecar = _text_sidecar(named)
     good = sidecar.read_bytes()
     lexicons = lexicon_set([named / "lex" / "n.dic"], [NAMES.encode("utf-8")])
     text = (named / "c.txt").read_text(encoding="utf-8")
-    suffix, key = text_sidecar(lexicons, text)
+    suffix, key = text_sidecar(lexicons, digest(text.encode("utf-8")))
     version = b"python %d.%d" % sys.version_info[:2]
     assert sidecar.name == f"c.txt.{suffix}"
     assert good.startswith(key) and version in key
@@ -1097,3 +1098,79 @@ def test_apply_errors_come_in_command_order(named, capsys):
     # a corpus that cannot be read leaves no token sidecar and no text lexicon
     assert not (named / "__lgwcache__").exists()
     assert not (named / "out").exists()
+
+
+def test_warm_apply_digests_each_corpus_text_once(named, monkeypatch):
+    # the token sidecar and the text lexicon are keyed on one digest of the text
+    from lgw import sidecar
+
+    texts = {"c.txt": "Ana viu Zeca e a rainha Isabel. " * 8, "d.txt": "Zeca viu Ana. " * 30}
+    for name, text in texts.items():
+        (named / name).write_text(text, encoding="utf-8")
+    argv = ["apply", "--grammar", str(named / "ReconheceNomesCompostos.lg"),
+            "--lexicon", str(named / "lex" / "n.dic"), "--xml", "n.xml",
+            str(named / "c.txt"), str(named / "d.txt"), "--out"]
+    assert main(argv + [str(named / "cold")]) == 0
+    lengths = []
+    digest = sidecar.digest
+    monkeypatch.setattr(sidecar, "digest", lambda content: lengths.append(len(content)) or digest(content))
+    _forbid_lexicon_loads(monkeypatch)
+    assert main(argv + [str(named / "warm")]) == 0
+    # every longer input is one corpus text: the keys, paths and the lexicon are short
+    sizes = sorted(len(text.encode("utf-8")) for text in texts.values())
+    assert sizes[0] > 200 and len(NAMES) < 200
+    assert sorted(n for n in lengths if n > 200) == sizes
+    assert _outputs(named / "warm") == _outputs(named / "cold")
+
+
+# --- one parser per process ------------------------------------------------------
+
+def test_main_builds_one_parser_and_reuses_it(ws, capsys, monkeypatch):
+    from lgw import cli
+
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    try:
+        grammar = ["--grammar", str(ws / "ReconheceNomesCompostos.lg")]
+
+        def apply(out, lexicon=()):
+            argv = ["apply", *grammar, *lexicon, "--out", str(ws / out), str(ws / "corpus.txt")]
+            assert main(argv) == 0
+            return capsys.readouterr(), _outputs(ws / out)
+
+        bare, bare_out = apply("bare")
+        one_build = len(built)
+        assert one_build > 0
+        # a later apply without --lexicon sees none of an earlier apply's
+        _, lexicon_out = apply("lexicon", ["--lexicon", str(ws / "portugues.dic")])
+        assert lexicon_out != bare_out
+        again, again_out = apply("bare")
+        assert again == bare and again_out == bare_out
+        assert cli._build_parser().parse_args(["apply", *grammar, "--out", "o", "c"]).lexicon == []
+
+        # relate writes no HTML after a diff did
+        cnc = [str(ws / "bare" / "ReconheceNomesCompostos.cnc"),
+               str(ws / "lexicon" / "ReconheceNomesCompostos.cnc")]
+        assert main(["diff", *cnc, "--out", str(ws / "diff")]) == 0
+        assert (ws / "diff" / "diff.html").exists()
+        assert main(["relate", *cnc, "--out", str(ws / "relate")]) == 0
+        assert sorted(_outputs(ws / "relate")) == ["relation.json"]
+        assert cli._build_parser().parse_args(["relate", *cnc, "--out", "o"]).html is None
+        capsys.readouterr()
+
+        # a usage error between two good calls changes nothing in the second
+        assert main(["apply", *grammar, "--left", "-1", "--out", str(ws / "bad"),
+                     str(ws / "corpus.txt")]) == 1
+        assert "error: argument --left" in capsys.readouterr().err
+        assert not (ws / "bad").exists()
+        assert apply("bare") == (bare, bare_out)
+        assert len(built) == one_build
+    finally:
+        cli._build_parser.cache_clear()

@@ -103,6 +103,67 @@ def test_parse_errors(text, exc):
         parse_graph(text)
 
 
+# Every message the box-line scanner gives, with the line it names.  An
+# atom's error comes before any alternative's, the first alternative's before
+# a later one's, and an earlier atom's before a later atom's.
+@pytest.mark.parametrize(
+    "box,message",
+    [
+        ('b "Rio', "unterminated string literal"),
+        ('b "Rio" ; <N+PR', "unterminated mask"),
+        ("b <MOT><<..", "unterminated morphological filter"),
+        ('b "x" ; ""', "empty literal"),
+        ('b "Rio" " \t"', "literal without a token"),
+        ("b <E><<..>>", "<E> cannot carry a filter"),
+        ('b <E> "x"', "<E> must be alone in its alternative"),
+        ('b "x" ; "y" <E>', "<E> must be alone in its alternative"),
+        ("b <MOT><<a{>>", "unexpected '{' at position 1 in filter 'a{'"),
+        ("b <MOT><<>>", "empty morphological filter"),
+        ("b <N++PR>", "empty segment in mask <N++PR>"),
+        ('b "x" ; :', "missing subgraph name after ':'"),
+        ("b :-x", "missing subgraph name after ':'"),
+        ('"x"', "missing box id"),
+        ('b "x" ?', "unexpected character '?'"),
+        ('b "x" <MOT>>', "unexpected character '>'"),
+        ('b out="<A>" "x" é', "unexpected character 'é'"),
+        ('b "x" ; ; "y"', "empty alternative"),
+        ('b "x" ;', "empty alternative"),
+        ('b ; "x"', "empty alternative"),
+        ('b ; "x" ?', "unexpected character '?'"),
+        ('b ; "x" ""', "empty literal"),
+        ('b "" "Rio', "empty literal"),
+        ('b <E> "x" ;', "<E> must be alone in its alternative"),
+        ('b ; <E> "x"', "empty alternative"),
+    ],
+)
+def test_box_line_diagnostics(tmp_path, capsys, box, message):
+    from lgw.cli import main
+
+    text = f"graph G\n# a comment\nbox {box}\ninit i\nfinal f\nedge i b\nedge b f\n"
+    with pytest.raises(GraphSyntaxError) as e:
+        parse_graph(text)
+    assert (e.value.line_no, str(e.value)) == (3, f"line 3: {message}")
+    path = tmp_path / "g.lg"
+    path.write_text(text, encoding="utf-8")
+    (tmp_path / "c.txt").write_text("Rio x y\n", encoding="utf-8")
+    argv = ["apply", "--grammar", str(path), "--out", str(tmp_path / "out"), str(tmp_path / "c.txt")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"lgw apply: error: {path}: line 3: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_box_line_separators_are_any_whitespace():
+    # the scanner's whitespace is str.isspace's, between atoms and around ';'
+    g = parse_graph('graph G\nbox b "Rio" ; "Porto　Alegre"\x1c<MOT>\x85;:S\n'
+                    "init i\nfinal f\nedge i b\nedge b f\n")
+    assert g.boxes[0].alternatives == (
+        (InputAtom.lit("Rio"),),
+        (InputAtom.lit("Porto　Alegre"), InputAtom.masked(LexicalMask(builtin="MOT"))),
+        (InputAtom.call("S"),),
+    )
+
+
 def test_syntax_error_carries_line_number():
     with pytest.raises(GraphSyntaxError) as e:
         parse_graph("graph G\nbox b ???\ninit i\nfinal f")

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lgw import data
+from lgw import data, sidecar
 from lgw.errors import MalformedLine
 from lgw.grammar import Graph, GraphBox, GrammarSet, InputAtom, LexicalMask, load_grammar_set
 from lgw.lexicon import (
@@ -424,7 +424,8 @@ def test_text_lexicon_answers_as_the_full_lexicon(entries_and_texts):
         path = Path(directory) / "c.txt"
         lexicons = lexicon_set(["x.dic"], [lines.encode("utf-8")])
         one = text_lexicon(full, _engine.tokenize_raw(parts[0]), parts[0])
-        write_text_sidecar(path, lexicons, parts[0], one)
-        assert _index(read_text_sidecar(path, lexicons, parts[0])) == _index(one)
+        digest = sidecar.digest(parts[0].encode("utf-8"))
+        write_text_sidecar(path, lexicons, digest, one)
+        assert _index(read_text_sidecar(path, lexicons, digest)) == _index(one)
         edited = lexicon_set(["x.dic"], [lines.encode("utf-8") + b"#\n"])
-        assert read_text_sidecar(path, edited, parts[0]) is None
+        assert read_text_sidecar(path, edited, digest) is None

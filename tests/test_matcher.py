@@ -67,10 +67,21 @@ def test_tokenize_numbers_and_punct_runs():
 _KINDS = {"word": 0, "number": 1, "punct": 2}
 
 
-@given(st.text(max_size=120))
+# words, numbers and punctuation between every kind of gap, so that both
+# whitespace-split chunks of letters and mixed chunks come up
+_TEXT_PIECES = st.sampled_from(
+    ["Ana", "rio", "İ", "ǅ", "ß", "三", "²", "٣", "42", ".", ",", "-", "'", "_",
+     " ", "  ", "\n", "\t", "\u00a0", "\u2003", "\x85", "\x1c"]
+)
+
+
+@given(st.one_of(st.text(max_size=120), st.lists(_TEXT_PIECES, max_size=30).map("".join)))
+@example("Porto Alegre")
+@example(" São\u00a0Paulo,  Rio²٣ ")
 def test_tokenize_partitions_text(text):
     # the tokens and the whitespace gaps between them partition the text
     surfaces, starts, ends = columns = _pure.tokenize_raw(text)
+    assert _pure.token_surfaces(text) == surfaces
     assert type(surfaces) is list
     assert type(starts) is type(ends) is array
     assert starts.typecode == ends.typecode == _pure.OFFSETS
@@ -897,6 +908,31 @@ def test_start_filter_agrees_with_unfiltered_walk(gs, words):
     # a FIRST set that admits every token
     cgs["first"] = (frozenset(toks[0]), frozenset(), frozenset())
     assert filtered == _pure.find_matches(cgs, *args)
+
+
+# letters with and without case, a titlecase and a dotted capital, digits
+# that are not decimal, punctuation and non-ASCII whitespace
+_LITERAL_CHARS = st.sampled_from(list("aZçÉ") + ["İ", "ǅ", "ß", "²", "٣", "7", ".", "-", "'",
+                                                 " ", "\u00a0", "\u2003"])
+
+
+@given(st.lists(st.text(_LITERAL_CHARS, min_size=1, max_size=10).filter(lambda s: not s.isspace()),
+                min_size=1, max_size=5))
+@example(["İstanbul", "ǅemal", "rio²", "Rio ٣", "são\u00a0paulo", "a.b-c"])
+def test_literal_compilation_follows_the_tokenizer_rule(literals):
+    # the one-box grammar of the literals, through the parser and the compiler
+    alts = " ; ".join(f'"{lit}"' for lit in literals)
+    gs = load_grammar_set([("G", f"graph G\nbox b {alts}\ninit i\nfinal f\nedge i b\nedge b f\n")])
+    cgs = compile_grammar_set(gs)
+    (_, _, rest, exact, folded), = cgs["table"][cgs["initial"]["G"][0]][2]
+    want = ({}, {})
+    for lit in literals:
+        ci = not any(c.isupper() for c in lit)
+        pieces = tuple(s.lower() if ci else s for s, _, _, kind in brute_tokenize(lit)
+                       if kind != "space")
+        want[ci].setdefault(pieces[0], []).append((("lit", pieces, ci),))
+    assert rest == ()
+    assert (exact, folded) == want
 
 
 def test_literal_dispatch_splits_alternatives():
