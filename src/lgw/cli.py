@@ -25,8 +25,8 @@ from .errors import EmptyKeepSet, LgwError, TextMismatch, UsageError, located
 from .grammar import _ID, load_grammar_set, parse_graph, render_graph, validate_set
 # perfbench/trace.py wraps lgw.cli.parse_lexicon and lgw.cli.merge_lexicons
 from .lexicon import (
-    Lexicon, lexicon_set, merge_lexicons, parse_lexicon, read_sidecar, read_text_sidecar,
-    text_lexicon, write_sidecar, write_text_sidecar,
+    Lexicon, lexicon_set, merge_lexicons, parse_lexicon, read_text_sidecar, text_lexicon,
+    write_text_sidecar,
 )
 from .matcher import ALL_MATCHES, LONGEST_ONLY, Tokenized, apply_grammar, corpus_tokens
 
@@ -182,23 +182,16 @@ def _attempt(read, path: str):
 
 
 def _load_lexicon(path: str, data) -> Lexicon:
-    """The lexicon in the file at path, which holds ``data`` (or the
-    LgwError reading it raised): rebuilt from its sidecar when that was
-    written for these bytes, else parsed, and the sidecar written for the
-    next load."""
+    """The lexicon parsed from the file at path, which holds ``data`` (or
+    the LgwError reading it raised)."""
     if isinstance(data, LgwError):
         raise data
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LgwError(f"cannot read {path}: {exc}") from None
-    name = Path(path).stem
-    lex = read_sidecar(path, data, name)
-    if lex is None:
-        with located(path):
-            lex = parse_lexicon(text, name=name)
-        write_sidecar(path, data, lex)
-    return lex
+    with located(path):
+        return parse_lexicon(text, name=Path(path).stem)
 
 
 def _set_name(paths) -> str:

@@ -202,15 +202,17 @@ def parse_mask_body(body: str, line_no: int) -> LexicalMask:
     return LexicalMask(codes=frozenset(segs))
 
 
+def _unescape(value: str) -> str:
+    """``value`` with each backslash escape replaced by the character it escapes."""
+    return _ESCAPED.sub(lambda e: e.group(1), value) if "\\" in value else value
+
+
 def _read_quoted(s: str, i: int, line_no: int):
     """(value, next index) of the quoted string at s[i]."""
     m = _QUOTED.match(s, i)
     if m is None:
         raise GraphSyntaxError(line_no, "unterminated string literal")
-    value = m.group(1)
-    if "\\" in value:
-        value = _ESCAPED.sub(lambda e: e.group(1), value)
-    return value, m.end()
+    return _unescape(m.group(1)), m.end()
 
 
 def _quote(s: str) -> str:
@@ -246,9 +248,7 @@ def _parse_alternatives(s: str, line_no: int) -> list:
     for m in _ATOM.finditer(s):
         group = m.lastindex
         if group <= 2:
-            value = m.group(1)
-            if "\\" in value:
-                value = _ESCAPED.sub(lambda e: e.group(1), value)
+            value = _unescape(m.group(1))
             if not value:
                 raise GraphSyntaxError(line_no, "empty literal")
             if value.isspace():

@@ -11,13 +11,10 @@ distinct symbol sets (POS plus codes) and the head index.  The lemma of a
 line is checked but not kept, and lines that differ only in their lemma
 give one symbol set.
 
-A lexicon file can keep its matcher indexes in a sidecar,
-``__lgwcache__/<file name>.idx`` beside it (``read_sidecar`` and
-``write_sidecar``), so that a later load of the same bytes skips the parse.
 A corpus file can keep its text lexicon, the part of a lexicon that the
 matcher can look up on its text (``text_lexicon``), in a sidecar beside
 it (``read_text_sidecar`` and ``write_text_sidecar``), so that a later
-apply with the same lexicon files loads neither them nor their sidecars.
+apply with the same lexicon files does not parse them.
 """
 
 from __future__ import annotations
@@ -165,60 +162,14 @@ def text_lexicon(lex: Lexicon, toks: list, text: str) -> Lexicon:
     return Lexicon(symbols, (widths, longest), lex.name)
 
 
-# The sidecar (see lgw.sidecar): its key, then marshal data of five
-# columns: the distinct symbol-set tuples; the surfaces in index order; for
-# each surface the number of its tuple, as bytes when 256 numbers suffice;
-# the head widths dict.fromkeys(<alphabetic surfaces>, 1) does not give; and
-# the widest head.  Bump SIDECAR_FORMAT whenever these columns, or what
-# parse_lexicon makes of a text, change.
-SIDECAR_FORMAT = 4
-
-# A text lexicon's sidecar holds the same columns after a key of its own.
-# Bump TEXT_LEXICON_FORMAT whenever what text_lexicon keeps changes.
-TEXT_LEXICON_FORMAT = 1
-
-
-def _sidecar_key(data: bytes) -> bytes:
-    return sidecar.key(b"lexicon index", SIDECAR_FORMAT, sidecar.digest(data))
-
-
-def _read_columns(path, suffix: str, key: bytes, name: str):
-    columns = sidecar.read(path, suffix, key)
-    if columns is None:
-        return None
-    try:
-        sets, surfaces, ids, wider, longest = columns
-        symidx = dict(zip(surfaces, map(sets.__getitem__, ids), strict=True))
-        heads = dict.fromkeys(filter(str.isalpha, surfaces), 1)
-        heads.update(wider)
-    except (ValueError, TypeError, IndexError, AttributeError):
-        return None  # not written by _write_columns
-    return Lexicon(symidx, (heads, longest), name)
-
-
-def _write_columns(path, suffix: str, key: bytes, lex: Lexicon) -> None:
-    symidx = lex.symbol_index()
-    heads, longest = lex.head_index()
-    sets: dict = {}
-    ids = [sets.setdefault(v, len(sets)) for v in symidx.values()]
-    ones = dict.fromkeys(filter(str.isalpha, symidx), 1)
-    wider = {w: n for w, n in heads.items() if ones.get(w) != n}
-    columns = (tuple(sets), tuple(symidx), bytes(ids) if len(sets) <= 256 else tuple(ids),
-               wider, longest)
-    sidecar.write(path, suffix, key, columns)
-
-
-def read_sidecar(path, data: bytes, name: str = ""):
-    """The lexicon of the file at ``path``, which holds ``data``, rebuilt
-    from its sidecar; None when there is no sidecar for these bytes or it
-    cannot be read."""
-    return _read_columns(path, "idx", _sidecar_key(data), name)
-
-
-def write_sidecar(path, data: bytes, lex: Lexicon) -> None:
-    """Keep ``lex``, parsed from the file at ``path`` holding ``data``, in
-    that file's sidecar."""
-    _write_columns(path, "idx", _sidecar_key(data), lex)
+# A text lexicon's sidecar (see lgw.sidecar): its key, then marshal data of
+# five columns: the distinct symbol-set tuples; the surfaces in index order;
+# for each surface the number of its tuple, as bytes when 256 numbers
+# suffice; the head widths dict.fromkeys(<alphabetic surfaces>, 1) does not
+# give; and the widest head.  Bump TEXT_LEXICON_FORMAT whenever these
+# columns, what parse_lexicon makes of a text or what text_lexicon keeps
+# change.
+TEXT_LEXICON_FORMAT = 2
 
 
 def lexicon_set(paths, data) -> tuple:
@@ -235,8 +186,8 @@ def _text_sidecar(lexicons: tuple, digest: bytes) -> tuple:
     ``lexicons``, of a corpus file whose text has the ``sidecar.digest``
     ``digest``: the text itself is not digested again."""
     suffix, digests = lexicons
-    content = b"index %d\n%s%s" % (SIDECAR_FORMAT, digests, digest)
-    return suffix, sidecar.key(b"text lexicon", TEXT_LEXICON_FORMAT, sidecar.digest(content))
+    return suffix, sidecar.key(b"text lexicon", TEXT_LEXICON_FORMAT,
+                               sidecar.digest(digests + digest))
 
 
 def read_text_sidecar(path, lexicons: tuple, digest: bytes):
@@ -244,11 +195,29 @@ def read_text_sidecar(path, lexicons: tuple, digest: bytes):
     file at ``path``, whose text has the digest ``digest``, from its
     sidecar; None when there is none for this text and these lexicons or
     it cannot be read."""
-    return _read_columns(path, *_text_sidecar(lexicons, digest), "")
+    columns = sidecar.read(path, *_text_sidecar(lexicons, digest))
+    if columns is None:
+        return None
+    try:
+        sets, surfaces, ids, wider, longest = columns
+        symidx = dict(zip(surfaces, map(sets.__getitem__, ids), strict=True))
+        heads = dict.fromkeys(filter(str.isalpha, surfaces), 1)
+        heads.update(wider)
+    except (ValueError, TypeError, IndexError, AttributeError):
+        return None  # not written by write_text_sidecar
+    return Lexicon(symidx, (heads, longest))
 
 
 def write_text_sidecar(path, lexicons: tuple, digest: bytes, lex: Lexicon) -> None:
     """Keep ``lex``, the text lexicon for the ``lexicon_set`` ``lexicons``
     of the corpus file at ``path`` whose text has the digest ``digest``,
     in its sidecar."""
-    _write_columns(path, *_text_sidecar(lexicons, digest), lex)
+    symidx = lex.symbol_index()
+    heads, longest = lex.head_index()
+    sets: dict = {}
+    ids = [sets.setdefault(v, len(sets)) for v in symidx.values()]
+    ones = dict.fromkeys(filter(str.isalpha, symidx), 1)
+    wider = {w: n for w, n in heads.items() if ones.get(w) != n}
+    columns = (tuple(sets), tuple(symidx), bytes(ids) if len(sets) <= 256 else tuple(ids),
+               wider, longest)
+    sidecar.write(path, *_text_sidecar(lexicons, digest), columns)

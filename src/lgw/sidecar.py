@@ -6,10 +6,8 @@ the Python ``major.minor`` that wrote it and a blake2b digest of the
 content it was computed from; marshal data follows.  A sidecar with any
 other key, or one that cannot be read or decoded, is a miss.
 
-There are three kinds:
+There are two kinds:
 
-* ``name.dic.idx``, a lexicon file's matcher indexes (``lgw.lexicon``),
-  computed from the file's bytes;
 * ``name.txt.tok``, a corpus file's kernel token columns
   (``lgw.matcher``): its distinct token surfaces and, for each token, the
   number of its surface and its offsets, as array bytes; computed from

@@ -546,8 +546,8 @@ def test_parse_error_names_the_file(ws, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith(f"lgw {argv[0]}: error: {bad}: ")
     assert reason in err
-    if kind == "lexicon":  # the lexicon that parsed has a sidecar, the bad one none
-        assert [p.name for p in (ws / "__lgwcache__").iterdir()] == ["portugues.dic.idx"]
+    if kind == "lexicon":  # nothing is written beside a lexicon
+        assert not (ws / "__lgwcache__").exists()
 
 
 def test_blank_literal_exits_2(tmp_path, capsys):
@@ -620,9 +620,9 @@ def test_console_script_help():
     assert "apply" in proc.stdout and "compose" in proc.stdout
 
 
-# --- the lexicon sidecar -------------------------------------------------------
-# lgw apply keeps each lexicon file's indexes in __lgwcache__/<file>.idx
-# beside it; every case here must give what a parse gives.
+# --- lexicons ---------------------------------------------------------------------
+# lgw apply writes nothing beside a lexicon file: what it keeps of one is the
+# text lexicon beside each corpus file (see the text lexicon sidecar below).
 
 NAMES = "Ana,.N+PR\nZeca,.V+PR\n"
 
@@ -644,111 +644,49 @@ def _apply_named(d, out):
                  "--cnc", "n.cnc", "--xml", "n.xml", str(d / "c.txt")])
 
 
-def _sidecar(d):
-    return d / "lex" / "__lgwcache__" / "n.dic.idx"
-
-
 def _outputs(out):
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
-def test_sidecar_of_an_edited_lexicon_is_not_used(named, capsys):
-    dic = named / "lex" / "n.dic"
-    assert _apply_named(named, "a") == 0
-    assert "1 occurrence(s)" in capsys.readouterr().out
-    first = _sidecar(named).read_bytes()
-    # same size and modification time: only the bytes tell the edit
-    stat = dic.stat()
-    dic.write_text(NAMES.replace("V+PR", "N+PR"), encoding="utf-8")
-    os.utime(dic, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-    assert dic.stat().st_size == stat.st_size
-    assert _apply_named(named, "b") == 0
-    assert "2 occurrence(s)" in capsys.readouterr().out
-    assert _sidecar(named).read_bytes() != first
-    assert _apply_named(named, "c") == 0  # a hit on the rewritten sidecar
-    assert _outputs(named / "c") == _outputs(named / "b")
-
-
-@pytest.mark.parametrize("damage", [
-    "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape", "wrong-types",
-    "format-2",
-])
-def test_damaged_sidecar_is_rewritten(named, capsys, damage):
-    from lgw.lexicon import SIDECAR_FORMAT, _sidecar_key
-
-    assert _apply_named(named, "a") == 0
-    sidecar = _sidecar(named)
-    good = sidecar.read_bytes()
-    key = _sidecar_key(NAMES.encode("utf-8"))
-    version = b"python %d.%d" % sys.version_info[:2]
-    assert good.startswith(key) and version in key
-    sidecar.write_bytes({
-        "truncated": good[: (len(key) + len(good)) // 2],
-        "key-only": key,
-        "garbage": b"\x00\xffnot a sidecar",
-        "empty": b"",
-        "other-python": good.replace(version, b"python 2.7", 1),
-        "wrong-shape": key + marshal.dumps((1, 2, 3), 2),
-        "wrong-types": key + marshal.dumps((1, 2, 3, 4, 5), 2),
-        # format 2, before a surface kept each symbol set once: a miss
-        "format-2": good.replace(b"index %d python" % SIDECAR_FORMAT, b"index 2 python", 1),
-    }[damage])
-    # without its text lexicon, apply b loads the lexicon again
-    _text_sidecar(named).unlink()
-    capsys.readouterr()
-    assert _apply_named(named, "b") == 0
-    captured = capsys.readouterr()
-    assert "1 occurrence(s)" in captured.out
-    assert captured.err == ""
-    assert sidecar.read_bytes() == good
-    assert _outputs(named / "b") == _outputs(named / "a")
-
-
-@pytest.mark.parametrize("block", ["read-only", "file-in-the-way"])
-def test_unwritable_lexicon_directory_gets_no_sidecar(named, capsys, block):
-    lex = named / "lex"
-    if block == "file-in-the-way":
-        (lex / "__lgwcache__").write_text("not a directory", encoding="utf-8")
-    else:
-        lex.chmod(0o555)
-    try:
-        if block == "read-only" and os.access(lex, os.W_OK):
-            pytest.skip("this user may write a read-only directory")
-        for out in ("a", "b"):
-            assert _apply_named(named, out) == 0
-            assert "1 occurrence(s)" in capsys.readouterr().out
-        assert sorted(p.name for p in lex.iterdir()) == (
-            ["__lgwcache__", "n.dic"] if block == "file-in-the-way" else ["n.dic"]
-        )
-    finally:
-        lex.chmod(0o755)
-    assert _outputs(named / "b") == _outputs(named / "a")
-
-
 def test_malformed_lexicon_with_an_old_sidecar_exits_2(named, capsys):
+    # a lexicon made malformed after a good apply, although its corpus
+    # keeps the text lexicon of the good one
     assert _apply_named(named, "a") == 0
-    first = _sidecar(named).read_bytes()
+    first = _text_sidecar(named).read_bytes()
     dic = named / "lex" / "n.dic"
     dic.write_text(NAMES + "sem virgula\n", encoding="utf-8")
     capsys.readouterr()
     assert _apply_named(named, "b") == 2
     err = capsys.readouterr().err
     assert err == f"lgw apply: error: {dic}: line 3: missing ',' separator\n"
-    assert _sidecar(named).read_bytes() == first
+    assert _text_sidecar(named).read_bytes() == first
+    assert not (named / "lex" / "__lgwcache__").exists()
 
 
 def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
     from lgw import cli, lexicon, matcher
     from lgw.lexicon import lexicon_set
 
-    grammars, extra = ["ReconheceNomesCompostos"], ["--xml", "s.xml"]
-    assert _apply(ws, ws / "miss", grammars, "g.cnc", extra) == 0
+    # the lexicons in their own directory, which gets no sidecar
+    (ws / "lex").mkdir()
+    for n in ("portugues", "ingles"):
+        (ws / f"{n}.dic").rename(ws / "lex" / f"{n}.dic")
+    lexicons = [ws / "lex" / f"{n}.dic" for n in ("portugues", "ingles")]
+
+    def apply(out):
+        argv = ["apply", "--grammar", str(ws / "ReconheceNomesCompostos.lg"), "--out", str(out),
+                "--cnc", "g.cnc", "--xml", "s.xml", str(ws / "corpus.txt")]
+        for p in lexicons:
+            argv += ["--lexicon", str(p)]
+        return main(argv)
+
+    assert apply(ws / "miss") == 0
     assert "<NOME>Marilyn Monroe</NOME>" in (ws / "miss" / "g.cnc").read_text(encoding="utf-8")
-    suffix, _ = lexicon_set([ws / f"{n}.dic" for n in ("portugues", "ingles")], [])
+    suffix, _ = lexicon_set(lexicons, [])
     assert sorted(p.name for p in (ws / "__lgwcache__").iterdir()) == [
-        f"corpus.txt.{suffix}",
-        "corpus.txt.tok", "ingles.dic.idx", "portugues.dic.idx"
+        f"corpus.txt.{suffix}", "corpus.txt.tok"
     ]
+    assert not (ws / "lex" / "__lgwcache__").exists()
 
     def no_parse(*args, **kwargs):
         raise AssertionError("a lexicon was parsed on a hit")
@@ -756,22 +694,18 @@ def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
     def no_read(*args, **kwargs):
         raise AssertionError("a lexicon's lines were read on a hit")
 
-    def no_sidecar(*args, **kwargs):
-        raise AssertionError("a lexicon sidecar was read on a hit")
-
     def no_tokenize(*args, **kwargs):
         raise AssertionError("the corpus was tokenized on a hit")
 
     monkeypatch.setattr(cli, "parse_lexicon", no_parse)
-    # the text lexicon hits, so no lexicon is loaded at all
-    monkeypatch.setattr(cli, "read_sidecar", no_sidecar)
     # the merge of the two hits reads no line either
     monkeypatch.setattr(lexicon, "_read_lines", no_read)
     # the kernel as apply_grammar and corpus_tokens reach it
     kernel = {**vars(matcher._engine), "tokenize_raw": no_tokenize}
     monkeypatch.setattr(matcher, "_impl", types.SimpleNamespace(**kernel))
-    assert _apply(ws, ws / "hit", grammars, "g.cnc", extra) == 0
+    assert apply(ws / "hit") == 0
     assert _outputs(ws / "hit") == _outputs(ws / "miss")
+    assert not (ws / "lex" / "__lgwcache__").exists()
 
 
 # --- the token sidecar ---------------------------------------------------------
@@ -917,13 +851,13 @@ def _text_sidecar(d, corpus="c.txt"):
 
 
 def _forbid_lexicon_loads(monkeypatch):
-    from lgw import cli
+    from lgw import cli, lexicon
 
     def no_load(*args, **kwargs):
         raise AssertionError("a lexicon was loaded although its text lexicon was kept")
 
-    monkeypatch.setattr(cli, "read_sidecar", no_load)
     monkeypatch.setattr(cli, "parse_lexicon", no_load)
+    monkeypatch.setattr(lexicon, "_read_lines", no_load)
 
 
 @pytest.mark.parametrize("edit", ["lexicon", "corpus"])
@@ -977,8 +911,9 @@ def test_damaged_text_lexicon_sidecar_is_rewritten(named, capsys, damage):
         "other-python": good.replace(version, b"python 2.7", 1),
         "wrong-shape": key + marshal.dumps((1, 2, 3), 2),
         "wrong-types": key + marshal.dumps((1, 2, 3, 4, 5), 2),
+        # the format before this one
         "format-0": good.replace(b"lexicon %d python" % TEXT_LEXICON_FORMAT,
-                                 b"lexicon 0 python", 1),
+                                 b"lexicon %d python" % (TEXT_LEXICON_FORMAT - 1), 1),
     }[damage])
     capsys.readouterr()
     assert _apply_named(named, "b") == 0
@@ -986,21 +921,6 @@ def test_damaged_text_lexicon_sidecar_is_rewritten(named, capsys, damage):
     assert "1 occurrence(s)" in captured.out
     assert captured.err == ""
     assert sidecar.read_bytes() == good
-    assert _outputs(named / "b") == _outputs(named / "a")
-
-
-def test_text_lexicon_key_names_the_lexicon_sidecar_format(named, capsys, monkeypatch):
-    # a text lexicon kept under another lexicon SIDECAR_FORMAT is a miss
-    from lgw import lexicon
-
-    with monkeypatch.context() as m:
-        m.setattr(lexicon, "SIDECAR_FORMAT", lexicon.SIDECAR_FORMAT - 1)
-        assert _apply_named(named, "a") == 0
-    old = _text_sidecar(named).read_bytes()
-    (named / "lex" / "__lgwcache__" / "n.dic.idx").unlink()
-    assert _apply_named(named, "b") == 0
-    assert (named / "lex" / "__lgwcache__" / "n.dic.idx").exists()  # loaded again
-    assert _text_sidecar(named).read_bytes() != old
     assert _outputs(named / "b") == _outputs(named / "a")
 
 
@@ -1051,24 +971,6 @@ def test_lexicon_with_a_byte_order_mark_loses_no_entry(named, capsys):
     grammar.write_bytes(b"\xef\xbb\xbf" + grammar.read_bytes())
     assert _apply_named(named, "b") == 2
     assert capsys.readouterr().err.startswith(f"lgw apply: error: {grammar}: line 1: ")
-
-
-def test_lexicon_sidecar_of_a_byte_order_mark_before_format_4_is_not_used(named, capsys,
-                                                                          monkeypatch):
-    # format 3 kept "\ufeffAna" as a surface: such a sidecar must miss
-    from lgw import lexicon
-
-    data = b"\xef\xbb\xbfAna,.N+PR\nZeca,.N+PR\n"
-    dic = named / "lex" / "n.dic"
-    dic.write_bytes(data)
-    (named / "c.txt").write_text("Ana viu Zeca.\n", encoding="utf-8")
-    stale = lexicon.parse_lexicon("\ufeff\ufeffAna,.N+PR\nZeca,.N+PR\n")
-    assert "\ufeffAna" in stale.symbol_index()
-    with monkeypatch.context() as m:
-        m.setattr(lexicon, "SIDECAR_FORMAT", 3)
-        lexicon.write_sidecar(dic, data, stale)
-    assert _apply_named(named, "a") == 0
-    assert "2 occurrence(s)" in capsys.readouterr().out
 
 
 def test_apply_errors_come_in_command_order(named, capsys):

@@ -9,8 +9,8 @@ from lgw import data, sidecar
 from lgw.errors import MalformedLine
 from lgw.grammar import Graph, GraphBox, GrammarSet, InputAtom, LexicalMask, load_grammar_set
 from lgw.lexicon import (
-    lexicon_set, merge_lexicons, parse_lexicon, read_sidecar, read_text_sidecar, text_lexicon,
-    write_sidecar, write_text_sidecar,
+    lexicon_set, merge_lexicons, parse_lexicon, read_text_sidecar, text_lexicon,
+    write_text_sidecar,
 )
 from lgw.matcher import ALL_MATCHES, _engine, apply_grammar
 from oracles import oracle_lexicon_index, oracle_parse_lexicon
@@ -255,15 +255,19 @@ def test_index_agrees_with_reference_index(text):
 
 
 def _hit_built(text, directory, name="x"):
-    """The lexicon of ``text`` as ``lgw apply`` rebuilds it from the sidecar
-    its first load wrote."""
-    path = Path(directory) / f"{name}.dic"
-    raw = text.encode("utf-8")
-    path.write_bytes(raw)
-    write_sidecar(path, raw, parse_lexicon(text))
-    lex = read_sidecar(path, raw, name=name)
-    assert lex is not None
-    return lex
+    """The lexicon of ``text`` as ``lgw apply`` rebuilds it from the text
+    lexicon sidecar of a corpus holding every surface, where the text
+    lexicon is the whole lexicon."""
+    lex = parse_lexicon(text)
+    corpus = "\n".join(lex.symbol_index())
+    path = Path(directory) / f"{name}.txt"
+    path.write_text(corpus, encoding="utf-8")
+    lexicons = lexicon_set([Path(directory) / f"{name}.dic"], [text.encode("utf-8")])
+    digest = sidecar.digest(corpus.encode("utf-8"))
+    write_text_sidecar(path, lexicons, digest, lex)
+    hit = read_text_sidecar(path, lexicons, digest)
+    assert hit is not None
+    return hit
 
 
 def _ordered(lex):
@@ -294,7 +298,6 @@ def _check_hit_built(text, directory):
     except MalformedLine:
         return
     hit = _hit_built(text, directory)
-    assert hit.name == "x"
     assert _ordered(hit) == _ordered(ref)
     assert _index(hit) == _oracle_index(text)
     other = parse_lexicon("b c,.V\nzz,.N+PR\na,.N+Hum\n")

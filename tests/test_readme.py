@@ -80,7 +80,7 @@ def test_quick_tour_second_round_hits_every_sidecar(tmp_path, monkeypatch, capsy
     # same outputs
     import types
 
-    from lgw import cli, matcher
+    from lgw import cli, lexicon, matcher
 
     monkeypatch.chdir(tmp_path)
 
@@ -101,8 +101,8 @@ def test_quick_tour_second_round_hits_every_sidecar(tmp_path, monkeypatch, capsy
 
     first = tour()
     assert len(list((tmp_path / "__lgwcache__").glob("corpus.txt.*.lex"))) == 2
-    monkeypatch.setattr(cli, "read_sidecar", no_load)
     monkeypatch.setattr(cli, "parse_lexicon", no_load)
+    monkeypatch.setattr(lexicon, "_read_lines", no_load)
     monkeypatch.setattr(matcher, "_impl",
                         types.SimpleNamespace(**{**vars(matcher._engine), "tokenize_raw": no_load}))
     assert tour() == first
