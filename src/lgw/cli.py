@@ -16,7 +16,7 @@ from bisect import bisect_left
 from functools import cache
 from pathlib import Path
 
-from . import concorddiff, evaluator, sidecar
+from . import concorddiff, evaluator, matcher, sidecar
 from .composer import compose_main, select_keep_set
 from .concordance import build_concordance, parse_concordance, write_concordance
 from .concorddiff import Action, DiffCounts, Relation, RelationReport
@@ -24,11 +24,8 @@ from .errors import EmptyKeepSet, LgwError, TextMismatch, UsageError, located
 # parse_graph is not called here: perfbench/trace.py wraps lgw.cli.parse_graph
 from .grammar import _ID, load_grammar_set, parse_graph, render_graph, validate_set
 # perfbench/trace.py wraps lgw.cli.parse_lexicon and lgw.cli.merge_lexicons
-from .lexicon import (
-    Lexicon, lexicon_set, merge_lexicons, parse_lexicon, read_text_sidecar, text_lexicon,
-    write_text_sidecar,
-)
-from .matcher import ALL_MATCHES, LONGEST_ONLY, Tokenized, apply_grammar, corpus_tokens
+from .lexicon import Lexicon, merge_lexicons, parse_lexicon, text_lexicon
+from .matcher import ALL_MATCHES, LONGEST_ONLY, Tokenized, apply_grammar
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,7 +157,7 @@ def _json(obj) -> str:
 
 def _read_text(path: str) -> tuple:
     """(text, digest) of the corpus file at ``path``: the digest of its
-    UTF-8 bytes keys both of the file's sidecars, so it is computed once."""
+    UTF-8 bytes, which the file's sidecar key holds."""
     text = _read(path)
     return text, sidecar.digest(text.encode("utf-8"))
 
@@ -191,59 +188,31 @@ def _load_lexicon(path: str, data) -> Lexicon:
     except UnicodeDecodeError as exc:
         raise LgwError(f"cannot read {path}: {exc}") from None
     with located(path):
-        return parse_lexicon(text, name=Path(path).stem)
-
-
-def _set_name(paths) -> str:
-    return "+".join(Path(p).stem for p in paths)
+        return parse_lexicon(text)
 
 
 def _load_lexicons(paths, data) -> Lexicon:
-    lexicons = [_load_lexicon(p, d) for p, d in zip(paths, data)]
-    return merge_lexicons(lexicons, name=_set_name(paths))
+    return merge_lexicons([_load_lexicon(p, d) for p, d in zip(paths, data)])
 
 
-def _find_text_lexicons(corpus, texts, lexicons, data):
-    """(``lexicon_set``, the text lexicon of each corpus file from its
-    sidecar, or None) for the lexicon files at ``lexicons`` holding
-    ``data``.  Without lexicons, or when a file could not be read, there
-    is no set and every text lexicon is None: the lexicons load as they
-    would without text lexicons, and the command fails where it would."""
-    if not data or any(isinstance(x, LgwError) for x in (*texts, *data)):
-        return None, [None] * len(corpus)
-    lset = lexicon_set(lexicons, data)
-    return lset, [read_text_sidecar(p, lset, digest) for p, (_, digest) in zip(corpus, texts)]
-
-
-def _cut_text_lexicons(paths, texts, tokenized, found, full, lset) -> list:
-    """The text lexicons of the corpus files at ``paths``: each one
-    ``found`` in its sidecar, or else cut from the ``full`` lexicon with
-    the file's share of the ``tokenized`` corpus and kept in its sidecar.
-    No lexicon key holds the "\n" that joins the files, so their merge is
-    the text lexicon of the joined corpus."""
-    surfaces, starts, ends = tokenized.tokens
-    cut, offset = [], 0
-    for p, (text, digest), lex in zip(paths, texts, found):
-        if lex is None:
-            a = bisect_left(starts, offset)
-            b = bisect_left(starts, offset + len(text), lo=a)
-            lex = text_lexicon(full, (surfaces[a:b], starts[a:b], ends[a:b]), tokenized.text)
-            write_text_sidecar(p, lset, digest, lex)
+def _read_corpus(paths, texts, lexicons, found, full) -> tuple:
+    """(the ``Tokenized`` joined text, its text lexicon) of the corpus
+    files at ``paths``, whose ``_read_text`` pairs are ``texts``, for the
+    ``sidecar.lexicon_set`` ``lexicons``.  A file's tokens and text
+    lexicon are those ``found`` in its sidecar; a file whose sidecar
+    missed (None) is tokenized, its text lexicon is cut from the ``full``
+    lexicon, and both are kept in its sidecar.  The texts are joined with
+    "\n", which no token spans and no lexicon key holds, so the files'
+    tokens, shifted by where their texts start, and the merge of their
+    text lexicons are those of the joined text."""
+    tokens, cut, offset = None, [], 0
+    for p, (text, digest), hit in zip(paths, texts, found):
+        if hit is None:
+            toks = matcher._impl.tokenize_raw(text)
+            hit = toks, text_lexicon(full, toks, text)
+            sidecar.write(p, lexicons, digest, *hit)
+        toks, lex = hit
         cut.append(lex)
-        offset += len(text) + 1
-    return cut
-
-
-def _read_corpus(paths, texts=None) -> Tokenized:
-    """The texts of the corpus files at ``paths`` (``texts``, their
-    ``_read_text`` pairs, when read already) joined with "\n", and its
-    tokens.  No token spans the joining "\n", so those are each file's
-    tokens (``corpus_tokens``), shifted by where its text starts."""
-    if texts is None:
-        texts = [_read_text(p) for p in paths]
-    tokens, offset = None, 0
-    for p, (text, digest) in zip(paths, texts):
-        toks = corpus_tokens(p, text, digest)
         if offset:
             surfaces, starts, ends = tokens
             surfaces += toks[0]
@@ -252,7 +221,7 @@ def _read_corpus(paths, texts=None) -> Tokenized:
         else:
             tokens = toks
         offset += len(text) + 1
-    return Tokenized("\n".join(text for text, _ in texts), tokens)
+    return Tokenized("\n".join(text for text, _ in texts), tokens), merge_lexicons(cut)
 
 
 def cmd_apply(args) -> int:
@@ -262,12 +231,17 @@ def cmd_apply(args) -> int:
             raise UsageError(f"corpus file name contains whitespace: {Path(p).name!r}")
     stamp = _stamp(args)
     corpus = sorted(args.corpus, key=lambda p: Path(p).name)
-    # the corpus and the lexicon bytes are read first, to look up the text
-    # lexicons; a read error is raised only where the file's load raises it
+    # the corpus and the lexicon bytes are read first, to look up the
+    # sidecars; when a file cannot be read, every sidecar misses and its
+    # read error is raised only where the file's load raises it
     texts = [_attempt(_read_text, p) for p in corpus]
     data = [_attempt(_read_bytes, p) for p in args.lexicon]
-    lset, found = _find_text_lexicons(corpus, texts, args.lexicon, data)
-    lex = _load_lexicons(args.lexicon, data) if None in found else None
+    if any(isinstance(x, LgwError) for x in (*texts, *data)):
+        lexicons, found = None, [None] * len(corpus)
+    else:
+        lexicons = sidecar.lexicon_set(args.lexicon, data)
+        found = [sidecar.read(p, lexicons, digest) for p, (_, digest) in zip(corpus, texts)]
+    full = _load_lexicons(args.lexicon, data) if None in found else None
     del data  # not kept through the walk: a 20k-entry lexicon file is about 330 kB
     gs = load_grammar_set([(p, _read(p)) for p in args.grammar], args.main)
     diags = validate_set(gs)
@@ -279,12 +253,8 @@ def cmd_apply(args) -> int:
         if isinstance(text, LgwError):
             raise text
     text_id = "+".join(Path(p).name for p in corpus)
-    tokenized = _read_corpus(corpus, texts)
-    if lset is not None:
-        # the walk needs only the text lexicon: the full lexicon is dropped
-        found = _cut_text_lexicons(corpus, texts, tokenized, found, lex, lset)
-        lex = merge_lexicons(found, name=_set_name(args.lexicon))
-        del found
+    tokenized, lex = _read_corpus(corpus, texts, lexicons, found, full)
+    del found, full  # the walk needs only the text lexicon
     # the tokens ride in the text argument: perfbench/trace.py forwards
     # exactly apply_grammar's five parameters
     occs = apply_grammar(gs, tokenized, lex, mode=args.mode)

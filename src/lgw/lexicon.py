@@ -11,22 +11,20 @@ distinct symbol sets (POS plus codes) and the head index.  The lemma of a
 line is checked but not kept, and lines that differ only in their lemma
 give one symbol set.
 
-A corpus file can keep its text lexicon, the part of a lexicon that the
-matcher can look up on its text (``text_lexicon``), in a sidecar beside
-it (``read_text_sidecar`` and ``write_text_sidecar``), so that a later
-apply with the same lexicon files does not parse them.
+A corpus file's text lexicon is the part of a lexicon that the matcher
+can look up on its text (``text_lexicon``); ``lgw apply`` keeps it in
+the file's sidecar (``lgw.sidecar``), so that a later apply with the same
+lexicon files does not parse them.
 """
 
 from __future__ import annotations
 
-import os
 import re
 
-from . import sidecar
 from .errors import MalformedLine, numbered_lines
+from .grammar import _unescape
 from .matcher._engine import probe_keys, tokenize_raw
 
-_ESCAPE_RE = re.compile(r"\\(.)", re.S)
 # surface, comma, lemma, period, tag; a backslash escapes the next character
 _ESCAPED_LINE_RE = re.compile(r"((?:\\.?|[^\\,])*)(,?)((?:\\.?|[^\\.])*)(\.?)(.*)", re.S)
 
@@ -79,10 +77,6 @@ def _build(pairs) -> tuple:
     for surface, sets in multi.items():
         symidx[surface] = tuple(sets)
     return symidx, (heads, max(heads.values(), default=0))
-
-
-def _unescape(s: str) -> str:
-    return _ESCAPE_RE.sub(lambda m: m.group(1), s)
 
 
 def _parse_tag(gram: str, line_no: int) -> frozenset:
@@ -160,64 +154,3 @@ def text_lexicon(lex: Lexicon, toks: list, text: str) -> Lexicon:
         if key in heads:
             widths[key] = heads[key]
     return Lexicon(symbols, (widths, longest), lex.name)
-
-
-# A text lexicon's sidecar (see lgw.sidecar): its key, then marshal data of
-# five columns: the distinct symbol-set tuples; the surfaces in index order;
-# for each surface the number of its tuple, as bytes when 256 numbers
-# suffice; the head widths dict.fromkeys(<alphabetic surfaces>, 1) does not
-# give; and the widest head.  Bump TEXT_LEXICON_FORMAT whenever these
-# columns, what parse_lexicon makes of a text or what text_lexicon keeps
-# change.
-TEXT_LEXICON_FORMAT = 2
-
-
-def lexicon_set(paths, data) -> tuple:
-    """What names the lexicon files at ``paths``, holding ``data``, to a
-    text lexicon sidecar: its suffix, one per list of paths, so that
-    applies alternating lexicon sets all hit, and the digests of the
-    files' bytes in order, which its key holds."""
-    where = b"\0".join(os.fsencode(os.path.abspath(p)) for p in paths)
-    return f"{sidecar.digest(where)[:8].hex()}.lex", b"".join(map(sidecar.digest, data))
-
-
-def _text_sidecar(lexicons: tuple, digest: bytes) -> tuple:
-    """(suffix, key) of the text lexicon sidecar, for the ``lexicon_set``
-    ``lexicons``, of a corpus file whose text has the ``sidecar.digest``
-    ``digest``: the text itself is not digested again."""
-    suffix, digests = lexicons
-    return suffix, sidecar.key(b"text lexicon", TEXT_LEXICON_FORMAT,
-                               sidecar.digest(digests + digest))
-
-
-def read_text_sidecar(path, lexicons: tuple, digest: bytes):
-    """The text lexicon for the ``lexicon_set`` ``lexicons`` of the corpus
-    file at ``path``, whose text has the digest ``digest``, from its
-    sidecar; None when there is none for this text and these lexicons or
-    it cannot be read."""
-    columns = sidecar.read(path, *_text_sidecar(lexicons, digest))
-    if columns is None:
-        return None
-    try:
-        sets, surfaces, ids, wider, longest = columns
-        symidx = dict(zip(surfaces, map(sets.__getitem__, ids), strict=True))
-        heads = dict.fromkeys(filter(str.isalpha, surfaces), 1)
-        heads.update(wider)
-    except (ValueError, TypeError, IndexError, AttributeError):
-        return None  # not written by write_text_sidecar
-    return Lexicon(symidx, (heads, longest))
-
-
-def write_text_sidecar(path, lexicons: tuple, digest: bytes, lex: Lexicon) -> None:
-    """Keep ``lex``, the text lexicon for the ``lexicon_set`` ``lexicons``
-    of the corpus file at ``path`` whose text has the digest ``digest``,
-    in its sidecar."""
-    symidx = lex.symbol_index()
-    heads, longest = lex.head_index()
-    sets: dict = {}
-    ids = [sets.setdefault(v, len(sets)) for v in symidx.values()]
-    ones = dict.fromkeys(filter(str.isalpha, symidx), 1)
-    wider = {w: n for w, n in heads.items() if ones.get(w) != n}
-    columns = (tuple(sets), tuple(symidx), bytes(ids) if len(sets) <= 256 else tuple(ids),
-               wider, longest)
-    sidecar.write(path, *_text_sidecar(lexicons, digest), columns)

@@ -3,25 +3,24 @@
 The matching kernel lives in ``_engine``; it reports where each output
 goes, and this module splices the outputs into the matched text.
 
-A corpus file can keep its kernel tokens in a sidecar,
-``__lgwcache__/<file name>.tok`` beside it (``corpus_tokens``), so that a
-later apply of the same text skips tokenizing it.
+``lgw apply`` keeps a corpus file's kernel tokens in the file's sidecar
+(``lgw.sidecar``), so that a later apply of the same text skips
+tokenizing it.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .. import sidecar
 from ..data import default_abbreviations
 from ..grammar import GrammarSet, compile_filter
 
 from . import _engine
 
-# the kernel as apply_grammar calls it (perfbench/trace.py swaps in a
-# timed proxy); the compiler uses _engine directly
+# the kernel as apply_grammar and lgw apply's tokenizing call it
+# (perfbench/trace.py swaps in a timed proxy); the compiler uses _engine
+# directly
 _impl = _engine
 USING_COMPILED_ENGINE = False  # recorded by perfbench/run.py
 
@@ -46,54 +45,6 @@ class Tokenized(NamedTuple):
 
     text: str
     tokens: tuple
-
-
-# The token sidecar (see lgw.sidecar): its key, then the marshal data of
-# four columns: the distinct surfaces, first seen first; for each token
-# the number of its surface, and its start and its end, each column as
-# the bytes of an array(_engine.OFFSETS).  Bump TOKENS_FORMAT whenever
-# these columns, or what tokenize_raw makes of a text, change.
-TOKENS_FORMAT = 2
-
-
-def _read_tokens(path, key: bytes):
-    """The token columns in the sidecar with ``key`` of the file at
-    ``path``; None when there is none or it was not written by
-    ``corpus_tokens``.  The values are trusted, as the key holds the
-    digest of the text they were computed from."""
-    columns = sidecar.read(path, "tok", key)
-    if type(columns) is not tuple or len(columns) != 4:
-        return None
-    distinct, *data = columns
-    if type(distinct) is not tuple or {*map(type, distinct)} - {str}:
-        return None
-    numbers, starts, ends = arrays = [array(_engine.OFFSETS) for _ in data]
-    try:
-        for column, raw in zip(arrays, data):
-            column.frombytes(raw)
-        surfaces = [distinct[i] for i in numbers]  # faster than map(distinct.__getitem__)
-    except (TypeError, ValueError, IndexError):
-        return None  # not bytes, not whole numbers, or past the distinct surfaces
-    if not len(surfaces) == len(starts) == len(ends):
-        return None
-    return surfaces, starts, ends
-
-
-def corpus_tokens(path, text: str, digest: bytes) -> tuple:
-    """The kernel token columns of ``text``, read from the file at
-    ``path``, whose UTF-8 bytes have the ``sidecar.digest`` ``digest``:
-    loaded from the file's token sidecar when that was written for this
-    text, else tokenized, and the sidecar written for the next apply."""
-    key = sidecar.key(b"tokens", TOKENS_FORMAT, digest)
-    toks = _read_tokens(path, key)
-    if toks is None:
-        toks = _impl.tokenize_raw(text)
-        surfaces, starts, ends = toks
-        distinct = {}
-        numbers = array(_engine.OFFSETS, [distinct.setdefault(s, len(distinct)) for s in surfaces])
-        columns = (tuple(distinct), numbers.tobytes(), starts.tobytes(), ends.tobytes())
-        sidecar.write(path, "tok", key, columns)
-    return toks
 
 
 def _compile_atom(atom):

@@ -620,9 +620,11 @@ def test_console_script_help():
     assert "apply" in proc.stdout and "compose" in proc.stdout
 
 
-# --- lexicons ---------------------------------------------------------------------
-# lgw apply writes nothing beside a lexicon file: what it keeps of one is the
-# text lexicon beside each corpus file (see the text lexicon sidecar below).
+# --- the corpus sidecar -----------------------------------------------------------
+# lgw apply writes nothing beside a lexicon file.  It keeps each corpus file's
+# tokens and text lexicon, for each list of lexicon files, in one sidecar,
+# __lgwcache__/<file>.<set>.lgc beside it; every case here must give what
+# tokenizing the corpus and loading the whole lexicon give.
 
 NAMES = "Ana,.N+PR\nZeca,.V+PR\n"
 
@@ -638,34 +640,59 @@ def named(tmp_path):
     return tmp_path
 
 
-def _apply_named(d, out):
-    return main(["apply", "--grammar", str(d / "ReconheceNomesCompostos.lg"),
-                 "--lexicon", str(d / "lex" / "n.dic"), "--out", str(d / out),
-                 "--cnc", "n.cnc", "--xml", "n.xml", str(d / "c.txt")])
+def _apply_named(d, out, lexicons=("n.dic",)):
+    argv = ["apply", "--grammar", str(d / "ReconheceNomesCompostos.lg"), "--out", str(d / out),
+            "--cnc", "n.cnc", "--xml", "n.xml", str(d / "c.txt")]
+    for name in lexicons:
+        argv += ["--lexicon", str(d / "lex" / name)]
+    return main(argv)
 
 
 def _outputs(out):
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
+def _sidecar(d, corpus="c.txt"):
+    (path,) = (d / "__lgwcache__").glob(f"{corpus}.*.lgc")
+    return path
+
+
+def _sidecars(d):
+    cache = d / "__lgwcache__"
+    return {p.name: p.read_bytes() for p in cache.iterdir()} if cache.exists() else {}
+
+
+def _forbid_misses(monkeypatch):
+    """Make loading a lexicon and tokenizing a corpus fail: a hit does neither."""
+    from lgw import cli, lexicon, matcher
+
+    def no_miss(*args, **kwargs):
+        raise AssertionError("a lexicon was loaded or a corpus tokenized on a sidecar hit")
+
+    monkeypatch.setattr(cli, "parse_lexicon", no_miss)
+    monkeypatch.setattr(lexicon, "_read_lines", no_miss)
+    # the kernel as apply_grammar and lgw apply's tokenizing reach it
+    kernel = {**vars(matcher._engine), "tokenize_raw": no_miss}
+    monkeypatch.setattr(matcher, "_impl", types.SimpleNamespace(**kernel))
+
+
 def test_malformed_lexicon_with_an_old_sidecar_exits_2(named, capsys):
     # a lexicon made malformed after a good apply, although its corpus
     # keeps the text lexicon of the good one
     assert _apply_named(named, "a") == 0
-    first = _text_sidecar(named).read_bytes()
+    first = _sidecar(named).read_bytes()
     dic = named / "lex" / "n.dic"
     dic.write_text(NAMES + "sem virgula\n", encoding="utf-8")
     capsys.readouterr()
     assert _apply_named(named, "b") == 2
     err = capsys.readouterr().err
     assert err == f"lgw apply: error: {dic}: line 3: missing ',' separator\n"
-    assert _text_sidecar(named).read_bytes() == first
+    assert _sidecar(named).read_bytes() == first
     assert not (named / "lex" / "__lgwcache__").exists()
 
 
 def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
-    from lgw import cli, lexicon, matcher
-    from lgw.lexicon import lexicon_set
+    from lgw.sidecar import lexicon_set
 
     # the lexicons in their own directory, which gets no sidecar
     (ws / "lex").mkdir()
@@ -682,80 +709,89 @@ def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
 
     assert apply(ws / "miss") == 0
     assert "<NOME>Marilyn Monroe</NOME>" in (ws / "miss" / "g.cnc").read_text(encoding="utf-8")
-    suffix, _ = lexicon_set(lexicons, [])
-    assert sorted(p.name for p in (ws / "__lgwcache__").iterdir()) == [
-        f"corpus.txt.{suffix}", "corpus.txt.tok"
-    ]
+    name, _ = lexicon_set(lexicons, [])
+    assert sorted(_sidecars(ws)) == [f"corpus.txt.{name}.lgc"]
     assert not (ws / "lex" / "__lgwcache__").exists()
-
-    def no_parse(*args, **kwargs):
-        raise AssertionError("a lexicon was parsed on a hit")
-
-    def no_read(*args, **kwargs):
-        raise AssertionError("a lexicon's lines were read on a hit")
-
-    def no_tokenize(*args, **kwargs):
-        raise AssertionError("the corpus was tokenized on a hit")
-
-    monkeypatch.setattr(cli, "parse_lexicon", no_parse)
-    # the merge of the two hits reads no line either
-    monkeypatch.setattr(lexicon, "_read_lines", no_read)
-    # the kernel as apply_grammar and corpus_tokens reach it
-    kernel = {**vars(matcher._engine), "tokenize_raw": no_tokenize}
-    monkeypatch.setattr(matcher, "_impl", types.SimpleNamespace(**kernel))
+    _forbid_misses(monkeypatch)
     assert apply(ws / "hit") == 0
     assert _outputs(ws / "hit") == _outputs(ws / "miss")
     assert not (ws / "lex" / "__lgwcache__").exists()
 
 
-# --- the token sidecar ---------------------------------------------------------
-# lgw apply keeps each corpus file's tokens in __lgwcache__/<file>.tok beside
-# it; every case here must give what tokenizing gives.
+def test_alternating_lexicon_lists_keep_one_sidecar_each(named, capsys, monkeypatch):
+    (named / "lex" / "m.dic").write_text("Isabel,.N+PR\nZeca,.N+PR\n", encoding="utf-8")
+    lists = [("n.dic",), (), ("m.dic", "n.dic"), ("n.dic", "m.dic")]
+    first, counts = [], []
+    for k, lexicons in enumerate(lists):
+        before = _sidecars(named)
+        assert _apply_named(named, f"a{k}", lexicons) == 0
+        counts.append(capsys.readouterr().out.split()[0])
+        after = _sidecars(named)
+        # one new sidecar, and those of the earlier lists byte-identical
+        assert len(after) == k + 1 and before.items() <= after.items()
+        first.append(_outputs(named / f"a{k}"))
+    assert counts == ["1", "0", "3", "3"]  # each apply matched with its own lexicons
+    # a second round tokenizes nothing, loads no lexicon and rewrites no sidecar
+    _forbid_misses(monkeypatch)
+    for k, lexicons in enumerate(lists):
+        assert _apply_named(named, f"b{k}", lexicons) == 0
+        assert _outputs(named / f"b{k}") == first[k]
+    assert _sidecars(named) == after
 
-def _tok_sidecar(d):
-    return d / "__lgwcache__" / "c.txt.tok"
 
-
-def test_token_sidecar_of_an_edited_corpus_is_not_used(named, capsys):
-    corpus = named / "c.txt"
+@pytest.mark.parametrize("edit", ["lexicon", "corpus"])
+def test_text_lexicon_of_an_edited_lexicon_or_corpus_is_not_used(named, capsys, monkeypatch,
+                                                                 edit):
+    path = named / "lex" / "n.dic" if edit == "lexicon" else named / "c.txt"
     assert _apply_named(named, "a") == 0
     assert "1 occurrence(s)" in capsys.readouterr().out
-    first = _tok_sidecar(named).read_bytes()
-    # same size and modification time: only the text tells the edit
-    stat = corpus.stat()
-    corpus.write_text("Zeca viu Ana e a rainha Isabel.\n", encoding="utf-8")
-    os.utime(corpus, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-    assert corpus.stat().st_size == stat.st_size
+    first = _sidecar(named).read_bytes()
+    # same size and modification time: only the bytes tell the edit
+    stat = path.stat()
+    if edit == "lexicon":
+        path.write_text(NAMES.replace("V+PR", "N+PR"), encoding="utf-8")
+        want = ('2 occurrence(s)',
+                '<EM CATEG="PESSOA" TIPO="INDIVIDUAL">Ana</EM> viu '
+                '<EM CATEG="PESSOA" TIPO="INDIVIDUAL">Zeca</EM> e a rainha Isabel.\n')
+    else:
+        path.write_text("Zeca viu Ana e a rainha Isabel.\n", encoding="utf-8")
+        want = ('1 occurrence(s)',
+                'Zeca viu <EM CATEG="PESSOA" TIPO="INDIVIDUAL">Ana</EM> e a rainha Isabel.\n')
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
     assert _apply_named(named, "b") == 0
-    assert "1 occurrence(s)" in capsys.readouterr().out
-    assert _tok_sidecar(named).read_bytes() != first
-    assert (named / "b" / "n.xml").read_text(encoding="utf-8") == (
-        'Zeca viu <EM CATEG="PESSOA" TIPO="INDIVIDUAL">Ana</EM> e a rainha Isabel.\n'
-    )
+    assert want[0] in capsys.readouterr().out
+    assert (named / "b" / "n.xml").read_text(encoding="utf-8") == want[1]
+    assert _sidecar(named).read_bytes() != first
+    _forbid_misses(monkeypatch)
     assert _apply_named(named, "c") == 0  # a hit on the rewritten sidecar
     assert _outputs(named / "c") == _outputs(named / "b")
 
 
-@pytest.mark.parametrize("damage", [
-    "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape",
-    "wrong-tuples", "not-tuples", "format-1", "tuple-list", "unequal-columns",
-    "ragged-bytes", "index-past-surfaces", "non-str-surface", "three-columns",
-])
-def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
-    from lgw.matcher import TOKENS_FORMAT
-    from lgw.sidecar import digest, key as sidecar_key
+def _damaged(named, damage):
+    """The bytes of the named corpus's sidecar with ``damage``, after a good
+    apply wrote it; each must be a miss."""
+    from lgw import sidecar
 
-    assert _apply_named(named, "a") == 0
-    sidecar = _tok_sidecar(named)
-    good = sidecar.read_bytes()
-    text = (named / "c.txt").read_text(encoding="utf-8")
-    key = sidecar_key(b"tokens", TOKENS_FORMAT, digest(text.encode("utf-8")))
+    path = _sidecar(named)
+    good = path.read_bytes()
+    lexicons = sidecar.lexicon_set([named / "lex" / "n.dic"], [NAMES.encode("utf-8")])
+    digest = sidecar.digest((named / "c.txt").read_bytes())
+    key = sidecar.key(lexicons, digest)
     version = b"python %d.%d" % sys.version_info[:2]
+    assert path.name == f"c.txt.{lexicons[0]}.lgc"
     assert good.startswith(key) and version in key
-    distinct, numbers, starts, ends = marshal.loads(good[len(key):])
-    # the (surface, start, end, kind) tuples format 1 kept in a list
+    distinct, numbers, starts, ends, *lexicon = marshal.loads(good[len(key):])
+    sets, surfaces, ids, wider, longest = lexicon
+    assert len(sets) == 2 and surfaces == ("Ana", "Zeca")
+
+    def columns(*tokens, lexicon=lexicon):
+        return key + marshal.dumps((*tokens, *lexicon), 2)
+
+    # the (surface, start, end, kind) tuples of the first token sidecar, in a list
     tuples = marshal.dumps([("Ana", 0, 3, 0), ("viu", 4, 7, 0)], 2)
-    sidecar.write_bytes({
+    other = sidecar.lexicon_set([named / "lex" / "n.dic"], [b"Ana,.N+PR\n"])
+    return {
         "truncated": good[: (len(key) + len(good)) // 2],
         "key-only": key,
         "garbage": b"\x00\xffnot a sidecar",
@@ -764,24 +800,65 @@ def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
         "wrong-shape": key + marshal.dumps((1, 2, 3), 2),
         "wrong-tuples": key + marshal.dumps([("Ana", 0, 3, 0), ("viu", 4)], 2),
         "not-tuples": key + marshal.dumps([["Ana", 0, 3, 0]], 2),
-        "format-1": sidecar_key(b"tokens", 1, digest(text.encode("utf-8"))) + tuples,
+        "format-1": b"lgw tokens 1 %s\n%s" % (version, digest) + tuples,
         "tuple-list": key + tuples,
-        "unequal-columns": key + marshal.dumps((distinct, numbers, starts, ends[:-8]), 2),
-        "ragged-bytes": key + marshal.dumps((distinct, numbers, starts, ends[:-1]), 2),
-        "index-past-surfaces": key + marshal.dumps((distinct[:-1], numbers, starts, ends), 2),
-        "non-str-surface": key + marshal.dumps((distinct[:-1] + (7,), numbers, starts, ends), 2),
-        "three-columns": key + marshal.dumps((distinct, numbers, starts + ends), 2),
-    }[damage])
+        "unequal-columns": columns(distinct, numbers, starts, ends[:-8]),
+        "ragged-bytes": columns(distinct, numbers, starts, ends[:-1]),
+        "index-past-surfaces": columns(distinct[:-1], numbers, starts, ends),
+        "non-str-surface": columns(distinct[:-1] + (7,), numbers, starts, ends),
+        "three-columns": columns(distinct, numbers, starts + ends),
+        # the text lexicon's columns
+        "lexicon-truncated": good[:-1],
+        "lexicon-garbage": key + b"\x00\xffnot marshal data",
+        "lexicon-wrong-shape": columns(distinct, numbers, starts, ends, lexicon=(1, 2, 3)),
+        "wrong-types": columns(distinct, numbers, starts, ends, lexicon=(1, 2, 3, 4, 5)),
+        "unequal-lexicon-columns": columns(distinct, numbers, starts, ends,
+                                           lexicon=(sets, surfaces, ids[:-1], wider, longest)),
+        "tuple-past-sets": columns(distinct, numbers, starts, ends,
+                                   lexicon=((), surfaces, ids, wider, longest)),
+        # the format before this one, and the key of another lexicon list
+        "format-0": good.replace(b"corpus %d python" % sidecar.FORMAT,
+                                 b"corpus %d python" % (sidecar.FORMAT - 1), 1),
+        "other-lexicons": sidecar.key(other, digest) + good[len(key):],
+    }[damage]
+
+
+def _check_damaged_sidecar_is_rewritten(named, capsys, damage):
+    assert _apply_named(named, "a") == 0
+    path = _sidecar(named)
+    good = path.read_bytes()
+    path.write_bytes(_damaged(named, damage))
     capsys.readouterr()
     assert _apply_named(named, "b") == 0
     captured = capsys.readouterr()
     assert "1 occurrence(s)" in captured.out
     assert captured.err == ""
-    assert sidecar.read_bytes() == good
+    assert path.read_bytes() == good
     assert _outputs(named / "b") == _outputs(named / "a")
 
 
-def test_unwritable_corpus_directory_gets_no_token_sidecar(named, capsys):
+@pytest.mark.parametrize("damage", [
+    "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape",
+    "wrong-tuples", "not-tuples", "format-1", "tuple-list", "unequal-columns",
+    "ragged-bytes", "index-past-surfaces", "non-str-surface", "three-columns",
+])
+def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
+    # damage to the whole sidecar or to its token columns
+    _check_damaged_sidecar_is_rewritten(named, capsys, damage)
+
+
+@pytest.mark.parametrize("damage", [
+    "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape", "wrong-types",
+    "format-0", "other-lexicons", "unequal-lexicon-columns", "tuple-past-sets",
+])
+def test_damaged_text_lexicon_sidecar_is_rewritten(named, capsys, damage):
+    # damage to the key or to the text lexicon's columns
+    lexicon_damage = {"truncated": "lexicon-truncated", "garbage": "lexicon-garbage",
+                      "wrong-shape": "lexicon-wrong-shape"}
+    _check_damaged_sidecar_is_rewritten(named, capsys, lexicon_damage.get(damage, damage))
+
+
+def test_unwritable_corpus_directory_gets_no_sidecar(named, capsys):
     (named / "__lgwcache__").write_text("not a directory", encoding="utf-8")
     for out in ("a", "b"):
         assert _apply_named(named, out) == 0
@@ -817,8 +894,18 @@ _corpus_file = st.builds(
 @example(["", "Ana²", ""])
 @example(["a\r", "\rb", "½三\x85İς_"])
 def test_corpus_tokens_equal_the_joined_texts_tokens(texts):
-    from lgw.cli import _read_corpus
+    from lgw import sidecar
+    from lgw.cli import _read_corpus, _read_text
+    from lgw.lexicon import merge_lexicons
     from lgw.matcher._engine import tokenize_raw
+
+    no_lexicons = sidecar.lexicon_set([], [])
+
+    def read(paths):
+        # as lgw apply reads a corpus without --lexicon
+        pairs = [_read_text(p) for p in paths]
+        found = [sidecar.read(p, no_lexicons, digest) for p, (_, digest) in zip(paths, pairs)]
+        return _read_corpus(paths, pairs, no_lexicons, found, merge_lexicons([]))[0]
 
     with tempfile.TemporaryDirectory() as directory:
         paths = []
@@ -827,12 +914,12 @@ def test_corpus_tokens_equal_the_joined_texts_tokens(texts):
             with open(path, "w", encoding="utf-8", newline="") as f:
                 f.write(text)
             paths.append(path)
-        miss = _read_corpus(paths)
+        miss = read(paths)
         assert miss.text == "\n".join(t.replace("\r\n", "\n").replace("\r", "\n")
                                       for t in texts)
         assert miss.tokens == tokenize_raw(miss.text)
         assert len(os.listdir(os.path.join(directory, "__lgwcache__"))) == len(texts)
-        hit = _read_corpus(paths)
+        hit = read(paths)
         assert hit == miss
         # and of the same types: an array never equals a list
         column_types = [(type(c), getattr(c, "typecode", None)) for c in tokenize_raw("")]
@@ -840,100 +927,9 @@ def test_corpus_tokens_equal_the_joined_texts_tokens(texts):
             assert [(type(c), getattr(c, "typecode", None)) for c in tokens] == column_types
 
 
-# --- the text lexicon sidecar ---------------------------------------------------
-# lgw apply keeps each corpus file's text lexicon, for each list of lexicon
-# files, in __lgwcache__/<file>.<set>.lex beside it; every case here must
-# give what loading the whole lexicon gives.
-
-def _text_sidecar(d, corpus="c.txt"):
-    (path,) = (d / "__lgwcache__").glob(f"{corpus}.*.lex")
-    return path
-
-
-def _forbid_lexicon_loads(monkeypatch):
-    from lgw import cli, lexicon
-
-    def no_load(*args, **kwargs):
-        raise AssertionError("a lexicon was loaded although its text lexicon was kept")
-
-    monkeypatch.setattr(cli, "parse_lexicon", no_load)
-    monkeypatch.setattr(lexicon, "_read_lines", no_load)
-
-
-@pytest.mark.parametrize("edit", ["lexicon", "corpus"])
-def test_text_lexicon_of_an_edited_lexicon_or_corpus_is_not_used(named, capsys, monkeypatch,
-                                                                 edit):
-    path = named / "lex" / "n.dic" if edit == "lexicon" else named / "c.txt"
-    assert _apply_named(named, "a") == 0
-    assert "1 occurrence(s)" in capsys.readouterr().out
-    first = _text_sidecar(named).read_bytes()
-    # same size and modification time: only the bytes tell the edit
-    stat = path.stat()
-    if edit == "lexicon":
-        path.write_text(NAMES.replace("V+PR", "N+PR"), encoding="utf-8")
-        want = ("2 occurrence(s)", '<EM CATEG="PESSOA" TIPO="INDIVIDUAL">Zeca</EM>')
-    else:
-        path.write_text("Zeca viu Ana e a rainha Isabel.\n", encoding="utf-8")
-        want = ("1 occurrence(s)", 'Zeca viu <EM CATEG="PESSOA" TIPO="INDIVIDUAL">Ana</EM>')
-    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-    assert path.stat().st_size == stat.st_size
-    assert _apply_named(named, "b") == 0
-    assert want[0] in capsys.readouterr().out
-    assert want[1] in (named / "b" / "n.xml").read_text(encoding="utf-8")
-    assert _text_sidecar(named).read_bytes() != first
-    _forbid_lexicon_loads(monkeypatch)
-    assert _apply_named(named, "c") == 0  # a hit on the rewritten sidecar
-    assert _outputs(named / "c") == _outputs(named / "b")
-
-
-@pytest.mark.parametrize("damage", [
-    "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape", "wrong-types",
-    "format-0",
-])
-def test_damaged_text_lexicon_sidecar_is_rewritten(named, capsys, damage):
-    from lgw.lexicon import TEXT_LEXICON_FORMAT, _text_sidecar as text_sidecar, lexicon_set
-    from lgw.sidecar import digest
-
-    assert _apply_named(named, "a") == 0
-    sidecar = _text_sidecar(named)
-    good = sidecar.read_bytes()
-    lexicons = lexicon_set([named / "lex" / "n.dic"], [NAMES.encode("utf-8")])
-    text = (named / "c.txt").read_text(encoding="utf-8")
-    suffix, key = text_sidecar(lexicons, digest(text.encode("utf-8")))
-    version = b"python %d.%d" % sys.version_info[:2]
-    assert sidecar.name == f"c.txt.{suffix}"
-    assert good.startswith(key) and version in key
-    sidecar.write_bytes({
-        "truncated": good[: (len(key) + len(good)) // 2],
-        "key-only": key,
-        "garbage": b"\x00\xffnot a sidecar",
-        "empty": b"",
-        "other-python": good.replace(version, b"python 2.7", 1),
-        "wrong-shape": key + marshal.dumps((1, 2, 3), 2),
-        "wrong-types": key + marshal.dumps((1, 2, 3, 4, 5), 2),
-        # the format before this one
-        "format-0": good.replace(b"lexicon %d python" % TEXT_LEXICON_FORMAT,
-                                 b"lexicon %d python" % (TEXT_LEXICON_FORMAT - 1), 1),
-    }[damage])
-    capsys.readouterr()
-    assert _apply_named(named, "b") == 0
-    captured = capsys.readouterr()
-    assert "1 occurrence(s)" in captured.out
-    assert captured.err == ""
-    assert sidecar.read_bytes() == good
-    assert _outputs(named / "b") == _outputs(named / "a")
-
-
-def test_unwritable_corpus_directory_gets_no_text_lexicon(named, capsys):
-    (named / "__lgwcache__").write_text("not a directory", encoding="utf-8")
-    for out in ("a", "b"):
-        assert _apply_named(named, out) == 0
-        assert "1 occurrence(s)" in capsys.readouterr().out
-    assert (named / "__lgwcache__").read_text(encoding="utf-8") == "not a directory"
-    assert _outputs(named / "b") == _outputs(named / "a")
-
-
 def test_several_corpus_files_merge_their_text_lexicons(named, capsys, monkeypatch):
+    from lgw import matcher
+
     # "Ana Zeca" would span the two files: no entry holds the "\n" joining them
     (named / "lex" / "n.dic").write_text("Ana,.N+PR\nAna Zeca,.N+PR\nZeca,.N+PR\n",
                                          encoding="utf-8")
@@ -952,10 +948,19 @@ def test_several_corpus_files_merge_their_text_lexicons(named, capsys, monkeypat
         '<EM CATEG="PESSOA" TIPO="INDIVIDUAL">Zeca</EM> viu '
         '<EM CATEG="PESSOA" TIPO="INDIVIDUAL">Ana Zeca</EM>.\n'
     )
-    _text_sidecar(named, "c.txt").unlink()
-    assert apply("one-miss") == 0  # c.txt misses, d.txt hits
-    assert _text_sidecar(named, "c.txt").exists()
-    _forbid_lexicon_loads(monkeypatch)
+    hit = _sidecar(named, "d.txt").read_bytes()
+    _sidecar(named, "c.txt").unlink()
+    tokenized = []
+    tokenize = matcher._engine.tokenize_raw
+    kernel = {**vars(matcher._engine),
+              "tokenize_raw": lambda text: tokenized.append(text) or tokenize(text)}
+    with monkeypatch.context() as m:
+        m.setattr(matcher, "_impl", types.SimpleNamespace(**kernel))
+        assert apply("one-miss") == 0  # c.txt misses, d.txt hits
+    assert tokenized == ["a rainha Ana"]
+    assert _sidecar(named, "c.txt").exists()
+    assert _sidecar(named, "d.txt").read_bytes() == hit
+    _forbid_misses(monkeypatch)
     assert apply("hit") == 0
     assert _outputs(named / "one-miss") == _outputs(named / "hit") == _outputs(named / "miss")
 
@@ -997,13 +1002,13 @@ def test_apply_errors_come_in_command_order(named, capsys):
         2, f"lgw apply: error: {bad_grammar}: line 2: unexpected character '?'\n")
     rc, err = apply(good_grammar, good_lexicon)
     assert rc == 2 and err.startswith(f"lgw apply: error: cannot read {corpus}: ")
-    # a corpus that cannot be read leaves no token sidecar and no text lexicon
+    # a corpus that cannot be read leaves no sidecar, not even for the other file
     assert not (named / "__lgwcache__").exists()
     assert not (named / "out").exists()
 
 
 def test_warm_apply_digests_each_corpus_text_once(named, monkeypatch):
-    # the token sidecar and the text lexicon are keyed on one digest of the text
+    # the sidecar key holds one digest of the text
     from lgw import sidecar
 
     texts = {"c.txt": "Ana viu Zeca e a rainha Isabel. " * 8, "d.txt": "Zeca viu Ana. " * 30}
@@ -1016,7 +1021,7 @@ def test_warm_apply_digests_each_corpus_text_once(named, monkeypatch):
     lengths = []
     digest = sidecar.digest
     monkeypatch.setattr(sidecar, "digest", lambda content: lengths.append(len(content)) or digest(content))
-    _forbid_lexicon_loads(monkeypatch)
+    _forbid_misses(monkeypatch)
     assert main(argv + [str(named / "warm")]) == 0
     # every longer input is one corpus text: the keys, paths and the lexicon are short
     sizes = sorted(len(text.encode("utf-8")) for text in texts.values())

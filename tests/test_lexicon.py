@@ -8,10 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from lgw import data, sidecar
 from lgw.errors import MalformedLine
 from lgw.grammar import Graph, GraphBox, GrammarSet, InputAtom, LexicalMask, load_grammar_set
-from lgw.lexicon import (
-    lexicon_set, merge_lexicons, parse_lexicon, read_text_sidecar, text_lexicon,
-    write_text_sidecar,
-)
+from lgw.lexicon import merge_lexicons, parse_lexicon, text_lexicon
 from lgw.matcher import ALL_MATCHES, _engine, apply_grammar
 from oracles import oracle_lexicon_index, oracle_parse_lexicon
 
@@ -255,19 +252,20 @@ def test_index_agrees_with_reference_index(text):
 
 
 def _hit_built(text, directory, name="x"):
-    """The lexicon of ``text`` as ``lgw apply`` rebuilds it from the text
-    lexicon sidecar of a corpus holding every surface, where the text
-    lexicon is the whole lexicon."""
+    """The lexicon of ``text`` as ``lgw apply`` rebuilds it from the
+    sidecar of a corpus holding every surface, where the text lexicon is
+    the whole lexicon."""
     lex = parse_lexicon(text)
     corpus = "\n".join(lex.symbol_index())
     path = Path(directory) / f"{name}.txt"
     path.write_text(corpus, encoding="utf-8")
-    lexicons = lexicon_set([Path(directory) / f"{name}.dic"], [text.encode("utf-8")])
+    lexicons = sidecar.lexicon_set([Path(directory) / f"{name}.dic"], [text.encode("utf-8")])
     digest = sidecar.digest(corpus.encode("utf-8"))
-    write_text_sidecar(path, lexicons, digest, lex)
-    hit = read_text_sidecar(path, lexicons, digest)
-    assert hit is not None
-    return hit
+    tokens = _engine.tokenize_raw(corpus)
+    sidecar.write(path, lexicons, digest, tokens, lex)
+    hit = sidecar.read(path, lexicons, digest)
+    assert hit is not None and hit[0] == tokens
+    return hit[1]
 
 
 def _ordered(lex):
@@ -425,10 +423,11 @@ def test_text_lexicon_answers_as_the_full_lexicon(entries_and_texts):
     # and its sidecar gives it back
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "c.txt"
-        lexicons = lexicon_set(["x.dic"], [lines.encode("utf-8")])
-        one = text_lexicon(full, _engine.tokenize_raw(parts[0]), parts[0])
+        lexicons = sidecar.lexicon_set(["x.dic"], [lines.encode("utf-8")])
+        tokens = _engine.tokenize_raw(parts[0])
+        one = text_lexicon(full, tokens, parts[0])
         digest = sidecar.digest(parts[0].encode("utf-8"))
-        write_text_sidecar(path, lexicons, digest, one)
-        assert _index(read_text_sidecar(path, lexicons, digest)) == _index(one)
-        edited = lexicon_set(["x.dic"], [lines.encode("utf-8") + b"#\n"])
-        assert read_text_sidecar(path, edited, digest) is None
+        sidecar.write(path, lexicons, digest, tokens, one)
+        assert _index(sidecar.read(path, lexicons, digest)[1]) == _index(one)
+        edited = sidecar.lexicon_set(["x.dic"], [lines.encode("utf-8") + b"#\n"])
+        assert sidecar.read(path, edited, digest) is None

@@ -75,9 +75,9 @@ def test_quick_tour_runs(tmp_path, monkeypatch, capsys, stamp):
 
 def test_quick_tour_second_round_hits_every_sidecar(tmp_path, monkeypatch, capsys):
     # the tour run twice in one directory: the second round loads no
-    # lexicon (g1 and the others apply different lexicon sets, and each
-    # set keeps its own text lexicon), tokenizes nothing, and writes the
-    # same outputs
+    # lexicon and tokenizes nothing (g1 and the others apply different
+    # lexicon lists, and each list keeps its own sidecar of the corpus),
+    # and writes the same outputs
     import types
 
     from lgw import cli, lexicon, matcher
@@ -100,7 +100,8 @@ def test_quick_tour_second_round_hits_every_sidecar(tmp_path, monkeypatch, capsy
         raise AssertionError("a lexicon was loaded or a corpus tokenized on the second round")
 
     first = tour()
-    assert len(list((tmp_path / "__lgwcache__").glob("corpus.txt.*.lex"))) == 2
+    assert len(list((tmp_path / "__lgwcache__").iterdir())) == 2
+    assert len(list((tmp_path / "__lgwcache__").glob("corpus.txt.*.lgc"))) == 2
     monkeypatch.setattr(cli, "parse_lexicon", no_load)
     monkeypatch.setattr(lexicon, "_read_lines", no_load)
     monkeypatch.setattr(matcher, "_impl",

@@ -28,7 +28,7 @@ def test_traced_apply_records_the_layer_spans(tmp_path):
     (tmp_path / "corpus.txt").write_text("A Sra. Joana da Silva falou.\n", encoding="utf-8")
     argv += ["--lexicon", str(tmp_path / "portugues.dic"), str(tmp_path / "corpus.txt")]
 
-    # the first apply tokenizes the corpus and writes its token sidecar, the
+    # the first apply tokenizes the corpus and writes its sidecar, the
     # second reads it: both reach apply_grammar through the traced wrapper
     for run in ("miss", "hit"):
         tracer = _load_trace().Tracer()
@@ -49,4 +49,4 @@ def test_traced_apply_records_the_layer_spans(tmp_path):
             assert parses and all(c["entries"] > 0 for c in parses)
         else:
             assert parses == []
-    assert (tmp_path / "__lgwcache__" / "corpus.txt.tok").exists()
+    assert len(list((tmp_path / "__lgwcache__").glob("corpus.txt.*.lgc"))) == 1
