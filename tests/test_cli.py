@@ -768,6 +768,36 @@ def test_text_lexicon_of_an_edited_lexicon_or_corpus_is_not_used(named, capsys, 
     assert _outputs(named / "c") == _outputs(named / "b")
 
 
+def test_token_sidecar_of_an_edited_corpus_is_not_used(named, capsys, monkeypatch):
+    from lgw import matcher, sidecar
+    from lgw.matcher._engine import tokenize_raw
+
+    corpus = named / "c.txt"
+    assert _apply_named(named, "a") == 0
+    assert "1 occurrence(s)" in capsys.readouterr().out
+    # same size and modification time: only the text tells the edit
+    stat = corpus.stat()
+    text = "Zeca viu Ana e a rainha Isabel.\n"
+    corpus.write_text(text, encoding="utf-8")
+    os.utime(corpus, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert corpus.stat().st_size == stat.st_size
+    tokenized = []
+    kernel = {**vars(matcher._engine),
+              "tokenize_raw": lambda t: tokenized.append(t) or tokenize_raw(t)}
+    with monkeypatch.context() as m:
+        m.setattr(matcher, "_impl", types.SimpleNamespace(**kernel))
+        assert _apply_named(named, "b") == 0
+    assert tokenized == [text]  # the edited text is tokenized again, once
+    assert "1 occurrence(s)" in capsys.readouterr().out
+    # the rewritten sidecar keeps the edited text's tokens
+    lexicons = sidecar.lexicon_set([named / "lex" / "n.dic"], [NAMES.encode("utf-8")])
+    tokens, _ = sidecar.read(corpus, lexicons, sidecar.digest(text.encode("utf-8")))
+    assert tokens == tokenize_raw(text)
+    _forbid_misses(monkeypatch)
+    assert _apply_named(named, "c") == 0  # a hit on the rewritten sidecar
+    assert _outputs(named / "c") == _outputs(named / "b")
+
+
 def _damaged(named, damage):
     """The bytes of the named corpus's sidecar with ``damage``, after a good
     apply wrote it; each must be a miss."""
@@ -858,13 +888,37 @@ def test_damaged_text_lexicon_sidecar_is_rewritten(named, capsys, damage):
     _check_damaged_sidecar_is_rewritten(named, capsys, lexicon_damage.get(damage, damage))
 
 
-def test_unwritable_corpus_directory_gets_no_sidecar(named, capsys):
+def _unwritable_cache_applies(named, capsys, monkeypatch):
+    """Apply twice with __lgwcache__ a file, so no sidecar can be written;
+    the texts tokenized and the lexicons parsed, in order."""
+    from lgw import cli, matcher
+
     (named / "__lgwcache__").write_text("not a directory", encoding="utf-8")
+    tokenized, parsed = [], []
+    tokenize, parse = matcher._engine.tokenize_raw, cli.parse_lexicon
+    kernel = {**vars(matcher._engine),
+              "tokenize_raw": lambda text: tokenized.append(text) or tokenize(text)}
+    monkeypatch.setattr(matcher, "_impl", types.SimpleNamespace(**kernel))
+    monkeypatch.setattr(cli, "parse_lexicon", lambda text: parsed.append(text) or parse(text))
     for out in ("a", "b"):
         assert _apply_named(named, out) == 0
         assert "1 occurrence(s)" in capsys.readouterr().out
     assert (named / "__lgwcache__").read_text(encoding="utf-8") == "not a directory"
     assert _outputs(named / "b") == _outputs(named / "a")
+    return tokenized, parsed
+
+
+def test_unwritable_corpus_directory_gets_no_token_sidecar(named, capsys, monkeypatch):
+    tokenized, _ = _unwritable_cache_applies(named, capsys, monkeypatch)
+    # no kept tokens: each apply tokenizes the corpus
+    text = (named / "c.txt").read_text(encoding="utf-8")
+    assert tokenized == [text, text]
+
+
+def test_unwritable_corpus_directory_gets_no_text_lexicon(named, capsys, monkeypatch):
+    _, parsed = _unwritable_cache_applies(named, capsys, monkeypatch)
+    # no kept text lexicon: each apply parses the whole lexicon
+    assert parsed == [NAMES, NAMES]
 
 
 def test_non_utf8_corpus_exits_2_and_gets_no_token_sidecar(named, capsys):
