@@ -35,7 +35,7 @@ from .errors import (
 )
 
 # POS tags recognized as the leading segment of a mask; anything else in
-# first position is treated as a semantic code, so <Hum> and <N+Hum>
+# first position is treated as a semantic code, so <Hum+N> and <N+Hum>
 # select the same entries.
 POS_TAGS = frozenset(
     {"N", "V", "A", "ADJ", "ADV", "PREP", "DET", "PRON", "CONJ", "INTJ", "NUM"}

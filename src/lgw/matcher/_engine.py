@@ -62,10 +62,12 @@ that one list.  ``probe_keys`` lists every key those lookups can read on
 a text, so a lexicon cut down to them matches that text alike.
 """
 
+import re
 from array import array
 from operator import itemgetter
 
 OFFSETS = "Q"  # the typecode of the starts and ends columns
+_CHUNK = re.compile(r"\S+")  # \s is what str.isspace and str.split take for whitespace
 
 
 def _chunk_tokens(chunk):
@@ -103,13 +105,12 @@ def token_surfaces(text):
 def tokenize_raw(text):
     """The ``(surfaces, starts, ends)`` token columns of ``text``: the
     tokens of each whitespace-split chunk (``_chunk_tokens``), in order.
-    Whitespace makes no token."""
+    Whitespace makes no token.  The chunks are found one at a time."""
     surfaces, starts, ends = [], array(OFFSETS), array(OFFSETS)
     distinct = {}
-    i = 0
-    for chunk in text.split():
-        i = text.find(chunk, i)
-        for surface in _chunk_tokens(chunk):
+    for m in _CHUNK.finditer(text):
+        i = m.start()
+        for surface in _chunk_tokens(m[0]):
             surfaces.append(distinct.setdefault(surface, surface))
             starts.append(i)
             i += len(surface)

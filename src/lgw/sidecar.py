@@ -3,28 +3,21 @@ kept beside it.
 
 The sidecar of the corpus file ``dir/name`` for a list of lexicon files
 is ``dir/__lgwcache__/name.<set>.lgc``, where ``<set>`` is named after
-the lexicon files' paths (``lexicon_set``), so that applies alternating
-lexicon lists each keep their own; an empty list is one more set.  It
-begins with its key: the format number, the Python ``major.minor`` that
-wrote it, and a blake2b digest of the digests of the lexicon files'
-bytes and of the corpus text.  Marshal data of nine columns follows:
+the lexicon files' paths (``lexicon_set``); an empty list is one more
+set.  A corpus file keeps its ``KEEP`` newest sidecars, by modification
+time.  A sidecar begins with its key: the format number, the Python
+``major.minor`` that wrote it, and a blake2b digest of the digests of
+the lexicon files' bytes and of the corpus text.  One marshal tuple of
+the six values ``lgw apply`` uses follows: the file's kernel token
+columns (``lgw.matcher``), the two offset arrays as bytes, and its text
+lexicon's (``lgw.lexicon.text_lexicon``) symbol index, head widths and
+widest head.  Marshal writes a surface or a symbol set that several
+tokens or entries share once, and reads it back as one object.
 
-* the file's kernel token columns (``lgw.matcher``): its distinct token
-  surfaces, first seen first, and for each token the number of its
-  surface, its start and its end, each as the bytes of an
-  ``array(_engine.OFFSETS)``;
-* its text lexicon (``lgw.lexicon.text_lexicon``), the part of the
-  merged lexicons that the matcher can look up on its text: the distinct
-  symbol-set tuples; the surfaces in index order; for each surface the
-  number of its tuple, as bytes when 256 numbers suffice; the head
-  widths ``dict.fromkeys(<alphabetic surfaces>, 1)`` does not give; and
-  the widest head.
-
-A sidecar with any other key, or one that cannot be read or decoded or
-whose columns do not fit together, is a miss.  Bump ``FORMAT`` whenever
-these columns, what ``tokenize_raw`` makes of a text, what
-``parse_lexicon`` makes of a lexicon or what ``text_lexicon`` keeps
-change.
+A sidecar with any other key, or that cannot be decoded into values the
+matcher can use, is a miss.  Bump ``FORMAT`` whenever these values, what
+``tokenize_raw`` makes of a text, what ``parse_lexicon`` makes of a
+lexicon or what ``text_lexicon`` keeps change.
 """
 
 from __future__ import annotations
@@ -32,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import marshal
 import os
+import re
 import sys
 from array import array
 # hashlib.blake2b is _blake2.blake2b; importing hashlib would also load
@@ -42,7 +36,8 @@ from pathlib import Path
 from .lexicon import Lexicon
 from .matcher._engine import OFFSETS
 
-FORMAT = 1
+FORMAT = 2
+KEEP = 4  # sidecars per corpus file: one per lexicon list an author alternates
 
 
 def digest(content: bytes) -> bytes:
@@ -74,8 +69,8 @@ def read(path, lexicons: tuple, text_digest: bytes):
     """(token columns, text lexicon) of the corpus file at ``path``, whose
     text has the digest ``text_digest``, for the ``lexicon_set``
     ``lexicons``, from its sidecar; None when there is none for this text
-    and these lexicons or it cannot be read.  The values are trusted, as
-    the key holds the digests of what they were computed from."""
+    and these lexicons, or when it cannot be read or holds values the
+    matcher could not use."""
     k = key(lexicons, text_digest)
     try:
         blob = _path(path, lexicons).read_bytes()
@@ -84,21 +79,22 @@ def read(path, lexicons: tuple, text_digest: bytes):
     if not blob.startswith(k):
         return None
     try:
-        distinct, *data, sets, keys, ids, wider, longest = marshal.loads(
-            memoryview(blob)[len(k):])
-        if type(distinct) is not tuple or {*map(type, distinct)} - {str}:
-            return None
-        numbers, starts, ends = arrays = [array(OFFSETS) for _ in range(3)]
-        for column, raw in zip(arrays, data, strict=True):
+        surfaces, *offsets, symidx, heads, longest = marshal.loads(memoryview(blob)[len(k):])
+        starts, ends = columns = array(OFFSETS), array(OFFSETS)
+        for column, raw in zip(columns, offsets, strict=True):
             column.frombytes(raw)
-        surfaces = [distinct[i] for i in numbers]  # faster than map(distinct.__getitem__)
-        if not len(surfaces) == len(starts) == len(ends):
-            return None
-        symidx = dict(zip(keys, map(sets.__getitem__, ids), strict=True))
-        heads = dict.fromkeys(filter(str.isalpha, keys), 1)
-        heads.update(wider)
-    except (EOFError, ValueError, TypeError, IndexError, AttributeError):
-        return None  # truncated, or not written by write
+        distinct = set(surfaces)  # a few hundred objects to check, not one per token
+    except (EOFError, ValueError, TypeError, MemoryError):
+        return None  # truncated, not written by write, or claiming a size past memory
+    # what the walk indexes: a token's surface by its first character, a
+    # surface's symbol sets as a tuple of sets, the head widths as ints
+    if not (type(surfaces) is list and len(surfaces) == len(starts) == len(ends)
+            and {*map(type, distinct)} <= {str} and "" not in distinct
+            and type(symidx) is dict and {*map(type, symidx.values())} <= {tuple}
+            and {type(s) for sets in symidx.values() for s in sets} <= {set, frozenset}
+            and type(heads) is dict and {*map(type, heads.values())} <= {int}
+            and type(longest) is int):
+        return None
     return (surfaces, starts, ends), Lexicon(symidx, (heads, longest))
 
 
@@ -106,21 +102,11 @@ def write(path, lexicons: tuple, text_digest: bytes, tokens: tuple, lex: Lexicon
     """Keep ``tokens``, the kernel token columns, and ``lex``, the text
     lexicon for the ``lexicon_set`` ``lexicons``, of the corpus file at
     ``path`` whose text has the digest ``text_digest``, in its sidecar,
-    replacing it whole.  A directory that cannot be written gets none."""
+    replacing it whole, then delete all but the ``KEEP`` newest sidecars
+    of the file.  A directory that cannot be written gets none."""
     surfaces, starts, ends = tokens
-    distinct: dict = {}
-    numbers = array(OFFSETS, [distinct.setdefault(s, len(distinct)) for s in surfaces])
-    symidx = lex.symbol_index()
-    heads, longest = lex.head_index()
-    sets: dict = {}
-    ids = [sets.setdefault(v, len(sets)) for v in symidx.values()]
-    ones = dict.fromkeys(filter(str.isalpha, symidx), 1)
-    wider = {w: n for w, n in heads.items() if ones.get(w) != n}
-    columns = (tuple(distinct), numbers.tobytes(), starts.tobytes(), ends.tobytes(),
-               tuple(sets), tuple(symidx), bytes(ids) if len(sets) <= 256 else tuple(ids),
-               wider, longest)
-    # version 2 builds no reference table while it writes or reads
-    payload = marshal.dumps(columns, 2)
+    payload = marshal.dumps((surfaces, starts.tobytes(), ends.tobytes(),
+                             lex.symbol_index(), *lex.head_index()))
     target = _path(path, lexicons)
     # a process writes only its own temporary file; os.replace makes the
     # whole new sidecar appear at once
@@ -131,6 +117,17 @@ def write(path, lexicons: tuple, text_digest: bytes, tokens: tuple, lex: Lexicon
             f.write(key(lexicons, text_digest))
             f.write(payload)  # not joined to the key: that copy raised peak memory
         os.replace(tmp, target)
+        # the KEEP - 1 newest other sidecars of the file stay
+        own = re.compile(re.escape(Path(path).name) + r"\.[0-9a-f]{16}\.lgc")
+        others = []
+        with os.scandir(target.parent) as entries:
+            for entry in entries:
+                if own.fullmatch(entry.name) and entry.name != target.name:
+                    with contextlib.suppress(FileNotFoundError):  # deleted meanwhile
+                        others.append((entry.stat().st_mtime_ns, entry.path))
+        for _, old in sorted(others, reverse=True)[KEEP - 1:]:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(old)
     except OSError:
         with contextlib.suppress(OSError):
             tmp.unlink()

@@ -1,14 +1,19 @@
+import contextlib
 import datetime
+import functools
+import io
 import json
 import marshal
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import tempfile
 import types
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lgw import data
 from lgw.cli import _non_overlapping, main
@@ -692,7 +697,7 @@ def test_malformed_lexicon_with_an_old_sidecar_exits_2(named, capsys):
 
 
 def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
-    from lgw.sidecar import lexicon_set
+    from lgw.sidecar import digest, lexicon_set, read
 
     # the lexicons in their own directory, which gets no sidecar
     (ws / "lex").mkdir()
@@ -712,6 +717,10 @@ def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
     name, _ = lexicon_set(lexicons, [])
     assert sorted(_sidecars(ws)) == [f"corpus.txt.{name}.lgc"]
     assert not (ws / "lex" / "__lgwcache__").exists()
+    # a hit's surfaces, as the tokenizer's, are one str per distinct surface
+    listed = lexicon_set(lexicons, [p.read_bytes() for p in lexicons])
+    (surfaces, _, _), _ = read(ws / "corpus.txt", listed, digest(CORPUS.encode("utf-8")))
+    assert len(surfaces) > len(set(surfaces)) == len(set(map(id, surfaces)))
     _forbid_misses(monkeypatch)
     assert apply(ws / "hit") == 0
     assert _outputs(ws / "hit") == _outputs(ws / "miss")
@@ -737,6 +746,36 @@ def test_alternating_lexicon_lists_keep_one_sidecar_each(named, capsys, monkeypa
         assert _apply_named(named, f"b{k}", lexicons) == 0
         assert _outputs(named / f"b{k}") == first[k]
     assert _sidecars(named) == after
+
+
+def test_ten_lexicon_lists_leave_the_newest_four_sidecars(named, capsys, monkeypatch):
+    from lgw.sidecar import KEEP, lexicon_set
+
+    cache = named / "__lgwcache__"
+    cache.mkdir()
+    # the sidecar of another corpus file, c.txt.x.txt, and a temporary file
+    # of a write: neither is a sidecar of c.txt
+    others = {"c.txt.x.txt.0123456789abcdef.lgc": b"x", "c.txt.0123456789abcdef.lgc.7.tmp": b"t"}
+    for name, content in others.items():
+        (cache / name).write_bytes(content)
+    names = []
+    for k in range(10):
+        (named / "lex" / f"m{k}.dic").write_text(NAMES, encoding="utf-8")
+        assert _apply_named(named, f"a{k}", (f"m{k}.dic",)) == 0
+        names.append(f"c.txt.{lexicon_set([named / 'lex' / f'm{k}.dic'], [])[0]}.lgc")
+        # file times may be coarser than one apply: date the k-th sidecar k
+        # seconds after the epoch, so the order of the writes is their age
+        os.utime(cache / names[k], ns=(k * 10**9, k * 10**9))
+        kept = _sidecars(named)
+        assert {n: kept.pop(n) for n in others} == others
+        assert sorted(kept) == sorted(names[-KEEP:])
+    assert "1 occurrence(s)" in capsys.readouterr().out
+    # the newest four hit
+    _forbid_misses(monkeypatch)
+    for k in range(10 - KEEP, 10):
+        assert _apply_named(named, f"b{k}", (f"m{k}.dic",)) == 0
+        assert _outputs(named / f"b{k}") == _outputs(named / f"a{k}")
+    assert sorted(_sidecars(named)) == sorted([*names[-KEEP:], *others])
 
 
 @pytest.mark.parametrize("edit", ["lexicon", "corpus"])
@@ -801,7 +840,10 @@ def test_token_sidecar_of_an_edited_corpus_is_not_used(named, capsys, monkeypatc
 def _damaged(named, damage):
     """The bytes of the named corpus's sidecar with ``damage``, after a good
     apply wrote it; each must be a miss."""
+    from array import array
+
     from lgw import sidecar
+    from lgw.matcher._engine import OFFSETS
 
     path = _sidecar(named)
     good = path.read_bytes()
@@ -811,15 +853,21 @@ def _damaged(named, damage):
     version = b"python %d.%d" % sys.version_info[:2]
     assert path.name == f"c.txt.{lexicons[0]}.lgc"
     assert good.startswith(key) and version in key
-    distinct, numbers, starts, ends, *lexicon = marshal.loads(good[len(key):])
-    sets, surfaces, ids, wider, longest = lexicon
-    assert len(sets) == 2 and surfaces == ("Ana", "Zeca")
+    surfaces, starts, ends, *lexicon = marshal.loads(good[len(key):])
+    symidx, heads, longest = lexicon
+    assert list(symidx) == ["Ana", "Zeca"] and heads == {"Ana": 1, "Zeca": 1}
 
-    def columns(*tokens, lexicon=lexicon):
-        return key + marshal.dumps((*tokens, *lexicon), 2)
+    def values(*tokens, lexicon=lexicon):
+        return key + marshal.dumps((*tokens, *lexicon))
 
     # the (surface, start, end, kind) tuples of the first token sidecar, in a list
     tuples = marshal.dumps([("Ana", 0, 3, 0), ("viu", 4, 7, 0)], 2)
+    # the nine columns of format 1: the distinct surfaces and each token's
+    # surface number, the distinct symbol-set tuples and each entry's number
+    distinct = tuple(dict.fromkeys(surfaces))
+    sets = tuple(dict.fromkeys(symidx.values()))
+    nine = (distinct, array(OFFSETS, map(distinct.index, surfaces)).tobytes(), starts, ends,
+            sets, tuple(symidx), bytes(map(sets.index, symidx.values())), {}, longest)
     other = sidecar.lexicon_set([named / "lex" / "n.dic"], [b"Ana,.N+PR\n"])
     return {
         "truncated": good[: (len(key) + len(good)) // 2],
@@ -832,20 +880,31 @@ def _damaged(named, damage):
         "not-tuples": key + marshal.dumps([["Ana", 0, 3, 0]], 2),
         "format-1": b"lgw tokens 1 %s\n%s" % (version, digest) + tuples,
         "tuple-list": key + tuples,
-        "unequal-columns": columns(distinct, numbers, starts, ends[:-8]),
-        "ragged-bytes": columns(distinct, numbers, starts, ends[:-1]),
-        "index-past-surfaces": columns(distinct[:-1], numbers, starts, ends),
-        "non-str-surface": columns(distinct[:-1] + (7,), numbers, starts, ends),
-        "three-columns": columns(distinct, numbers, starts + ends),
-        # the text lexicon's columns
+        "nine-columns": key + marshal.dumps(nine, 2),
+        # the token columns
+        "unequal-columns": values(surfaces, starts, ends[:-8]),
+        "ragged-bytes": values(surfaces, starts, ends[:-1]),
+        "non-str-surface": values(surfaces[:-1] + [7], starts, ends),
+        "empty-surface": values(surfaces[:-1] + [""], starts, ends),
+        "tuple-surfaces": values(tuple(surfaces), starts, ends),
+        "three-columns": values(surfaces, starts + ends),
+        # the text lexicon
         "lexicon-truncated": good[:-1],
         "lexicon-garbage": key + b"\x00\xffnot marshal data",
-        "lexicon-wrong-shape": columns(distinct, numbers, starts, ends, lexicon=(1, 2, 3)),
-        "wrong-types": columns(distinct, numbers, starts, ends, lexicon=(1, 2, 3, 4, 5)),
-        "unequal-lexicon-columns": columns(distinct, numbers, starts, ends,
-                                           lexicon=(sets, surfaces, ids[:-1], wider, longest)),
-        "tuple-past-sets": columns(distinct, numbers, starts, ends,
-                                   lexicon=((), surfaces, ids, wider, longest)),
+        "lexicon-wrong-shape": values(surfaces, starts, ends, lexicon=(1, 2)),
+        "wrong-types": values(surfaces, starts, ends, lexicon=(1, 2, 3)),
+        "list-symbol-index": values(surfaces, starts, ends,
+                                    lexicon=(list(symidx.items()), heads, longest)),
+        "list-symbol-sets": values(surfaces, starts, ends,
+                                   lexicon=({w: list(v) for w, v in symidx.items()}, heads,
+                                            longest)),
+        "int-symbol-set": values(surfaces, starts, ends,
+                                 lexicon=(dict.fromkeys(symidx, (1,)), heads, longest)),
+        "list-heads": values(surfaces, starts, ends,
+                             lexicon=(symidx, list(heads.items()), longest)),
+        "str-head-width": values(surfaces, starts, ends,
+                                 lexicon=(symidx, dict.fromkeys(heads, "1"), longest)),
+        "str-longest": values(surfaces, starts, ends, lexicon=(symidx, heads, str(longest))),
         # the format before this one, and the key of another lexicon list
         "format-0": good.replace(b"corpus %d python" % sidecar.FORMAT,
                                  b"corpus %d python" % (sidecar.FORMAT - 1), 1),
@@ -854,6 +913,10 @@ def _damaged(named, damage):
 
 
 def _check_damaged_sidecar_is_rewritten(named, capsys, damage):
+    if damage == "str-longest":
+        # the probe window of a token whose lower() is not alphabetic, as
+        # "İstanbul" -> "i̇stanbul", is the longest entry
+        (named / "c.txt").write_text("Ana viu Zeca em İstanbul.\n", encoding="utf-8")
     assert _apply_named(named, "a") == 0
     path = _sidecar(named)
     good = path.read_bytes()
@@ -870,7 +933,7 @@ def _check_damaged_sidecar_is_rewritten(named, capsys, damage):
 @pytest.mark.parametrize("damage", [
     "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape",
     "wrong-tuples", "not-tuples", "format-1", "tuple-list", "unequal-columns",
-    "ragged-bytes", "index-past-surfaces", "non-str-surface", "three-columns",
+    "ragged-bytes", "non-str-surface", "empty-surface", "tuple-surfaces", "three-columns",
 ])
 def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
     # damage to the whole sidecar or to its token columns
@@ -879,10 +942,11 @@ def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
 
 @pytest.mark.parametrize("damage", [
     "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape", "wrong-types",
-    "format-0", "other-lexicons", "unequal-lexicon-columns", "tuple-past-sets",
+    "format-0", "other-lexicons", "nine-columns", "list-symbol-index", "list-symbol-sets",
+    "int-symbol-set", "list-heads", "str-head-width", "str-longest",
 ])
 def test_damaged_text_lexicon_sidecar_is_rewritten(named, capsys, damage):
-    # damage to the key or to the text lexicon's columns
+    # damage to the key or to the text lexicon
     lexicon_damage = {"truncated": "lexicon-truncated", "garbage": "lexicon-garbage",
                       "wrong-shape": "lexicon-wrong-shape"}
     _check_damaged_sidecar_is_rewritten(named, capsys, lexicon_damage.get(damage, damage))
@@ -1135,3 +1199,153 @@ def test_main_builds_one_parser_and_reuses_it(ws, capsys, monkeypatch):
         assert len(built) == one_build
     finally:
         cli._build_parser.cache_clear()
+
+
+# --- the CLI contract under fuzz ----------------------------------------------
+# Whatever the bytes of an input file, a command exits 0-4 and raises
+# nothing; an input error says which file it is in.
+
+
+def _fuzz_argv(d, command):
+    grammars = [a for n in G1_FILES for a in ("--grammar", str(d / f"{n}.lg"))]
+    lexicons = [a for n in data.LEXICON_NAMES for a in ("--lexicon", str(d / f"{n}.dic"))]
+    apply = ["apply", *lexicons, "--out", str(d / "out"), "--xml", "sys.xml"]
+    if command == "g1":
+        return [*apply, *grammars, "--cnc", "g1.cnc", str(d / "corpus.txt")]
+    if command == "g2":
+        return [*apply, "--grammar", str(d / "ReconheceNomesCompostos.lg"), "--cnc", "g2.cnc",
+                str(d / "corpus.txt")]
+    if command == "main":
+        every = [a for n in data.GRAMMAR_NAMES for a in ("--grammar", str(d / f"{n}.lg"))]
+        return [*apply, *every, "--grammar", str(d / "main.lg"), "--main", "Main",
+                "--cnc", "main.cnc", str(d / "corpus.txt")]
+    if command == "diff":
+        return ["diff", str(d / "g1.cnc"), str(d / "g2.cnc"), "--out", str(d / "out")]
+    if command == "compose":
+        return ["compose", "--report", str(d / "relation.json"), "--out", str(d / "out")]
+    return ["eval", "--sys", str(d / "sys.xml"), "--gold", str(d / "gold.xml"),
+            "--categ", "PESSOA", "--tipo", "INDIVIDUAL", "--out", str(d / "out")]
+
+
+@functools.cache
+def _fuzz_inputs():
+    """name -> bytes of every file the fuzzed commands read, as the
+    pipeline writes them from the shipped grammars and lexicons."""
+    with tempfile.TemporaryDirectory() as directory:
+        d = pathlib.Path(directory)
+        for name in data.GRAMMAR_NAMES:
+            (d / f"{name}.lg").write_text(data.grammar_text(name), encoding="utf-8")
+        for name in data.LEXICON_NAMES:
+            (d / f"{name}.dic").write_text(data.lexicon_text(name), encoding="utf-8")
+        (d / "corpus.txt").write_text(CORPUS, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command, made in (("g1", "g1.cnc"), ("g2", "g2.cnc"), ("diff", "relation.json"),
+                                  ("compose", "main.lg"), ("main", "sys.xml")):
+                assert main(_fuzz_argv(d, command)) == 0
+                (d / "out" / made).rename(d / made)
+        inputs = {p.name: p.read_bytes() for p in d.iterdir() if p.is_file()}
+    inputs["gold.xml"] = inputs["sys.xml"]
+    return inputs
+
+
+# the file each kind of input mutates, and the command that reads it; a
+# "sidecar" is the .lgc that a first apply of g1 writes, after its key
+_FUZZ = {
+    "grammar": ("ReconheceFormasDeTratamento.lg", "g1"),
+    "lexicon": ("portugues.dic", "g1"),
+    "corpus": ("corpus.txt", "g1"),
+    "sidecar": (None, "g1"),
+    "concordance": ("g1.cnc", "diff"),
+    "relation": ("relation.json", "compose"),
+    "main": ("main.lg", "main"),
+    "system": ("sys.xml", "eval"),
+    "gold": ("gold.xml", "eval"),
+}
+# (position, replace/insert/delete, byte); the bytes that delimit the
+# inputs' fields come up as often as all the others
+_edit = st.tuples(st.integers(0, 1 << 16), st.sampled_from("rid"),
+                  st.one_of(st.sampled_from(b'\n\r\t ,.;:+<>=/"\\#()[]{}0\x00\xc3\xff'),
+                            st.integers(0, 255)))
+
+
+def _mutated(content: bytes, edits, start=0) -> bytes:
+    """``content`` with ``edits`` made at or after ``start``."""
+    b = bytearray(content)
+    for pos, op, byte in edits:
+        i = start + pos % (len(b) - start + 1)
+        if op == "i":
+            b.insert(i, byte)
+        elif i < len(b):
+            if op == "r":
+                b[i] = byte
+            else:
+                del b[i]
+    return bytes(b)
+
+
+@contextlib.contextmanager
+def _address_space_capped(extra=1 << 29):
+    """Cap this process's address space at its current size plus ``extra``
+    bytes while inside: marshal allocates the tuple a damaged sidecar
+    claims, up to 2**31 items, before it reads them, and this keeps that a
+    MemoryError instead of gigabytes of memory.  No cap without
+    /proc/self/statm."""
+    try:
+        import resource
+
+        with open("/proc/self/statm") as f:
+            size = int(f.read().split()[0]) * resource.getpagesize()
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def _check_contract(command, code, err):
+    assert 0 <= code <= 4
+    if code < 2:
+        return
+    lines = err.split("\n")
+    assert lines.pop() == ""  # stderr ends with a line end
+    last = lines.pop()
+    prefix = f"lgw {command}: error: "
+    if last.startswith(prefix):
+        # one error line, after any warnings of the grammar validator
+        assert all(re.match(r"warning: \w+: ", line) for line in lines)
+        # a line number, or an offset into an XML file, comes after its file
+        # name; only lgw apply gives an offset into the joined corpus text
+        assert not re.match(r"line \d" if command == "apply" else r"(line|offset) \d",
+                            last[len(prefix):])
+    else:  # a refused apply: the validator's diagnostics, an error last
+        assert command == "apply" and code == 2
+        assert re.match(r"error: \w+: ", last)
+        assert all(re.match(r"(warning|error): \w+: ", line) for line in lines)
+
+
+@pytest.mark.parametrize("kind", sorted(_FUZZ))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(edits=st.lists(_edit, min_size=1, max_size=4))
+def test_cli_contract_holds_for_damaged_inputs(kind, edits):
+    name, command = _FUZZ[kind]
+    inputs = _fuzz_inputs()
+    with tempfile.TemporaryDirectory() as directory, _address_space_capped():
+        d = pathlib.Path(directory)
+        for n, content in inputs.items():
+            (d / n).write_bytes(_mutated(content, edits) if n == name else content)
+        argv = _fuzz_argv(d, command)
+        if name is None:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            (path,) = (d / "__lgwcache__").iterdir()
+            blob = path.read_bytes()
+            path.write_bytes(_mutated(blob, edits, blob.index(b"\n") + 65))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        _check_contract(argv[0], code, err.getvalue())
