@@ -378,8 +378,9 @@ def render_graph(g: Graph) -> str:
 def load_grammar_set(files, main: str = None) -> GrammarSet:
     """Parse every (name, text) pair, resolve subgraph calls and verify the
     call graph is acyclic (recursion would break the finite-state model).
-    A parse error is prefixed with its file's name; two files may not
-    define the same graph.  ``main`` defaults to the first file's graph."""
+    A parse error is prefixed with its file's name, an unresolved call with
+    that of the graph holding it and a recursive call with that of the
+    cycle's first graph; two files may not define the same graph.  ``main`` defaults to the first file's graph."""
     graphs = {}
     sources = {}
     for source, text in files:
@@ -400,7 +401,8 @@ def load_grammar_set(files, main: str = None) -> GrammarSet:
                 for atom in alt:
                     if atom.kind == "call":
                         if atom.graph_name not in graphs:
-                            raise UnresolvedSubgraph(atom.graph_name)
+                            with located(sources[name]):
+                                raise UnresolvedSubgraph(atom.graph_name)
                         calls[name].add(atom.graph_name)
     # each callee comes after its caller, so a cycle is listed in call
     # order; names and callees are added sorted to name the same cycle
@@ -413,7 +415,9 @@ def load_grammar_set(files, main: str = None) -> GrammarSet:
     try:
         sorter.prepare()
     except graphlib.CycleError as exc:
-        raise RecursiveCall(exc.args[1]) from None
+        cycle = exc.args[1]
+        with located(sources[cycle[0]]):
+            raise RecursiveCall(cycle) from None
     return GrammarSet(graphs, main)
 
 

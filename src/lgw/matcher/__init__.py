@@ -10,6 +10,7 @@ tokenizing it.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -143,11 +144,22 @@ def _first_sets(table, initial):
     return value
 
 
+GROWTH = 4  # copies of inlined callees make a table at most this many times as long
+
+
 def compile_grammar_set(gs: GrammarSet) -> dict:
     """Lower a GrammarSet to the numbered box table the kernel walks (see
     ``_engine``), with each box's literal dispatch and the main graph's
-    FIRST set of leading literals and mask atoms (``_first_sets``)."""
+    FIRST set of leading literals and mask atoms (``_first_sets``).
+
+    A graph's boxes take consecutive numbers, its final box the last one.
+    Then the pure call boxes that the main graph reaches are inlined
+    (``_inline``), unless the calls of the set form a cycle."""
     table, initial = [], {}
+    spans = {}  # name -> (number of its first box, number of its final box)
+    calls = {}  # number -> the graphs its box's alternatives call
+    pure = {}  # number -> the callees of a box with no output whose alternatives are one call each
+    graph_calls = {}
     for name, g in gs.graphs.items():
         boxes = {
             b.id: _compile_box(b.output, [tuple(map(_compile_atom, alt)) for alt in b.alternatives])
@@ -157,17 +169,122 @@ def compile_grammar_set(gs: GrammarSet) -> dict:
         # alternative, so entering it consumes nothing
         boxes[g.initial] = _compile_box(None, ((),))
         boxes.setdefault(g.final, boxes[g.initial])  # never entered
-        number = {b: len(table) + j for j, b in enumerate(boxes)}
+        lo = len(table)
+        order = [b for b in boxes if b != g.final] + [g.final]
+        number = {b: lo + j for j, b in enumerate(order)}
         final = number[g.final]
         succ = g.successors()
-        for b, (output, *_) in boxes.items():
+        for b in order:
             succs = tuple(
                 (number[t], 1 << number[t], *boxes[t][1:]) for t in succ.get(b, ())
             )
-            table.append((output, final, succs))
+            table.append((boxes[b][0], final, succs))
         initial[name] = (number[g.initial], 1 << number[g.initial])
-    first, _ = _first_sets(table, initial)[gs.main]
-    return {"main": gs.main, "table": table, "initial": initial, "first": first}
+        spans[name] = (lo, final)
+        graph_calls[name] = set()
+        for b in g.boxes:
+            names = {atom.graph_name for alt in b.alternatives for atom in alt if atom.kind == "call"}
+            if names and b.id not in (g.initial, g.final):  # which are never walked
+                calls[number[b.id]] = names
+                graph_calls[name] |= names
+                if b.output is None and all(len(alt) == 1 and alt[0].kind == "call"
+                                            for alt in b.alternatives):
+                    pure[number[b.id]] = [alt[0].graph_name for alt in b.alternatives]
+    value = _first_sets(table, initial)
+    if pure:
+        try:
+            graphlib.TopologicalSorter(graph_calls).prepare()
+        except graphlib.CycleError:
+            pure = {}  # a copy of a recursive callee would hold copies of itself
+    if pure:
+        # a call whose callee may consume nothing needs its return frame,
+        # which restores the caller's boxes entered at the call's token
+        whole = {name for name, (lo, final) in spans.items()
+                 if not value[name][1] and initial[name][0] != final}
+        pure = {x: names for x, names in pure.items() if whole.issuperset(names)}
+        _inline(table, initial, spans, calls, pure, initial[gs.main][0])
+    return {"main": gs.main, "table": table, "initial": initial, "first": value[gs.main][0]}
+
+
+def _inline(table, initial, spans, calls, pure, root):
+    """Rewrite, in place, the successors of every box of ``table`` the walk
+    can reach from box ``root``, so that it enters a callee's boxes
+    directly wherever a call needs no return frame.
+
+    ``pure`` maps each pure call box to its callees: it has no output, each
+    of its alternatives is one call of a graph that cannot match consuming
+    nothing, and it is neither initial nor final.  A successor entry into
+    one, X, becomes the entries of each callee's initial successors, into
+    a copy of the callee's boxes made once for X and that alternative.  A
+    copy box keeps its box's output and alternatives, takes X's graph's
+    final box, and has X's successors in place of its edges into the
+    callee's final box.  An entry into a copy carries the bits of its box,
+    of X and of the copy's initial box (which an edge back into the
+    callee's initial box enters): the boxes that entering X and the call
+    mark as entered.  An entry that would enter one of those boxes a
+    second time is dropped.  Pure call boxes inside a copy are inlined in
+    turn, on an explicit stack.
+
+    Copies stop where the table would grow past ``GROWTH`` times its
+    length; the calls left keep their return frames."""
+    plain = [succs for _, _, succs in table]  # each box's entries before the rewrite
+    bound = GROWTH * len(table)
+    copies = {}  # pure call box -> the initial boxes of its callees' copies, or None
+
+    def copy(x, name):
+        lo, gf = spans[name]
+        shift = len(table) - lo
+        final = table[x][1]
+        for o in range(lo, gf):
+            succs = []
+            for entry in plain[o]:
+                t = entry[0]
+                if t == gf:
+                    succs += plain[x]
+                else:
+                    succs.append((t + shift, 1 << (t + shift)) + entry[2:])
+            succs = tuple(succs)
+            table.append((table[o][0], final, succs))
+            plain.append(succs)
+            if o in calls:
+                calls[o + shift] = calls[o]
+            if o in pure:
+                pure[o + shift] = pure[o]
+        return initial[name][0] + shift
+
+    def inlined(x):
+        if x not in copies:
+            names = pure[x]
+            if len(table) + sum(spans[n][1] - spans[n][0] for n in names) <= bound:
+                copies[x] = [copy(x, name) for name in names]
+            else:
+                copies[x] = None
+        return copies[x]
+
+    todo, done = [root], set()
+    while todo:
+        r = todo.pop()
+        if r in done:
+            continue
+        done.add(r)
+        output, final, succs = table[r]
+        if any(entry[0] in pure for entry in succs):
+            out, stack = [], list(reversed(succs))
+            while stack:
+                entry = stack.pop()
+                heads = entry[0] in pure and inlined(entry[0])
+                if not heads:
+                    out.append(entry)
+                    continue
+                for c in reversed(heads):
+                    bits = entry[1] | 1 << c
+                    stack.extend((h[0], h[1] | bits) + h[2:] for h in reversed(plain[c])
+                                 if not h[1] & bits)
+            succs = tuple(out)
+            table[r] = output, final, succs
+        todo += [entry[0] for entry in succs if entry[0] != final]
+        if r in calls:
+            todo += [initial[name][0] for name in calls[r]]
 
 
 def apply_grammar(

@@ -21,8 +21,12 @@ compiled grammar set (built by
 
 ``table[number]`` holds a box's output, the number of its graph's final
 box and its successors in edge order, each ``(number, bit, rest, exact,
-folded)`` with ``bit == 1 << number`` and the alternatives of the box it
-leads to.  ``initial`` gives each graph's initial box, for the calls.
+folded)`` with the boxes that entering it marks as entered and the
+alternatives of the box it leads to.  ``bit`` is ``1 << number``, except
+on an entry into a copy of an inlined callee's boxes, where the call box
+and the copy's initial box are marked too (see ``compile_grammar_set``).
+``initial`` gives each graph's initial box, for the calls that keep
+their return frames.
 
 A box's alternatives are split for first-token dispatch: ``exact`` maps
 the first piece of each case-sensitive literal-first alternative to those
@@ -310,7 +314,8 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     entered, the slot in the events for the box's output (which precedes
     the outputs of the calls inside its alternative), the boxes entered
     since the last consumed token, as an int with bit ``1 << number`` set
-    for each (a box is not re-entered at the same token on one path), and
+    for each (a successor entry sets its ``bit``, a call its callee's
+    initial box; a box is not re-entered at the same token on one path), and
     the return frame of the innermost subgraph call.  A return frame
     ``(box, alternative, atom, entry, slot, visited, parent frame)`` is
     interned in a per-start table, so a state names it, and the whole

@@ -7,15 +7,18 @@ the lexicon files' paths (``lexicon_set``); an empty list is one more
 set.  A corpus file keeps its ``KEEP`` newest sidecars, by modification
 time.  A sidecar begins with its key: the format number, the Python
 ``major.minor`` that wrote it, and a blake2b digest of the digests of
-the lexicon files' bytes and of the corpus text.  One marshal tuple of
-the six values ``lgw apply`` uses follows: the file's kernel token
-columns (``lgw.matcher``), the two offset arrays as bytes, and its text
-lexicon's (``lgw.lexicon.text_lexicon``) symbol index, head widths and
-widest head.  Marshal writes a surface or a symbol set that several
+the lexicon files' bytes and of the corpus text.  The digest of the
+payload follows, then the payload: one marshal tuple of the six values
+``lgw apply`` uses, the file's kernel token columns (``lgw.matcher``),
+the two offset arrays as bytes, and its text lexicon's
+(``lgw.lexicon.text_lexicon``) symbol index, head widths and widest
+head.  Marshal writes a surface or a symbol set that several
 tokens or entries share once, and reads it back as one object.
 
-A sidecar with any other key, or that cannot be decoded into values the
-matcher can use, is a miss.  Bump ``FORMAT`` whenever these values, what
+A sidecar with any other key, whose payload does not have its digest
+(checked before marshal reads it: a damaged size could make marshal
+allocate gigabytes), or that cannot be decoded into values the matcher
+can use, is a miss.  Bump ``FORMAT`` whenever these values, what
 ``tokenize_raw`` makes of a text, what ``parse_lexicon`` makes of a
 lexicon or what ``text_lexicon`` keeps change.
 """
@@ -36,7 +39,8 @@ from pathlib import Path
 from .lexicon import Lexicon
 from .matcher._engine import OFFSETS
 
-FORMAT = 2
+FORMAT = 3
+DIGEST_SIZE = 64  # bytes of a blake2b digest
 KEEP = 4  # sidecars per corpus file: one per lexicon list an author alternates
 
 
@@ -76,10 +80,12 @@ def read(path, lexicons: tuple, text_digest: bytes):
         blob = _path(path, lexicons).read_bytes()
     except OSError:
         return None
-    if not blob.startswith(k):
+    start = len(k) + DIGEST_SIZE  # the payload's digest comes first
+    payload = memoryview(blob)[start:]
+    if not blob.startswith(k) or blob[len(k):start] != digest(payload):
         return None
     try:
-        surfaces, *offsets, symidx, heads, longest = marshal.loads(memoryview(blob)[len(k):])
+        surfaces, *offsets, symidx, heads, longest = marshal.loads(payload)
         starts, ends = columns = array(OFFSETS), array(OFFSETS)
         for column, raw in zip(columns, offsets, strict=True):
             column.frombytes(raw)
@@ -115,6 +121,7 @@ def write(path, lexicons: tuple, text_digest: bytes, tokens: tuple, lex: Lexicon
         target.parent.mkdir(exist_ok=True)
         with open(tmp, "wb") as f:
             f.write(key(lexicons, text_digest))
+            f.write(digest(payload))
             f.write(payload)  # not joined to the key: that copy raised peak memory
         os.replace(tmp, target)
         # the KEEP - 1 newest other sidecars of the file stay

@@ -853,12 +853,22 @@ def _damaged(named, damage):
     version = b"python %d.%d" % sys.version_info[:2]
     assert path.name == f"c.txt.{lexicons[0]}.lgc"
     assert good.startswith(key) and version in key
-    surfaces, starts, ends, *lexicon = marshal.loads(good[len(key):])
+    payload = good[len(key) + sidecar.DIGEST_SIZE:]
+    assert good[len(key):len(key) + sidecar.DIGEST_SIZE] == sidecar.digest(payload)
+    surfaces, starts, ends, *lexicon = marshal.loads(payload)
     symidx, heads, longest = lexicon
     assert list(symidx) == ["Ana", "Zeca"] and heads == {"Ana": 1, "Zeca": 1}
 
+    def sealed(payload):
+        # with its digest, so that read reaches marshal and the type checks
+        return key + sidecar.digest(payload) + payload
+
     def values(*tokens, lexicon=lexicon):
-        return key + marshal.dumps((*tokens, *lexicon))
+        return sealed(marshal.dumps((*tokens, *lexicon)))
+
+    def damaged(at, replacement):
+        # the good payload's digest stays: read must refuse before marshal
+        return good[:at] + replacement + good[at + len(replacement):]
 
     # the (surface, start, end, kind) tuples of the first token sidecar, in a list
     tuples = marshal.dumps([("Ana", 0, 3, 0), ("viu", 4, 7, 0)], 2)
@@ -875,12 +885,12 @@ def _damaged(named, damage):
         "garbage": b"\x00\xffnot a sidecar",
         "empty": b"",
         "other-python": good.replace(version, b"python 2.7", 1),
-        "wrong-shape": key + marshal.dumps((1, 2, 3), 2),
-        "wrong-tuples": key + marshal.dumps([("Ana", 0, 3, 0), ("viu", 4)], 2),
-        "not-tuples": key + marshal.dumps([["Ana", 0, 3, 0]], 2),
+        "wrong-shape": sealed(marshal.dumps((1, 2, 3), 2)),
+        "wrong-tuples": sealed(marshal.dumps([("Ana", 0, 3, 0), ("viu", 4)], 2)),
+        "not-tuples": sealed(marshal.dumps([["Ana", 0, 3, 0]], 2)),
         "format-1": b"lgw tokens 1 %s\n%s" % (version, digest) + tuples,
-        "tuple-list": key + tuples,
-        "nine-columns": key + marshal.dumps(nine, 2),
+        "tuple-list": sealed(tuples),
+        "nine-columns": sealed(marshal.dumps(nine, 2)),
         # the token columns
         "unequal-columns": values(surfaces, starts, ends[:-8]),
         "ragged-bytes": values(surfaces, starts, ends[:-1]),
@@ -888,9 +898,14 @@ def _damaged(named, damage):
         "empty-surface": values(surfaces[:-1] + [""], starts, ends),
         "tuple-surfaces": values(tuple(surfaces), starts, ends),
         "three-columns": values(surfaces, starts + ends),
+        # damage the payload's digest catches: a byte of the last end
+        # offset (past the text, or a wrong span), and a first "(" that
+        # claims 2**29 items, which marshal would allocate before reading
+        "offset-byte": damaged(good.index(ends) + len(ends) - 6, b"\xc3"),
+        "claimed-tuple": damaged(len(key) + sidecar.DIGEST_SIZE, b"(" + (1 << 29).to_bytes(4, "little")),
         # the text lexicon
-        "lexicon-truncated": good[:-1],
-        "lexicon-garbage": key + b"\x00\xffnot marshal data",
+        "lexicon-truncated": sealed(payload[:-1]),
+        "lexicon-garbage": sealed(b"\x00\xffnot marshal data"),
         "lexicon-wrong-shape": values(surfaces, starts, ends, lexicon=(1, 2)),
         "wrong-types": values(surfaces, starts, ends, lexicon=(1, 2, 3)),
         "list-symbol-index": values(surfaces, starts, ends,
@@ -938,6 +953,19 @@ def _check_damaged_sidecar_is_rewritten(named, capsys, damage):
 def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
     # damage to the whole sidecar or to its token columns
     _check_damaged_sidecar_is_rewritten(named, capsys, damage)
+
+
+@pytest.mark.parametrize("damage", ["offset-byte", "claimed-tuple"])
+def test_damaged_sidecar_payload_is_a_miss_before_it_is_unmarshalled(
+        named, capsys, monkeypatch, damage):
+    from lgw import sidecar
+
+    loads = []
+    monkeypatch.setattr(sidecar, "marshal", types.SimpleNamespace(
+        dumps=marshal.dumps, loads=lambda b: loads.append(b) or marshal.loads(b)))
+    with _address_space_capped():
+        _check_damaged_sidecar_is_rewritten(named, capsys, damage)
+    assert loads == []
 
 
 @pytest.mark.parametrize("damage", [
@@ -1141,10 +1169,14 @@ def test_warm_apply_digests_each_corpus_text_once(named, monkeypatch):
     monkeypatch.setattr(sidecar, "digest", lambda content: lengths.append(len(content)) or digest(content))
     _forbid_misses(monkeypatch)
     assert main(argv + [str(named / "warm")]) == 0
-    # every longer input is one corpus text: the keys, paths and the lexicon are short
-    sizes = sorted(len(text.encode("utf-8")) for text in texts.values())
-    assert sizes[0] > 200 and len(NAMES) < 200
-    assert sorted(n for n in lengths if n > 200) == sizes
+    # every longer input is one corpus text or the payload of its sidecar,
+    # whose digest read checks: the keys, paths and the lexicon are short
+    sizes = [len(text.encode("utf-8")) for text in texts.values()]
+    for name in texts:
+        blob = _sidecar(named, name).read_bytes()
+        sizes.append(len(blob) - blob.index(b"\n") - 1 - 2 * sidecar.DIGEST_SIZE)
+    assert min(sizes) > 200 and len(NAMES) < 200
+    assert sorted(n for n in lengths if n > 200) == sorted(sizes)
     assert _outputs(named / "warm") == _outputs(named / "cold")
 
 
@@ -1322,10 +1354,36 @@ def _check_contract(command, code, err):
         # name; only lgw apply gives an offset into the joined corpus text
         assert not re.match(r"line \d" if command == "apply" else r"(line|offset) \d",
                             last[len(prefix):])
+        # so do an unresolved call and a recursive one; only an unknown
+        # --main Main is in no file
+        if last != prefix + "unresolved subgraph: Main":
+            assert not re.match(r"(unresolved|recursive) subgraph", last[len(prefix):])
     else:  # a refused apply: the validator's diagnostics, an error last
         assert command == "apply" and code == 2
         assert re.match(r"error: \w+: ", last)
         assert all(re.match(r"(warning|error): \w+: ", line) for line in lines)
+
+
+@pytest.mark.parametrize("callee, message", [
+    # a typo the fuzz test made in main.lg
+    ("ReconheeNomesCompostos", "unresolved subgraph: ReconheeNomesCompostos"),
+    ("Main", "recursive subgraph call: Main -> Main"),
+])
+def test_apply_names_the_file_of_an_unresolved_or_recursive_call(callee, message):
+    inputs = _fuzz_inputs()
+    with tempfile.TemporaryDirectory() as directory:
+        d = pathlib.Path(directory)
+        for n, content in inputs.items():
+            (d / n).write_bytes(content)
+        typo = inputs["main.lg"].replace(b":ReconheceNomesCompostos", b":" + callee.encode())
+        assert typo != inputs["main.lg"]
+        (d / "main.lg").write_bytes(typo)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(_fuzz_argv(d, "main"))
+        assert code == 2
+        assert err.getvalue() == f"lgw apply: error: {d / 'main.lg'}: {message}\n"
+        _check_contract("apply", code, err.getvalue())
 
 
 @pytest.mark.parametrize("kind", sorted(_FUZZ))
@@ -1344,7 +1402,8 @@ def test_cli_contract_holds_for_damaged_inputs(kind, edits):
                 assert main(argv) == 0
             (path,) = (d / "__lgwcache__").iterdir()
             blob = path.read_bytes()
-            path.write_bytes(_mutated(blob, edits, blob.index(b"\n") + 65))
+            # the payload, after the key's and the payload's digests
+            path.write_bytes(_mutated(blob, edits, blob.index(b"\n") + 129))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)

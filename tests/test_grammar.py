@@ -273,7 +273,7 @@ def test_recursive_call_names_the_first_cycle_in_call_order():
     ]
     with pytest.raises(RecursiveCall) as e:
         load_grammar_set(files, "A")
-    assert str(e.value) == "recursive subgraph call: A -> B -> C -> A"
+    assert str(e.value) == "A: recursive subgraph call: A -> B -> C -> A"
     assert e.value.cycle == ("A", "B", "C", "A")
 
 
@@ -298,14 +298,17 @@ def test_load_grammar_set_main_defaults_to_the_first_files_graph():
 
 
 def test_load_grammar_set_unknown_main():
-    with pytest.raises(UnresolvedSubgraph):
+    with pytest.raises(UnresolvedSubgraph) as e:
         load_grammar_set([("A", MINIMAL)], "Z")
+    assert str(e.value) == "unresolved subgraph: Z"  # no file holds the name
 
 
 def test_load_grammar_set_unresolved_call():
     a = 'graph A\nbox b :Missing\ninit i\nfinal f\nedge i b\nedge b f'
-    with pytest.raises(UnresolvedSubgraph):
-        load_grammar_set([("A", a)], "A")
+    with pytest.raises(UnresolvedSubgraph) as e:
+        load_grammar_set([("a.lg", MINIMAL), ("A.lg", a)], "A")
+    assert str(e.value) == "A.lg: unresolved subgraph: Missing"
+    assert e.value.name == "Missing"
 
 
 # --- validation --------------------------------------------------------------

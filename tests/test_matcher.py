@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from lgw.grammar import (
     Graph, GraphBox, GrammarSet, InputAtom, LexicalMask, MorphFilter, load_grammar_set,
 )
+from lgw.composer import compose_main
 from lgw.lexicon import parse_lexicon
 from lgw.matcher import (
     ALL_MATCHES,
@@ -457,8 +458,20 @@ _BACK_TO_INITIAL = GrammarSet({"M": _graph("M", [
 @example(_NULLABLE_CYCLE, "de Ana  de\tRui. Ana")
 @example(_BACK_TO_INITIAL, "Ana Ana")
 def test_cyclic_grammars_agree_with_unrolled_path_oracle(gs, text):
-    got = {(o.start, o.end, o.merged)
-           for o in apply_grammar(gs, text, parse_lexicon(""), ALL_MATCHES, frozenset())}
+    want = _oracle_matches(gs, text)
+    assume(want is not None)
+    assert _all_matches(gs, text) == want
+
+
+# --- pure call boxes inlined at compile time ---------------------------------
+# A box with no output whose every alternative is one call of a callee that
+# cannot consume nothing is walked as a copy of its callees' boxes; the
+# calls that need a return frame keep it.
+
+
+def _oracle_matches(gs, text):
+    """The matches of ``gs`` in ``text`` by brute_matches on the unrolled
+    oracle grammar of each sentence; None if the oracle gives up."""
     toks = _pure.tokenize_raw(text)
     _, starts, ends = toks
     want = set()
@@ -468,11 +481,167 @@ def test_cyclic_grammars_agree_with_unrolled_path_oracle(gs, text):
         start = starts[first]
         sentence = text[start : ends[last]]
         ogs = oracle_grammar(gs, sentence, oracle_parse_lexicon(""))
-        assume(ogs is not None)
+        if ogs is None:
+            return None
         want |= {(a + start, b + start, merged)
                  for a, b, merged in brute_matches(ogs, sentence, oracle_parse_lexicon(""))}
         first = last + 1
-    assert got == want
+    return want
+
+
+def _all_matches(gs, text):
+    return {(o.start, o.end, o.merged)
+            for o in apply_grammar(gs, text, parse_lexicon(""), ALL_MATCHES, frozenset())}
+
+
+def _calls(*names):
+    return tuple((InputAtom.call(n),) for n in names)
+
+
+@st.composite
+def pure_call_grammars(draw):
+    """M calls S1 from the pure call boxes c1 and c2 and from the longer
+    alternative of box l, and S2 from box o.  S1 calls S2 from its pure call
+    box p (a nested pure call), and S2 has outputs on its first and last
+    boxes.  Drawn: one or two callees per call box, among them the nullable
+    S3 (whose call keeps its frame); an output on o and on c2; an <E> loop
+    from c1 back to c1 or to c2; and edges back into initial boxes."""
+    word = st.sampled_from(_CYCLE_WORDS).map(InputAtom.lit)
+    consuming = st.one_of(word, st.sampled_from([_MOT, _PRE]))
+
+    def callees(*names):
+        return _calls(*draw(st.lists(st.sampled_from(names), min_size=1, max_size=2)))
+
+    def back_edges(ids):
+        return draw(st.sets(st.tuples(st.sampled_from(ids), st.just("i")), max_size=1))
+
+    s3 = _graph("S3", [GraphBox("n", ((InputAtom.eps(),), (draw(word),)),
+                                draw(st.sampled_from([None, "<n>"])))],
+                {("i", "n"), ("n", "f")} | back_edges(["n"]))
+    s2 = _graph("S2", [
+        GraphBox("a", ((draw(consuming),),), "<a>"),
+        GraphBox("z", ((InputAtom.eps(),), (draw(word),)), "</a>"),
+    ], {("i", "a"), ("a", "z"), ("z", "f")} | draw(st.sets(st.sampled_from(
+        [("a", "a"), ("z", "a"), ("a", "i"), ("z", "i")]), max_size=2)))
+    s1 = _graph("S1", [
+        GraphBox("p", callees("S2", "S2", "S3")),
+        GraphBox("w", ((draw(word),),), draw(st.sampled_from([None, "<w>"]))),
+    ], {("i", "p"), ("p", "w"), ("w", "f")} | draw(st.sets(st.sampled_from(
+        [("i", "w"), ("p", "f"), ("w", "p"), ("p", "i")]), max_size=2)))
+    longer = draw(st.sampled_from([(InputAtom.call("S1"), draw(consuming)),
+                                   (draw(word), InputAtom.call("S1"))]))
+    m = _graph("M", [
+        GraphBox("c1", callees("S1", "S1", "S2", "S3")),
+        GraphBox("e", ((InputAtom.eps(),),)),
+        GraphBox("c2", _calls("S1"), draw(st.sampled_from([None, "<c>"]))),
+        GraphBox("l", (longer,)),
+        GraphBox("o", callees("S2", "S3"), draw(st.sampled_from([None, "<o>"]))),
+    ], {("i", "c1"), ("c1", "e"), ("e", "c2"), ("c2", "f"), ("c1", "f"), ("i", "l"),
+        ("l", "f"), ("i", "o"), ("o", "f")}
+       | draw(st.sets(st.sampled_from([("e", "c1"), ("c2", "e"), ("e", "i")]), max_size=2)))
+    return GrammarSet({"M": m, "S1": s1, "S2": s2, "S3": s3}, "M")
+
+
+# M's one pure call box calls G, where an <E> box with an output leads back
+# into G's initial box: entering it again at the same token is refused,
+# as the call refuses it, so "y x" holds only "x"
+_BACK_INTO_CALLEE_INITIAL = GrammarSet({
+    "M": _graph("M", [GraphBox("x", _calls("G"))], {("i", "x"), ("x", "f")}),
+    "G": _graph("G", [GraphBox("a", ((InputAtom.eps(),),), "<a>"),
+                      GraphBox("b", ((InputAtom.lit("x"),),))],
+                {("i", "a"), ("a", "i"), ("i", "b"), ("b", "f")}),
+}, "M")
+
+
+@settings(max_examples=300, deadline=None)
+@given(pure_call_grammars(), _cycle_texts)
+@example(_BACK_INTO_CALLEE_INITIAL, "y x")
+def test_inlined_calls_agree_with_the_path_oracle(gs, text):
+    want = _oracle_matches(gs, text)
+    assume(want is not None)
+    assert _all_matches(gs, text) == want
+
+
+def test_a_copy_is_not_entered_again_through_its_initial_box():
+    assert _all_matches(_BACK_INTO_CALLEE_INITIAL, "y x") == {(2, 3, "x")}
+
+
+def test_a_call_cycle_is_not_inlined():
+    # G calls H, keeping its frame, and H's pure call box calls G back (a
+    # GrammarSet built directly).  The walk refuses to enter G again at the
+    # token where G was entered; a copy of G would have been entered.
+    lit, call = InputAtom.lit, InputAtom.call
+    g = _graph("G", [GraphBox("a", ((call("H"), lit("y")),)), GraphBox("b", ((lit("x"),),))],
+               {("i", "a"), ("a", "f"), ("i", "b"), ("b", "f")})
+    h = _graph("H", [GraphBox("c", _calls("G"))], {("i", "c"), ("c", "f")})
+    assert _all_matches(GrammarSet({"G": g, "H": h}, "G"), "x y") == {(0, 1, "x")}
+
+
+def _doubling_dag(levels):
+    """G0 ... G<levels>: each graph calls the next from two pure call boxes
+    in parallel, one of them followed by an output; the last reads "Ana".
+    Inlining every call would copy the last graph 2**levels times."""
+    graphs = {}
+    for d in range(levels):
+        graphs[f"G{d}"] = _graph(f"G{d}", [
+            GraphBox("a", _calls(f"G{d + 1}")), GraphBox("b", _calls(f"G{d + 1}")),
+            GraphBox("t", ((InputAtom.eps(),),), f"<{d}>"),
+        ], {("i", "a"), ("i", "b"), ("a", "f"), ("b", "t"), ("t", "f")})
+    graphs[f"G{levels}"] = _graph(f"G{levels}", [GraphBox("w", ((InputAtom.lit("Ana"),),))],
+                                  {("i", "w"), ("w", "f")})
+    return GrammarSet(graphs, "G0")
+
+
+def test_doubling_call_dag_compiles_within_the_bound():
+    gs = _doubling_dag(20)
+    boxes = sum(len(g.boxes) + 2 for g in gs.graphs.values())
+    t0 = time.perf_counter()
+    cgs = compile_grammar_set(gs)
+    assert time.perf_counter() - t0 < 1.0
+    assert boxes < len(cgs["table"]) <= 4 * boxes
+
+
+def test_doubling_call_dag_agrees_with_the_path_oracle():
+    gs = _doubling_dag(8)
+    text = "A Ana veio."
+    want = brute_matches(gs, text, oracle_parse_lexicon(""))
+    assert len(want) == 2 ** 8
+    assert _all_matches(gs, text) == want
+
+
+def _reachable_alternatives(cgs):
+    """Every alternative of every box the walk can enter from the main
+    graph's initial box, through successors and through calls."""
+    table, initial = cgs["table"], cgs["initial"]
+    todo, seen, alts = [initial[cgs["main"]][0]], set(), []
+    while todo:
+        node = todo.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        _, final, succs = table[node]
+        for b, _, rest, exact, folded in succs:
+            if b == final:
+                continue
+            todo.append(b)
+            for alt in [*rest, *(a for index in (exact, folded) for group in index.values()
+                                 for a in group)]:
+                alts.append(alt)
+                todo.extend(initial[atom[1]][0] for atom in alt if atom[0] == "call")
+    return alts
+
+
+def test_composed_main_of_the_shipped_grammars_makes_no_call(g1, g1_enhanced, g2):
+    graphs = {**g1.graphs, **g1_enhanced.graphs, **g2.graphs}
+    kept = [g1.main, g1_enhanced.main, g2.main]
+    graphs["Main"] = compose_main(kept)
+    for name in ("Main", *kept):
+        alts = _reachable_alternatives(compile_grammar_set(GrammarSet(graphs, name)))
+        assert alts
+        assert not [alt for alt in alts if any(atom[0] == "call" for atom in alt)], name
+    # a call that keeps its frame is counted
+    alts = _reachable_alternatives(compile_grammar_set(_doubling_dag(20)))
+    assert any(atom[0] == "call" for alt in alts for atom in alt)
 
 
 # --- lexicon head index: dictionary-mask probe window ------------------------
