@@ -203,8 +203,8 @@ def _read_corpus(paths, texts, lexicons, found, full) -> tuple:
     missed (None) is tokenized, its text lexicon is cut from the ``full``
     lexicon, and both are kept in its sidecar.  The texts are joined with
     "\n", which no token spans and no lexicon key holds, so the files'
-    tokens, shifted by where their texts start, and the merge of their
-    text lexicons are those of the joined text."""
+    tokens, their starts shifted by where their texts start, and the merge
+    of their text lexicons are those of the joined text."""
     tokens, cut, offset = None, [], 0
     for p, (text, digest), hit in zip(paths, texts, found):
         if hit is None:
@@ -214,10 +214,9 @@ def _read_corpus(paths, texts, lexicons, found, full) -> tuple:
         toks, lex = hit
         cut.append(lex)
         if offset:
-            surfaces, starts, ends = tokens
+            surfaces, starts = tokens
             surfaces += toks[0]
             starts.extend(a + offset for a in toks[1])
-            ends.extend(b + offset for b in toks[2])
         else:
             tokens = toks
         offset += len(text) + 1
@@ -335,7 +334,7 @@ def _read_report(path: str) -> RelationReport:
         )
     except KeyError as exc:
         raise LgwError(f"bad relation report {path}: missing key {exc}") from None
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise LgwError(f"bad relation report {path}: {exc}") from None
 
 

@@ -39,18 +39,20 @@ class UsageError(LgwError):
     exit_code = 1
 
 
-class MalformedLine(LgwError):
-    """A lexicon line is missing its comma or period separator."""
+class LineError(LgwError):
+    """An input file's line ``line_no`` cannot be read, for ``reason``."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
 
 
-class GraphSyntaxError(LgwError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
+class MalformedLine(LineError):
+    """A lexicon line lacks a separator, its surface or a code."""
+
+
+class GraphSyntaxError(LineError):
+    pass
 
 
 class DuplicateBoxId(GraphSyntaxError):
@@ -83,10 +85,8 @@ class SpanOutOfBounds(LgwError):
     pass
 
 
-class MalformedConcordanceLine(LgwError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
+class MalformedConcordanceLine(LineError):
+    pass
 
 
 class TextMismatch(LgwError):

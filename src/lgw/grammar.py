@@ -380,7 +380,8 @@ def load_grammar_set(files, main: str = None) -> GrammarSet:
     call graph is acyclic (recursion would break the finite-state model).
     A parse error is prefixed with its file's name, an unresolved call with
     that of the graph holding it and a recursive call with that of the
-    cycle's first graph; two files may not define the same graph.  ``main`` defaults to the first file's graph."""
+    cycle's first graph; two files may not define the same graph.
+    ``main`` defaults to the first file's graph."""
     graphs = {}
     sources = {}
     for source, text in files:

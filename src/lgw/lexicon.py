@@ -38,14 +38,14 @@ class Lexicon:
         self._symbols = symbols
         self._heads = heads
 
-    # perfbench/trace.py is the only reader; the benchmark PR of ROADMAP
-    # open item 1 deletes it
+    # perfbench/trace.py is the only reader; ROADMAP open item 2
+    # deletes it
     @property
     def entries(self) -> dict:
         return self._symbols
 
-    # perfbench/trace.py is the only caller; the benchmark PR of ROADMAP
-    # open item 1 deletes it
+    # perfbench/trace.py is the only caller; ROADMAP open item 2
+    # deletes it
     def __len__(self):
         return sum(map(len, self._symbols.values()))
 

@@ -40,9 +40,9 @@ class Occurrence:
 
 
 class Tokenized(NamedTuple):
-    """A text and its kernel tokens, the ``(surfaces, starts, ends)``
-    columns of ``_engine.tokenize_raw``, which ``apply_grammar`` takes in
-    place of the text alone and then does not tokenize again."""
+    """A text and its kernel tokens, the ``(surfaces, starts)`` columns
+    of ``_engine.tokenize_raw``, which ``apply_grammar`` takes in place of
+    the text alone and then does not tokenize again."""
 
     text: str
     tokens: tuple

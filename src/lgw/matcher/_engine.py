@@ -5,13 +5,13 @@ lists and arrays only.  It reports where each box output goes, as a text
 offset, and builds no output strings: ``lgw.matcher`` splices the
 outputs into the matched text.
 
-A text's tokens are three columns, ``(surfaces, starts, ends)``: a list
-of the token surfaces, in which equal surfaces are one str, and two
-``array(OFFSETS)`` of their start and end offsets in the text.
-Whitespace is the gap between two tokens, not a token.  A token's kind
-is read off its surface's first character: a word begins with a letter,
-a number with a digit, and any other token is one punct character.  A
-compiled grammar set (built by
+A text's tokens are two columns, ``(surfaces, starts)``: a list of the
+token surfaces, in which equal surfaces are one str, and an
+``array(OFFSETS)`` of their start offsets in the text.  Token k ends at
+``starts[k] + len(surfaces[k])``.  Whitespace is the gap between two
+tokens, not a token.  A token's kind is read off its surface's first
+character: a word begins with a letter, a number with a digit, and any
+other token is one punct character.  A compiled grammar set (built by
 ``lgw.matcher.compile_grammar_set``) numbers every (graph, box) once::
 
     {"main": name,
@@ -70,7 +70,7 @@ import re
 from array import array
 from operator import itemgetter
 
-OFFSETS = "Q"  # the typecode of the starts and ends columns
+OFFSETS = "Q"  # the typecode of the starts column
 _CHUNK = re.compile(r"\S+")  # \s is what str.isspace and str.split take for whitespace
 
 
@@ -107,10 +107,10 @@ def token_surfaces(text):
 
 
 def tokenize_raw(text):
-    """The ``(surfaces, starts, ends)`` token columns of ``text``: the
-    tokens of each whitespace-split chunk (``_chunk_tokens``), in order.
-    Whitespace makes no token.  The chunks are found one at a time."""
-    surfaces, starts, ends = [], array(OFFSETS), array(OFFSETS)
+    """The ``(surfaces, starts)`` token columns of ``text``: the tokens of
+    each whitespace-split chunk (``_chunk_tokens``), in order.  Whitespace
+    makes no token.  The chunks are found one at a time."""
+    surfaces, starts = [], array(OFFSETS)
     distinct = {}
     for m in _CHUNK.finditer(text):
         i = m.start()
@@ -118,15 +118,14 @@ def tokenize_raw(text):
             surfaces.append(distinct.setdefault(surface, surface))
             starts.append(i)
             i += len(surface)
-            ends.append(i)
-    return surfaces, starts, ends
+    return surfaces, starts
 
 
 def sentence_boundaries(toks, abbreviations):
     """Indices of '.' tokens that end a sentence: followed, after a gap, by
     an uppercase word, unless the word that touches the '.' from before is
     a known abbreviation or a single uppercase letter."""
-    surfaces, starts, ends = toks
+    surfaces, starts = toks
     bset = set()
     idx = -1
     last = len(surfaces) - 1
@@ -137,11 +136,11 @@ def sentence_boundaries(toks, abbreviations):
             return bset
         nxt = surfaces[idx + 1]
         # a word: its first character is a letter
-        if starts[idx + 1] == ends[idx] or not (nxt[0].isalpha() and nxt[0].isupper()):
+        if starts[idx + 1] == starts[idx] + 1 or not (nxt[0].isalpha() and nxt[0].isupper()):
             continue
         if idx > 0:
             prev = surfaces[idx - 1]
-            if ends[idx - 1] == starts[idx] and prev[0].isalpha() and (
+            if starts[idx - 1] + len(prev) == starts[idx] and prev[0].isalpha() and (
                 prev in abbreviations or (len(prev) == 1 and prev.isupper())
             ):
                 continue
@@ -196,7 +195,7 @@ def _probe_width(heads, surface):
 def _window(toks, heads, i):
     """The probe window of token i: the ends of the token spans starting
     there that a lexicon entry may cover, longest first.  A span ending at
-    ``end`` is ``text[starts[i] : ends[end - 1]]``."""
+    ``end`` is ``text[starts[i] : starts[end - 1] + len(surfaces[end - 1])]``."""
     surfaces = toks[0]
     return range(min(i + _probe_width(heads, surfaces[i]), len(surfaces)), i, -1)
 
@@ -205,11 +204,11 @@ def _entries_at(toks, text, symindex, heads, i):
     """``((end, surface, symbol_sets), ...)`` for every lexicon entry that
     starts at token i, longest first; ``end`` is the index after the
     entry's last token."""
-    _, starts, ends = toks
+    surfaces, starts = toks
     start = starts[i]
     found = []
     for end in _window(toks, heads, i):
-        surface = text[start : ends[end - 1]]
+        surface = text[start : starts[end - 1] + len(surfaces[end - 1])]
         sets = _lex_symbol_sets(symindex, surface)
         if sets:
             found.append((end, surface, sets))
@@ -224,7 +223,7 @@ def probe_keys(toks, text, heads):
     cut down to these keys gives the same answers on this text.  A window
     one token wide is the token's own surface, so only the surfaces whose
     window is wider are probed token by token."""
-    surfaces, starts, ends = toks
+    surfaces, starts = toks
     wide = set()
     for surface in dict.fromkeys(surfaces):
         yield from _lookup_keys(surface)
@@ -234,7 +233,8 @@ def probe_keys(toks, text, heads):
         for i, surface in enumerate(surfaces):
             if surface in wide:
                 for end in _window(toks, heads, i):
-                    yield from _lookup_keys(text[starts[i] : ends[end - 1]])
+                    last = end - 1
+                    yield from _lookup_keys(text[starts[i] : starts[last] + len(surfaces[last])])
 
 
 def _match_mask(atom, toks, text, symindex, heads, entries, i, limit):
@@ -327,7 +327,7 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     initial = cgs["initial"]
     root, root_bit = initial[cgs["main"]]
     first = cgs["first"]
-    surfaces, starts, ends = toks
+    surfaces, starts = toks
     n = len(surfaces)
     results = set()
     entries = {}
@@ -396,7 +396,7 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                     if i != entry or entry == s:
                         pos = starts[entry]
                     else:
-                        pos = ends[entry - 1]
+                        pos = starts[entry - 1] + len(surfaces[entry - 1])
                     events = events[:slot] + ((pos, out),) + events[slot:]
                 if i != entry:
                     vis = 0
@@ -408,7 +408,7 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                     elif i > s:
                         # in splice order: by offset, stable
                         ordered = tuple(sorted(events, key=_offset))
-                        results.add((starts[s], ends[i - 1], ordered))
+                        results.add((starts[s], starts[i - 1] + len(surfaces[i - 1]), ordered))
                     continue
                 if vis & bit:
                     continue

@@ -358,9 +358,12 @@ _REPORT = {
         ("[]", "list indices"),
         (json.dumps({**_REPORT, "grammar_x": ""}), "grammar_x is not a graph name: ''"),
         (json.dumps({**_REPORT, "grammar_y": "a b"}), "grammar_y is not a graph name: 'a b'"),
+        # json.loads recurses once per level, past the interpreter's limit
+        ("[" * 100_000, "maximum recursion depth exceeded"),
     ],
     ids=["not-json", "no-action", "unknown-relation", "unknown-action", "grammar-not-string",
-         "missing-count", "not-an-object", "grammar-empty", "grammar-with-space"],
+         "missing-count", "not-an-object", "grammar-empty", "grammar-with-space",
+         "nested-too-deep"],
 )
 def test_malformed_relation_report_exits_2(tmp_path, capsys, text, reason):
     report = tmp_path / "r.json"
@@ -368,7 +371,7 @@ def test_malformed_relation_report_exits_2(tmp_path, capsys, text, reason):
     assert main(["compose", "--report", str(report), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"lgw compose: error: bad relation report {report}: ")
-    assert reason in err
+    assert reason in err and err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "out").exists()
     report.write_text(json.dumps(_REPORT), encoding="utf-8")
     assert main(["compose", "--report", str(report), "--out", str(tmp_path / "out")]) == 0
@@ -719,7 +722,7 @@ def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
     assert not (ws / "lex" / "__lgwcache__").exists()
     # a hit's surfaces, as the tokenizer's, are one str per distinct surface
     listed = lexicon_set(lexicons, [p.read_bytes() for p in lexicons])
-    (surfaces, _, _), _ = read(ws / "corpus.txt", listed, digest(CORPUS.encode("utf-8")))
+    (surfaces, _), _ = read(ws / "corpus.txt", listed, digest(CORPUS.encode("utf-8")))
     assert len(surfaces) > len(set(surfaces)) == len(set(map(id, surfaces)))
     _forbid_misses(monkeypatch)
     assert apply(ws / "hit") == 0
@@ -855,8 +858,10 @@ def _damaged(named, damage):
     assert good.startswith(key) and version in key
     payload = good[len(key) + sidecar.DIGEST_SIZE:]
     assert good[len(key):len(key) + sidecar.DIGEST_SIZE] == sidecar.digest(payload)
-    surfaces, starts, ends, *lexicon = marshal.loads(payload)
+    surfaces, starts, *lexicon = marshal.loads(payload)
     symidx, heads, longest = lexicon
+    # the end offsets format 3 kept: each token's start plus its length
+    ends = array(OFFSETS, map(sum, zip(array(OFFSETS, starts), map(len, surfaces)))).tobytes()
     assert list(symidx) == ["Ana", "Zeca"] and heads == {"Ana": 1, "Zeca": 1}
 
     def sealed(payload):
@@ -892,34 +897,37 @@ def _damaged(named, damage):
         "tuple-list": sealed(tuples),
         "nine-columns": sealed(marshal.dumps(nine, 2)),
         # the token columns
-        "unequal-columns": values(surfaces, starts, ends[:-8]),
-        "ragged-bytes": values(surfaces, starts, ends[:-1]),
-        "non-str-surface": values(surfaces[:-1] + [7], starts, ends),
-        "empty-surface": values(surfaces[:-1] + [""], starts, ends),
-        "tuple-surfaces": values(tuple(surfaces), starts, ends),
+        "unequal-columns": values(surfaces, starts[:-8]),
+        "ragged-bytes": values(surfaces, starts[:-1]),
+        "non-str-surface": values(surfaces[:-1] + [7], starts),
+        "empty-surface": values(surfaces[:-1] + [""], starts),
+        "tuple-surfaces": values(tuple(surfaces), starts),
         "three-columns": values(surfaces, starts + ends),
-        # damage the payload's digest catches: a byte of the last end
+        # the six values of format 3, with the end offsets, under this
+        # format's key
+        "format-3-layout": values(surfaces, starts, ends),
+        # damage the payload's digest catches: a byte of the last start
         # offset (past the text, or a wrong span), and a first "(" that
         # claims 2**29 items, which marshal would allocate before reading
-        "offset-byte": damaged(good.index(ends) + len(ends) - 6, b"\xc3"),
+        "offset-byte": damaged(good.index(starts) + len(starts) - 6, b"\xc3"),
         "claimed-tuple": damaged(len(key) + sidecar.DIGEST_SIZE, b"(" + (1 << 29).to_bytes(4, "little")),
         # the text lexicon
         "lexicon-truncated": sealed(payload[:-1]),
         "lexicon-garbage": sealed(b"\x00\xffnot marshal data"),
-        "lexicon-wrong-shape": values(surfaces, starts, ends, lexicon=(1, 2)),
-        "wrong-types": values(surfaces, starts, ends, lexicon=(1, 2, 3)),
-        "list-symbol-index": values(surfaces, starts, ends,
+        "lexicon-wrong-shape": values(surfaces, starts, lexicon=(1, 2)),
+        "wrong-types": values(surfaces, starts, lexicon=(1, 2, 3)),
+        "list-symbol-index": values(surfaces, starts,
                                     lexicon=(list(symidx.items()), heads, longest)),
-        "list-symbol-sets": values(surfaces, starts, ends,
+        "list-symbol-sets": values(surfaces, starts,
                                    lexicon=({w: list(v) for w, v in symidx.items()}, heads,
                                             longest)),
-        "int-symbol-set": values(surfaces, starts, ends,
+        "int-symbol-set": values(surfaces, starts,
                                  lexicon=(dict.fromkeys(symidx, (1,)), heads, longest)),
-        "list-heads": values(surfaces, starts, ends,
+        "list-heads": values(surfaces, starts,
                              lexicon=(symidx, list(heads.items()), longest)),
-        "str-head-width": values(surfaces, starts, ends,
+        "str-head-width": values(surfaces, starts,
                                  lexicon=(symidx, dict.fromkeys(heads, "1"), longest)),
-        "str-longest": values(surfaces, starts, ends, lexicon=(symidx, heads, str(longest))),
+        "str-longest": values(surfaces, starts, lexicon=(symidx, heads, str(longest))),
         # the format before this one, and the key of another lexicon list
         "format-0": good.replace(b"corpus %d python" % sidecar.FORMAT,
                                  b"corpus %d python" % (sidecar.FORMAT - 1), 1),
@@ -949,6 +957,7 @@ def _check_damaged_sidecar_is_rewritten(named, capsys, damage):
     "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape",
     "wrong-tuples", "not-tuples", "format-1", "tuple-list", "unequal-columns",
     "ragged-bytes", "non-str-surface", "empty-surface", "tuple-surfaces", "three-columns",
+    "format-3-layout",
 ])
 def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
     # damage to the whole sidecar or to its token columns

@@ -37,11 +37,12 @@ from oracles import (
 
 def _token_tuples(toks):
     """The ``(surface, start, end, kind)`` tuples of token columns, with
-    kind 0=word, 1=number, 2=punct read off the surface's first character
-    as the kernel reads it."""
-    surfaces, starts, ends = toks
-    return [(s, a, b, 0 if s[0].isalpha() else 1 if s[0].isdigit() else 2)
-            for s, a, b in zip(surfaces, starts, ends, strict=True)]
+    the end derived from the start and the surface, and kind 0=word,
+    1=number, 2=punct read off the surface's first character as the
+    kernel reads it."""
+    surfaces, starts = toks
+    return [(s, a, a + len(s), 0 if s[0].isalpha() else 1 if s[0].isdigit() else 2)
+            for s, a in zip(surfaces, starts, strict=True)]
 
 
 def test_tokenize_example():
@@ -81,11 +82,11 @@ _TEXT_PIECES = st.sampled_from(
 @example(" São\u00a0Paulo,  Rio²٣ ")
 def test_tokenize_partitions_text(text):
     # the tokens and the whitespace gaps between them partition the text
-    surfaces, starts, ends = columns = _pure.tokenize_raw(text)
+    surfaces, starts = columns = _pure.tokenize_raw(text)
     assert _pure.token_surfaces(text) == surfaces
     assert type(surfaces) is list
-    assert type(starts) is type(ends) is array
-    assert starts.typecode == ends.typecode == _pure.OFFSETS
+    assert type(starts) is array
+    assert starts.typecode == _pure.OFFSETS
     toks = _token_tuples(columns)
     assert toks == [
         (s, a, b, _KINDS[k]) for s, a, b, k in brute_tokenize(text) if k != "space"
@@ -473,13 +474,13 @@ def _oracle_matches(gs, text):
     """The matches of ``gs`` in ``text`` by brute_matches on the unrolled
     oracle grammar of each sentence; None if the oracle gives up."""
     toks = _pure.tokenize_raw(text)
-    _, starts, ends = toks
+    surfaces, starts = toks
     want = set()
     first = 0
     # each sentence ends with its boundary token, or with the last token
     for last in sorted(_pure.sentence_boundaries(toks, frozenset())) + [len(starts) - 1]:
         start = starts[first]
-        sentence = text[start : ends[last]]
+        sentence = text[start : starts[last] + len(surfaces[last])]
         ogs = oracle_grammar(gs, sentence, oracle_parse_lexicon(""))
         if ogs is None:
             return None
@@ -701,13 +702,13 @@ def test_entries_at_agrees_with_brute_probe(entries, text):
     lines = "".join(f"{_escaped(s)},.{tag}\n" for s, tag in entries)
     lex, ref = parse_lexicon(lines), oracle_parse_lexicon(lines)
     toks = _pure.tokenize_raw(text)
-    _, starts, ends = toks
+    surfaces, starts = toks
     for i, start in enumerate(starts):
         # every token-aligned prefix from token i, longest first: the exact
         # surface, then the lowercase one for a capitalized surface
         want = []
-        for j in range(len(ends) - 1, i - 1, -1):
-            surface = text[start : ends[j]]
+        for j in range(len(starts) - 1, i - 1, -1):
+            surface = text[start : starts[j] + len(surfaces[j])]
             found = _lex_entries(ref, surface)
             if found:
                 want.append((j + 1, surface, tuple(e.symbols for e in found)))
