@@ -7,9 +7,10 @@ starts a comment line.
 
 Grammars see a lexicon only through masks such as ``<N+PR>``, so a
 ``Lexicon`` is the matcher's two indexes and nothing else: each surface's
-distinct symbol sets (POS plus codes) and the head index.  The lemma of a
-line is checked but not kept, and lines that differ only in their lemma
-give one symbol set.
+distinct symbol sets (POS plus codes) and the prefix index, where the
+matcher stops looking for longer entries.  The lemma of a line is
+checked but not kept, and lines that differ only in their lemma give one
+symbol set.
 
 A corpus file's text lexicon is the part of a lexicon that the matcher
 can look up on its text (``text_lexicon``); ``lgw apply`` keeps it in
@@ -31,12 +32,12 @@ _ESCAPED_LINE_RE = re.compile(r"((?:\\.?|[^\\,])*)(,?)((?:\\.?|[^\\.])*)(\.?)(.*
 
 class Lexicon:
     """The matcher's indexes of a lexicon: surface -> its distinct symbol
-    sets, first seen first, and the head index."""
+    sets, first seen first, and the prefix index."""
 
-    def __init__(self, symbols: dict, heads: tuple, name: str = ""):
+    def __init__(self, symbols: dict, prefixes: tuple, name: str = ""):
         self.name = name
         self._symbols = symbols
-        self._heads = heads
+        self._prefixes = prefixes
 
     # perfbench/trace.py is the only reader; ROADMAP open item 2
     # deletes it
@@ -53,30 +54,40 @@ class Lexicon:
         """surface -> tuple of symbol sets, the matcher's probe structure."""
         return self._symbols
 
-    def head_index(self) -> tuple:
-        """(first token -> most tokens of an entry starting with it, most
-        tokens of any entry): the matcher's probe window."""
-        return self._heads
+    def prefix_index(self) -> tuple:
+        """(every proper token prefix of every multi-token surface, most
+        tokens of any entry): where the matcher's probes stop."""
+        return self._prefixes
 
 
 def _build(pairs) -> tuple:
-    """(symbol index, head index) of the ``(surface, symbols)`` pairs in one
+    """(symbol index, prefix index) of the ``(surface, symbols)`` pairs in one
     pass, keeping each surface's distinct symbol sets in first-seen order."""
-    symidx, multi, heads = {}, {}, {}
+    symidx, multi, prefixes, longest = {}, {}, set(), 0
     for surface, syms in pairs:
         if surface in symidx:  # rare: a dict per surface, so that no tuple grows set by set
             multi.setdefault(surface, dict.fromkeys(symidx[surface]))[syms] = None
             continue
         symidx[surface] = (syms,)
+        if surface.isalpha():  # one word, the most common entry: no prefix
+            longest = longest or 1
+            continue
         # letter runs joined by single spaces are tokenized by split()
         words = surface.split(" ")
         if "" in words or not "".join(words).isalpha():
-            words = tokenize_raw(surface)[0]
-        if words and len(words) > heads.get(words[0], 0):
-            heads[words[0]] = len(words)
+            words, starts = tokenize_raw(surface)
+            for word, start in zip(words[:-1], starts):
+                prefixes.add(surface[: start + len(word)])
+        else:  # the words are one space apart
+            end = -1
+            for word in words[:-1]:
+                end += len(word) + 1
+                prefixes.add(surface[:end])
+        if len(words) > longest:
+            longest = len(words)
     for surface, sets in multi.items():
         symidx[surface] = tuple(sets)
-    return symidx, (heads, max(heads.values(), default=0))
+    return symidx, (prefixes, longest)
 
 
 def _parse_tag(gram: str, line_no: int) -> frozenset:
@@ -122,35 +133,33 @@ def parse_lexicon(text: str, name: str = "") -> Lexicon:
 def merge_lexicons(lexicons, name: str = "") -> Lexicon:
     """The indexes of ``lexicons`` merged: every surface, first seen first,
     with the symbol sets it has in any of them, first seen first, and the
-    widest head of every first token.  A single lexicon's indexes are kept
-    as they are."""
+    union of their prefixes.  A single lexicon's indexes are kept as they
+    are."""
     lexicons = list(lexicons)
     if len(lexicons) == 1:
         (lex,) = lexicons
-        return Lexicon(lex._symbols, lex._heads, name)
-    symidx, heads = {}, {}
+        return Lexicon(lex._symbols, lex._prefixes, name)
+    symidx = {}
     for lex in lexicons:
         for surface, sets in lex._symbols.items():
             have = symidx.setdefault(surface, sets)
             if have is not sets:
                 symidx[surface] = tuple(dict.fromkeys(have + sets))
-        for word, n in lex._heads[0].items():
-            if n > heads.get(word, 0):
-                heads[word] = n
-    return Lexicon(symidx, (heads, max((lex._heads[1] for lex in lexicons), default=0)), name)
+    prefixes = set().union(*(lex._prefixes[0] for lex in lexicons))
+    return Lexicon(symidx, (prefixes, max((lex._prefixes[1] for lex in lexicons), default=0)), name)
 
 
 def text_lexicon(lex: Lexicon, toks: list, text: str) -> Lexicon:
     """The part of ``lex`` that the matcher can look up on ``toks``, token
-    columns of ``text``: the entries and head widths under the keys it can probe
-    there (``_engine.probe_keys``), and the same longest entry.  The
+    columns of ``text``: the entries and prefixes under the keys it can
+    probe there (``_engine.probe_keys``), and the same longest entry.  The
     matcher finds the same entries on that text with it as with ``lex``."""
     symidx = lex.symbol_index()
-    heads, longest = lex.head_index()
-    symbols, widths = {}, {}
-    for key in probe_keys(toks, text, (heads, longest)):
+    prefixes, longest = lex.prefix_index()
+    symbols, kept = {}, set()
+    for key in probe_keys(toks, text, (prefixes, longest)):
         if key in symidx:
             symbols[key] = symidx[key]
-        if key in heads:
-            widths[key] = heads[key]
-    return Lexicon(symbols, (widths, longest), lex.name)
+        if key in prefixes:
+            kept.add(key)
+    return Lexicon(symbols, (kept, longest), lex.name)

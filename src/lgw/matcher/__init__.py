@@ -11,7 +11,6 @@ tokenizing it.
 from __future__ import annotations
 
 import graphlib
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..data import default_abbreviations
@@ -29,8 +28,9 @@ ALL_MATCHES = "all"
 LONGEST_ONLY = "longest"
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
+    """One match; a named tuple, built at about a third of a dataclass's cost."""
+
     start: int  # character offsets of the matched text, text[start:end]
     end: int
     merged: str  # text[start:end] with the outputs of ``events`` spliced in
@@ -312,7 +312,7 @@ def apply_grammar(
     )
     bounds = _impl.sentence_boundaries(toks, abbrevs)
     raw = _impl.find_matches(
-        cgs, text, toks, lex.symbol_index(), lex.head_index(), bounds
+        cgs, text, toks, lex.symbol_index(), lex.prefix_index(), bounds
     )
     if mode == LONGEST_ONLY:
         ends = _longest_ends(m[:2] for m in raw)

@@ -53,17 +53,20 @@ included, and the start filter asks ``_match_mask`` of each, so a
 leading mask's filter is tested at the start too.
 
 The lexicon arrives as two structures from ``Lexicon``: the symbol index
-(surface -> tuple of symbol sets) and the head index ``(heads,
-longest)``, where ``heads`` maps the first token of every entry to the
-largest number of tokens of an entry starting with it and ``longest`` is
-that number over all entries.  ``find_matches`` looks up the lexicon
-entries that start at a token at most once per call, with
-``_entries_at``: the first time ``_match_mask`` needs them, at a start
-token or at a token the walk reached.  It keeps the list of an admitted
-start token or of a token a dictionary mask reached, and every
-dictionary mask at that token, on every path from every start, reads
-that one list.  ``probe_keys`` lists every key those lookups can read on
-a text, so a lexicon cut down to them matches that text alike.
+(surface -> tuple of symbol sets) and the prefix index ``(prefixes,
+longest)``, where ``prefixes`` holds every proper token prefix of every
+multi-token entry (the entry's text up to the end of each of its tokens
+but the last) and ``longest`` is the most tokens of any entry.
+``find_matches`` looks up the lexicon entries that start at a token at
+most once per call, with ``_entries_at``: the first time ``_match_mask``
+needs them, at a start token or at a token the walk reached.  It walks
+the spans from that token one token longer at a time, as a dictionary
+automaton walks a word, and stops after the first span no entry extends
+(``_extends``).  It keeps the list of an admitted start token or of a
+token a dictionary mask reached, and every dictionary mask at that
+token, on every path from every start, reads that one list.
+``probe_keys`` lists every key those lookups can read on a text, so a
+lexicon cut down to them matches that text alike.
 """
 
 import re
@@ -173,71 +176,66 @@ def _is_pre(symindex, surface):
     return False
 
 
-def _probe_width(heads, surface):
-    """How many tokens a lexicon entry starting at a token with this
-    surface can span (0: no entry starts there)."""
-    index, longest = heads
-    width = index.get(surface, 0)
-    if surface[:1].isupper():
-        low = surface.lower()
-        # The lowercase probe looks up lower() of the whole multi-token
-        # surface.  Its first token is this token's lower() unless lowering
-        # splits the token ("İ" -> "i" + U+0307) or a final sigma turns
-        # medial because of what follows ("ΟΔΟΣ'Α" -> "οδοσ'α"); then any
-        # entry may match, up to the longest.
-        if low.isalpha() and "ς" not in low:
-            width = max(width, index.get(low, 0))
-        else:
-            width = longest
-    return width
+def _extends(prefixes, span):
+    """Can an entry be longer than ``span``, a span of tokens from a token:
+    is it, or for a capitalized span its lower(), in ``prefixes``?  lower()
+    keeps every token end ("İ" -> "i" + U+0307 only adds one), so the
+    lower() of an entry's shorter spans are its prefixes, unless a final
+    sigma turns medial when more follows ("ΟΔΟΣ" -> "οδος" but "ΟΔΟΣ'Α"
+    -> "οδοσ'α"): a lower() that holds "ς" extends."""
+    if span in prefixes:
+        return True
+    if span[:1].isupper():
+        low = span.lower()
+        return low in prefixes or "ς" in low
+    return False
 
 
-def _window(toks, heads, i):
-    """The probe window of token i: the ends of the token spans starting
-    there that a lexicon entry may cover, longest first.  A span ending at
-    ``end`` is ``text[starts[i] : starts[end - 1] + len(surfaces[end - 1])]``."""
-    surfaces = toks[0]
-    return range(min(i + _probe_width(heads, surfaces[i]), len(surfaces)), i, -1)
-
-
-def _entries_at(toks, text, symindex, heads, i):
+def _entries_at(toks, text, symindex, prefix_index, i):
     """``((end, surface, symbol_sets), ...)`` for every lexicon entry that
     starts at token i, longest first; ``end`` is the index after the
-    entry's last token."""
+    entry's last token.  The spans from token i are looked up shortest
+    first, up to the longest entry, until one does not extend."""
     surfaces, starts = toks
+    prefixes, longest = prefix_index
     start = starts[i]
     found = []
-    for end in _window(toks, heads, i):
+    for end in range(i + 1, min(i + longest, len(surfaces)) + 1):
         surface = text[start : starts[end - 1] + len(surfaces[end - 1])]
         sets = _lex_symbol_sets(symindex, surface)
         if sets:
             found.append((end, surface, sets))
-    return tuple(found)
+        if not _extends(prefixes, surface):
+            break
+    return tuple(reversed(found))
 
 
-def probe_keys(toks, text, heads):
-    """Yield every key that ``_probe_width``, ``_entries_at`` and
-    ``_is_pre`` can look up, in either lexicon index, at a token of
-    ``toks``: the lookup keys of each token's surface and of each span of
-    its window, in text order (a key may come more than once).  A lexicon
-    cut down to these keys gives the same answers on this text.  A window
-    one token wide is the token's own surface, so only the surfaces whose
-    window is wider are probed token by token."""
+def probe_keys(toks, text, prefix_index):
+    """Yield every key that ``_extends``, ``_entries_at`` and ``_is_pre``
+    can look up, in either lexicon index, at a token of ``toks``: the
+    lookup keys of each span they walk, in text order (a key may come
+    more than once).  A lexicon cut down to these keys gives the same
+    answers on this text.  Only the tokens whose surface extends are
+    walked past it."""
     surfaces, starts = toks
-    wide = set()
+    prefixes, longest = prefix_index
+    extending = set()
     for surface in dict.fromkeys(surfaces):
         yield from _lookup_keys(surface)
-        if _probe_width(heads, surface) > 1:
-            wide.add(surface)
-    if wide:
+        if _extends(prefixes, surface):
+            extending.add(surface)
+    if extending:
         for i, surface in enumerate(surfaces):
-            if surface in wide:
-                for end in _window(toks, heads, i):
-                    last = end - 1
-                    yield from _lookup_keys(text[starts[i] : starts[last] + len(surfaces[last])])
+            if surface in extending:
+                start = starts[i]
+                for end in range(i + 2, min(i + longest, len(surfaces)) + 1):
+                    span = text[start : starts[end - 1] + len(surfaces[end - 1])]
+                    yield from _lookup_keys(span)
+                    if not _extends(prefixes, span):
+                        break
 
 
-def _match_mask(atom, toks, text, symindex, heads, entries, i, limit):
+def _match_mask(atom, toks, text, symindex, prefix_index, entries, i, limit):
     """Match one mask atom at token i (i < limit), the one rule of what a
     mask matches; return the index after the last token it consumed, or
     None.  A built-in mask takes the token if its predicate and filter
@@ -258,7 +256,7 @@ def _match_mask(atom, toks, text, symindex, heads, entries, i, limit):
         return i + 1 if ok else None
     found = entries.get(i)
     if found is None:
-        found = entries[i] = _entries_at(toks, text, symindex, heads, i)
+        found = entries[i] = _entries_at(toks, text, symindex, prefix_index, i)
     for end, surface, sets in found:
         if end > limit:
             continue
@@ -270,7 +268,7 @@ def _match_mask(atom, toks, text, symindex, heads, entries, i, limit):
     return None
 
 
-def _may_start(first, toks, text, symindex, heads, i, entries):
+def _may_start(first, toks, text, symindex, prefix_index, i, entries):
     """Can a match of a graph with this FIRST set begin at token i?  Each
     leading mask is asked of ``_match_mask`` with no sentence limit, so the
     admitted starts are a superset of the real ones.  A rejected token
@@ -281,7 +279,7 @@ def _may_start(first, toks, text, symindex, heads, i, entries):
         return True
     n = len(toks[0])
     for atom in masks:
-        if _match_mask(atom, toks, text, symindex, heads, entries, i, n) is not None:
+        if _match_mask(atom, toks, text, symindex, prefix_index, entries, i, n) is not None:
             return True
     entries.pop(i, None)
     return False
@@ -290,7 +288,7 @@ def _may_start(first, toks, text, symindex, heads, i, entries):
 _offset = itemgetter(0)  # an event's text offset, the splice order
 
 
-def find_matches(cgs, text, toks, symindex, heads, boundaries):
+def find_matches(cgs, text, toks, symindex, prefix_index, boundaries):
     """All matches of the main graph, as sorted ``(start, end, events)``
     tuples.  ``events`` are the ``(char_pos, output)`` pairs of the path's
     box outputs in splice order: by offset, and in path order at one
@@ -328,6 +326,7 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
     root, root_bit = initial[cgs["main"]]
     first = cgs["first"]
     surfaces, starts = toks
+    prefixes = prefix_index[0]
     n = len(surfaces)
     results = set()
     entries = {}
@@ -339,8 +338,8 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
         surface = surfaces[s]
         if surface in rejected:
             continue
-        if not _may_start(first, toks, text, symindex, heads, s, entries):
-            if _probe_width(heads, surface) <= 1:  # no later token was read
+        if not _may_start(first, toks, text, symindex, prefix_index, s, entries):
+            if not _extends(prefixes, surface):  # no later token was read
                 rejected.add(surface)
             continue
         seen = set()
@@ -369,7 +368,7 @@ def find_matches(cgs, text, toks, symindex, heads, boundaries):
                 if kind == "mask":
                     if i == limit:
                         break
-                    i = _match_mask(atom, toks, text, symindex, heads, entries, i, limit)
+                    i = _match_mask(atom, toks, text, symindex, prefix_index, entries, i, limit)
                     if i is None:
                         break
                 elif kind == "call":

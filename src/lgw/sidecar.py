@@ -11,8 +11,8 @@ the lexicon files' bytes and of the corpus text.  The digest of the
 payload follows, then the payload: one marshal tuple of the five values
 ``lgw apply`` uses, the file's kernel token columns (``lgw.matcher``),
 its surfaces and its start offsets as bytes, and its text lexicon's
-(``lgw.lexicon.text_lexicon``) symbol index, head widths and widest
-head.  Marshal writes a surface or a symbol set that several
+(``lgw.lexicon.text_lexicon``) symbol index, set of entry prefixes and
+longest entry.  Marshal writes a surface or a symbol set that several
 tokens or entries share once, and reads it back as one object.
 
 A sidecar with any other key, whose payload does not have its digest
@@ -39,7 +39,7 @@ from pathlib import Path
 from .lexicon import Lexicon
 from .matcher._engine import OFFSETS
 
-FORMAT = 4
+FORMAT = 5
 DIGEST_SIZE = 64  # bytes of a blake2b digest
 KEEP = 4  # sidecars per corpus file: one per lexicon list an author alternates
 
@@ -85,22 +85,22 @@ def read(path, lexicons: tuple, text_digest: bytes):
     if not blob.startswith(k) or blob[len(k):start] != digest(payload):
         return None
     try:
-        surfaces, offsets, symidx, heads, longest = marshal.loads(payload)
+        surfaces, offsets, symidx, prefixes, longest = marshal.loads(payload)
         starts = array(OFFSETS)
         starts.frombytes(offsets)
         distinct = set(surfaces)  # a few hundred objects to check, not one per token
     except (EOFError, ValueError, TypeError, MemoryError):
         return None  # truncated, not written by write, or claiming a size past memory
     # what the walk indexes: a token's surface by its first character, a
-    # surface's symbol sets as a tuple of sets, the head widths as ints
+    # surface's symbol sets as a tuple of sets, the prefixes as a set of str
     if not (type(surfaces) is list and len(surfaces) == len(starts)
             and {*map(type, distinct)} <= {str} and "" not in distinct
             and type(symidx) is dict and {*map(type, symidx.values())} <= {tuple}
             and {type(s) for sets in symidx.values() for s in sets} <= {set, frozenset}
-            and type(heads) is dict and {*map(type, heads.values())} <= {int}
+            and type(prefixes) in (set, frozenset) and {*map(type, prefixes)} <= {str}
             and type(longest) is int):
         return None
-    return (surfaces, starts), Lexicon(symidx, (heads, longest))
+    return (surfaces, starts), Lexicon(symidx, (prefixes, longest))
 
 
 def write(path, lexicons: tuple, text_digest: bytes, tokens: tuple, lex: Lexicon) -> None:
@@ -110,7 +110,7 @@ def write(path, lexicons: tuple, text_digest: bytes, tokens: tuple, lex: Lexicon
     replacing it whole, then delete all but the ``KEEP`` newest sidecars
     of the file.  A directory that cannot be written gets none."""
     surfaces, starts = tokens
-    payload = marshal.dumps((surfaces, starts.tobytes(), lex.symbol_index(), *lex.head_index()))
+    payload = marshal.dumps((surfaces, starts.tobytes(), lex.symbol_index(), *lex.prefix_index()))
     target = _path(path, lexicons)
     # a process writes only its own temporary file; os.replace makes the
     # whole new sidecar appear at once

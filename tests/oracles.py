@@ -600,17 +600,18 @@ def oracle_parse_lexicon(text, name=""):
 
 
 def oracle_lexicon_index(entries):
-    """(symbol index, head index) of an entries dict (surface -> entries),
+    """(symbol index, prefix index) of an entries dict (surface -> entries),
     rebuilt from the entries: each distinct symbol set of a surface once,
-    first seen first, and each surface's tokens counted by
-    ``brute_tokenize`` instead of the kernel's tokenizer."""
+    first seen first, and each surface's text up to the end of each of its
+    tokens but the last, with the tokens found by ``brute_tokenize``
+    instead of the kernel's tokenizer."""
     symidx = {s: tuple(dict.fromkeys(e.symbols for e in es)) for s, es in entries.items() if es}
-    heads = {}
+    prefixes, longest = set(), 0
     for surface in symidx:
-        words = [t[0] for t in brute_tokenize(surface) if t[3] != "space"]
-        if words:
-            heads[words[0]] = max(heads.get(words[0], 0), len(words))
-    return symidx, (heads, max(heads.values(), default=0))
+        ends = [t[2] for t in brute_tokenize(surface) if t[3] != "space"]
+        prefixes.update(surface[:end] for end in ends[:-1])
+        longest = max(longest, len(ends))
+    return symidx, (prefixes, longest)
 
 
 def oracle_non_overlapping(occs):

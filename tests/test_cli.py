@@ -859,10 +859,10 @@ def _damaged(named, damage):
     payload = good[len(key) + sidecar.DIGEST_SIZE:]
     assert good[len(key):len(key) + sidecar.DIGEST_SIZE] == sidecar.digest(payload)
     surfaces, starts, *lexicon = marshal.loads(payload)
-    symidx, heads, longest = lexicon
+    symidx, prefixes, longest = lexicon
     # the end offsets format 3 kept: each token's start plus its length
     ends = array(OFFSETS, map(sum, zip(array(OFFSETS, starts), map(len, surfaces)))).tobytes()
-    assert list(symidx) == ["Ana", "Zeca"] and heads == {"Ana": 1, "Zeca": 1}
+    assert list(symidx) == ["Ana", "Zeca"] and prefixes == set()
 
     def sealed(payload):
         # with its digest, so that read reaches marshal and the type checks
@@ -917,17 +917,15 @@ def _damaged(named, damage):
         "lexicon-wrong-shape": values(surfaces, starts, lexicon=(1, 2)),
         "wrong-types": values(surfaces, starts, lexicon=(1, 2, 3)),
         "list-symbol-index": values(surfaces, starts,
-                                    lexicon=(list(symidx.items()), heads, longest)),
+                                    lexicon=(list(symidx.items()), prefixes, longest)),
         "list-symbol-sets": values(surfaces, starts,
-                                   lexicon=({w: list(v) for w, v in symidx.items()}, heads,
+                                   lexicon=({w: list(v) for w, v in symidx.items()}, prefixes,
                                             longest)),
         "int-symbol-set": values(surfaces, starts,
-                                 lexicon=(dict.fromkeys(symidx, (1,)), heads, longest)),
-        "list-heads": values(surfaces, starts,
-                             lexicon=(symidx, list(heads.items()), longest)),
-        "str-head-width": values(surfaces, starts,
-                                 lexicon=(symidx, dict.fromkeys(heads, "1"), longest)),
-        "str-longest": values(surfaces, starts, lexicon=(symidx, heads, str(longest))),
+                                 lexicon=(dict.fromkeys(symidx, (1,)), prefixes, longest)),
+        "list-prefixes": values(surfaces, starts, lexicon=(symidx, ["Ana"], longest)),
+        "non-str-prefix": values(surfaces, starts, lexicon=(symidx, {"Ana", 1}, longest)),
+        "str-longest": values(surfaces, starts, lexicon=(symidx, prefixes, str(longest))),
         # the format before this one, and the key of another lexicon list
         "format-0": good.replace(b"corpus %d python" % sidecar.FORMAT,
                                  b"corpus %d python" % (sidecar.FORMAT - 1), 1),
@@ -936,10 +934,6 @@ def _damaged(named, damage):
 
 
 def _check_damaged_sidecar_is_rewritten(named, capsys, damage):
-    if damage == "str-longest":
-        # the probe window of a token whose lower() is not alphabetic, as
-        # "İstanbul" -> "i̇stanbul", is the longest entry
-        (named / "c.txt").write_text("Ana viu Zeca em İstanbul.\n", encoding="utf-8")
     assert _apply_named(named, "a") == 0
     path = _sidecar(named)
     good = path.read_bytes()
@@ -980,7 +974,7 @@ def test_damaged_sidecar_payload_is_a_miss_before_it_is_unmarshalled(
 @pytest.mark.parametrize("damage", [
     "truncated", "key-only", "garbage", "empty", "other-python", "wrong-shape", "wrong-types",
     "format-0", "other-lexicons", "nine-columns", "list-symbol-index", "list-symbol-sets",
-    "int-symbol-set", "list-heads", "str-head-width", "str-longest",
+    "int-symbol-set", "list-prefixes", "non-str-prefix", "str-longest",
 ])
 def test_damaged_text_lexicon_sidecar_is_rewritten(named, capsys, damage):
     # damage to the key or to the text lexicon

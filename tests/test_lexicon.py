@@ -18,7 +18,7 @@ N, V, NPR = frozenset({"N"}), frozenset({"V"}), frozenset({"N", "PR"})
 def test_parse_multiword_proper_name():
     lex = parse_lexicon("Marilyn Monroe,.N+PR")
     assert lex.symbol_index() == {"Marilyn Monroe": (NPR,)}
-    assert lex.head_index() == ({"Marilyn": 2}, 2)
+    assert lex.prefix_index() == ({"Marilyn"}, 2)
 
 
 def test_parse_rainha():
@@ -27,7 +27,7 @@ def test_parse_rainha():
 
 
 def test_parse_empty_input():
-    assert _index(parse_lexicon("")) == ({}, ({}, 0))
+    assert _index(parse_lexicon("")) == ({}, (set(), 0))
 
 
 def test_parse_lemma_and_escapes():
@@ -133,7 +133,7 @@ def test_merge_keeps_first_seen_order_and_collapses_duplicates():
     single = merge_lexicons([first], name="s")
     assert single.name == "s"
     assert single.symbol_index() is first.symbol_index()
-    assert single.head_index() is first.head_index()
+    assert single.prefix_index() is first.prefix_index()
     # across lexicons: later surfaces and symbol sets append, repeats vanish
     other = parse_lexicon("c,.ADJ\na,x.N+PR\nb,.V\na,.N+Hum\nd e f,.N")
     merged = merge_lexicons([first, other], name="m")
@@ -141,10 +141,10 @@ def test_merge_keeps_first_seen_order_and_collapses_duplicates():
     assert list(merged.symbol_index().items()) == [
         ("b", (V,)), ("a", (N, NPR, hum)), ("c", (adj,)), ("d e f", (N,))
     ]
-    assert merged.head_index() == ({"b": 1, "a": 1, "c": 1, "d": 3}, 3)
+    assert merged.prefix_index() == ({"d", "d e"}, 3)
     # an empty lexicon adds nothing, and no lexicon is the empty one
     assert _index(merge_lexicons([parse_lexicon(""), other])) == _index(other)
-    assert _index(merge_lexicons([])) == ({}, ({}, 0))
+    assert _index(merge_lexicons([])) == ({}, (set(), 0))
 
 
 def test_load_is_linear_in_the_entries_under_one_surface():
@@ -156,7 +156,7 @@ def test_load_is_linear_in_the_entries_under_one_surface():
     lex.symbol_index()
     elapsed = time.perf_counter() - t0
     assert len(lex.symbol_index()["a"]) == 4000
-    assert lex.head_index() == ({"a": 1}, 1)
+    assert lex.prefix_index() == (set(), 1)
     assert elapsed < 1.0
 
 
@@ -200,7 +200,7 @@ def _lexicon_text(draw):
 
 
 def _index(lex):
-    return lex.symbol_index(), lex.head_index()
+    return lex.symbol_index(), lex.prefix_index()
 
 
 def _oracle_index(text):
@@ -213,7 +213,7 @@ def _parse_outcome(text):
         lex = parse_lexicon(text, name="n")
     except MalformedLine as exc:
         return ("error", exc.line_no, str(exc))
-    return ("ok", list(lex.symbol_index().items()), lex.head_index(), lex.name)
+    return ("ok", list(lex.symbol_index().items()), lex.prefix_index(), lex.name)
 
 
 def _oracle_outcome(text):
@@ -221,8 +221,8 @@ def _oracle_outcome(text):
         lex = oracle_parse_lexicon(text, name="n")
     except MalformedLine as exc:
         return ("error", exc.line_no, str(exc))
-    symidx, heads = oracle_lexicon_index(lex.entries)
-    return ("ok", list(symidx.items()), heads, lex.name)
+    symidx, prefixes = oracle_lexicon_index(lex.entries)
+    return ("ok", list(symidx.items()), prefixes, lex.name)
 
 
 @given(_lexicon_text())
@@ -269,7 +269,7 @@ def _hit_built(text, directory, name="x"):
 
 
 def _ordered(lex):
-    return list(lex.symbol_index().items()), lex.head_index()
+    return list(lex.symbol_index().items()), lex.prefix_index()
 
 
 @given(st.lists(_lexicon_text(), min_size=1, max_size=3))
@@ -391,10 +391,10 @@ def _escaped_surface(s):
 
 def _probes(lex, toks, text):
     """Every answer of the matcher's lexicon lookups at every token."""
-    symidx, heads = lex.symbol_index(), lex.head_index()
+    symidx, index = lex.symbol_index(), lex.prefix_index()
     return [
-        (_engine._probe_width(heads, surface),
-         _engine._entries_at(toks, text, symidx, heads, i),
+        (_engine._extends(index[0], surface),
+         _engine._entries_at(toks, text, symidx, index, i),
          _engine._is_pre(symidx, surface))
         for i, surface in enumerate(toks[0])
     ]

@@ -645,7 +645,7 @@ def test_composed_main_of_the_shipped_grammars_makes_no_call(g1, g1_enhanced, g2
     assert any(atom[0] == "call" for alt in alts for atom in alt)
 
 
-# --- lexicon head index: dictionary-mask probe window ------------------------
+# --- lexicon prefix index: where a dictionary-mask probe stops ---------------
 
 
 def _mask_grammar(symbols):
@@ -667,12 +667,13 @@ def test_entry_longer_than_eight_tokens_matches(g2):
     assert [o.merged for o in occs] == [f"<NOME>{name}</NOME>"]
 
 
-def test_head_index():
+def test_prefix_index():
     lex = parse_lexicon("Marilyn Monroe,.N+PR\nMarilyn,.N+PR\nrei,.N\nSr\\.,.N\nDom Pedro  II,.N+PR")
-    heads, longest = lex.head_index()
-    assert heads == {"Marilyn": 2, "rei": 1, "Sr": 2, "Dom": 3}
+    prefixes, longest = lex.prefix_index()
+    # a prefix keeps the entry's own spacing, up to the end of a token
+    assert prefixes == {"Marilyn", "Sr", "Dom", "Dom Pedro"}
     assert longest == 3
-    assert parse_lexicon("").head_index() == ({}, 0)
+    assert parse_lexicon("").prefix_index() == (set(), 0)
 
 
 # Tokens of random surfaces: capitalized and upper-case variants, words that
@@ -698,6 +699,11 @@ def _escaped(s):
     st.lists(st.tuples(_surfaces(4), st.sampled_from(["N+PR", "N+Hum", "A"])), max_size=8),
     _surfaces(12),
 )
+# lower() of a later token of the entry: "ΟΔΟΣ" alone lowers to "οδος",
+# which is no prefix of "οδοσ'α", and "İzmir" to "i" + U+0307 + "zmir",
+# three tokens where the text has one
+@example([("ana οδοσ'α", "N+PR")], "ANA ΟΔΟΣ'Α")
+@example([("ana i\u0307zmir bey", "N+PR")], "ANA İzmir BEY")
 def test_entries_at_agrees_with_brute_probe(entries, text):
     lines = "".join(f"{_escaped(s)},.{tag}\n" for s, tag in entries)
     lex, ref = parse_lexicon(lines), oracle_parse_lexicon(lines)
@@ -712,8 +718,30 @@ def test_entries_at_agrees_with_brute_probe(entries, text):
             found = _lex_entries(ref, surface)
             if found:
                 want.append((j + 1, surface, tuple(e.symbols for e in found)))
-        got = _pure._entries_at(toks, text, lex.symbol_index(), lex.head_index(), i)
+        got = _pure._entries_at(toks, text, lex.symbol_index(), lex.prefix_index(), i)
         assert got == tuple(want), (text, i)
+
+
+class _CountingIndex(dict):
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_entries_at_stops_at_the_first_span_no_entry_extends():
+    name = "Hugo de Sousa Lima Pereira da Costa e Silva Neto Junior"
+    assert len(name.split()) == 11
+    lex = parse_lexicon(f"Hugo,.N+PR\n{name},.N+PR")
+    text = "Hugo foi vez preço de uma sala do teatro maior e melhor."
+    toks = _pure.tokenize_raw(text)
+    assert len(toks[0]) >= 11
+    symindex = _CountingIndex(lex.symbol_index())
+    got = _pure._entries_at(toks, text, symindex, lex.prefix_index(), 0)
+    assert got == ((1, "Hugo", (frozenset({"N", "PR"}),)),)
+    # "Hugo" and "Hugo foi", each looked up as itself and as its lower()
+    assert symindex.gets <= 2 * 2
 
 
 def _generated_lexicon(rng, n):
@@ -760,8 +788,8 @@ def test_one_mask_grammars_agree_with_path_oracle(which, lexicon, oracle_lexicon
     "entry,text",
     [
         # "İ".lower() is "i" + U+0307, which is not a letter: the lowercase
-        # form of the token is not one word, so the head-index gate must not
-        # reject it
+        # form of the token is three tokens, and its prefixes must still
+        # lead the walk on
         ("i̇stanbul", "İstanbul"),
         ("i̇stanbul üniversitesi", "İstanbul Üniversitesi"),
         # a final sigma lowercases to "ς" as a whole string ...
@@ -962,7 +990,7 @@ def test_first_set_of_dictionary_names(g2):
     lex = parse_lexicon("bonita,.A\nMarilyn Monroe,.N+PR")
     text = "bonita Marilyn Monroe"
     toks = _pure.tokenize_raw(text)
-    index = (lex.symbol_index(), lex.head_index())
+    index = (lex.symbol_index(), lex.prefix_index())
     entries = {}
     # an entry that covers neither required set does not admit its token,
     # and the rejected token's entries are not kept
@@ -978,7 +1006,7 @@ _START_DICT_MASKS = [
     LexicalMask(pos="A"),
 ]
 # "i\u0307rem sá" is "İrem Sá".lower(): lowering "İrem" is not one letter
-# run, so the probe width of "İrem" is the longest entry's
+# run, but "i\u0307rem" is still a prefix of the entry
 _START_LEX = (
     "Ana Maria,.N+PR\nAna,.N+PR\nana,.N+Hum\nrui,.N+Hum\nRui Sá,.N+PR\n"
     "bela,.A\nde,.PREP\nSá. Rui,.N+PR\nMaria,.A\ni\u0307rem sá,.N+PR"
@@ -1058,7 +1086,7 @@ _INITIAL_IS_FINAL = GrammarSet({"M": Graph(
     st.randoms(use_true_random=False).map(random_start_grammar),
     st.lists(st.sampled_from(_START_WORDS), min_size=2, max_size=40),
 )
-# the walk runs from the end, so a head is rejected on its own further
+# the walk runs from the end, so a first token is rejected on its own further
 # right before its multiword entry admits it further left, and the reverse
 @example(_PR_ONLY, ["Rui", "Sá", "de", "Rui", "bela"])
 @example(_PR_ONLY, ["İrem", "Sá", "de", "İrem", "bela"])
@@ -1072,7 +1100,7 @@ def test_start_filter_agrees_with_unfiltered_walk(gs, words):
     lex = parse_lexicon(_START_LEX)
     text = "".join(w if w in ".," else " " + w for w in words).strip()
     toks = _pure.tokenize_raw(text)
-    args = (text, toks, lex.symbol_index(), lex.head_index(),
+    args = (text, toks, lex.symbol_index(), lex.prefix_index(),
             _pure.sentence_boundaries(toks, frozenset()))
     filtered = _pure.find_matches(cgs, *args)
     # a FIRST set that admits every token
