@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import NamedTuple
 
 from .errors import MalformedTag, NestedTag, OverlappingOccurrences
 
@@ -22,8 +23,10 @@ _TAG_IN_TEXT = re.compile("<EM|</EM>")  # what parse_gold would read as a tag
 _NOME_OPEN, _NOME_CLOSE = "<NOME>", "</NOME>"
 
 
-@dataclass(frozen=True)
-class GoldAnnotation:
+class GoldAnnotation(NamedTuple):
+    """One <EM> annotation; a named tuple, built at under half the cost of
+    a frozen dataclass instance."""
+
     start: int  # offsets in the tag-stripped text
     end: int
     category: str

@@ -68,20 +68,25 @@ def _compile_atom(atom):
 
 
 def _compile_box(output, alts):
-    """(output, rest, exact, folded): literal-first alternatives indexed by
-    their first piece, the others kept in file order.  An alternative
-    holding a blank literal (a None atom) never matches and is dropped."""
-    rest, exact, folded = [], {}, {}
+    """(output, rest, exact, folded, masked): literal-first alternatives
+    indexed by their first piece, mask-first ones grouped by their first
+    mask as ``((mask, alternatives), ...)``, the others kept in file order.
+    An alternative holding a blank literal (a None atom) never matches and
+    is dropped."""
+    rest, exact, folded, masked = [], {}, {}, {}
     for alt in alts:
         if None in alt:
             continue
-        if alt and alt[0][0] == "lit":
+        kind = alt[0][0] if alt else None
+        if kind == "lit":
             _, pieces, ci = alt[0]
             index = folded if ci else exact
             index.setdefault(pieces[0], []).append(alt)
+        elif kind == "mask":
+            masked.setdefault(alt[0], []).append(alt)
         else:
             rest.append(alt)
-    return (output, tuple(rest), exact, folded)
+    return (output, tuple(rest), exact, folded, tuple(masked.items()))
 
 
 def _first_sets(table, initial):
@@ -106,7 +111,7 @@ def _first_sets(table, initial):
         seen = set()
         stack = list(succs)
         while stack:
-            box, _, rest, box_exact, box_folded = stack.pop()
+            box, _, rest, box_exact, box_folded, box_masked = stack.pop()
             if box in seen:
                 continue
             seen.add(box)
@@ -115,6 +120,7 @@ def _first_sets(table, initial):
                 continue
             exact.update(box_exact)
             folded.update(box_folded)
+            masks.update(mask for mask, _ in box_masked)
             passable = False
             for alt in rest:
                 for atom in alt:
@@ -149,7 +155,7 @@ GROWTH = 4  # copies of inlined callees make a table at most this many times as 
 
 def compile_grammar_set(gs: GrammarSet) -> dict:
     """Lower a GrammarSet to the numbered box table the kernel walks (see
-    ``_engine``), with each box's literal dispatch and the main graph's
+    ``_engine``), with each box's literal and mask dispatch and the main graph's
     FIRST set of leading literals and mask atoms (``_first_sets``).
 
     A graph's boxes take consecutive numbers, its final box the last one.
@@ -312,11 +318,8 @@ def apply_grammar(
     )
     bounds = _impl.sentence_boundaries(toks, abbrevs)
     raw = _impl.find_matches(
-        cgs, text, toks, lex.symbol_index(), lex.prefix_index(), bounds
+        cgs, text, toks, lex.symbol_index(), lex.prefix_index(), bounds, mode == LONGEST_ONLY
     )
-    if mode == LONGEST_ONLY:
-        ends = _longest_ends(m[:2] for m in raw)
-        raw = [m for m in raw if m[1] == ends[m[0]]]
     # different events may splice to the same text: the first one stays
     occs = {}
     for start, end, events in raw:
@@ -338,19 +341,13 @@ def _splice(text, start, end, events):
     return "".join(parts)
 
 
-def _longest_ends(spans):
-    """The largest end of each start offset among (start, end) pairs: the
-    one longest rule of LongestOnly."""
-    best = {}
-    for start, end in spans:
-        if end > best.get(start, -1):
-            best[start] = end
-    return best
-
-
 def filter_longest(occs: list) -> list:
     """Keep, for each start offset, only the occurrences with maximal end,
-    sorted by (start, end, merged).  Idempotent."""
-    ends = _longest_ends((o.start, o.end) for o in occs)
+    sorted by (start, end, merged).  Idempotent.  ``apply_grammar`` applies
+    the same rule inside the walk in LongestOnly mode."""
+    ends = {}
+    for o in occs:
+        if o.end > ends.get(o.start, -1):
+            ends[o.start] = o.end
     kept = [o for o in occs if o.end == ends[o.start]]
     return sorted(kept, key=lambda o: (o.start, o.end, o.merged))

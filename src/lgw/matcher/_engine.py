@@ -21,7 +21,7 @@ other token is one punct character.  A compiled grammar set (built by
 
 ``table[number]`` holds a box's output, the number of its graph's final
 box and its successors in edge order, each ``(number, bit, rest, exact,
-folded)`` with the boxes that entering it marks as entered and the
+folded, masked)`` with the boxes that entering it marks as entered and the
 alternatives of the box it leads to.  ``bit`` is ``1 << number``, except
 on an entry into a copy of an inlined callee's boxes, where the call box
 and the copy's initial box are marked too (see ``compile_grammar_set``).
@@ -31,8 +31,10 @@ their return frames.
 A box's alternatives are split for first-token dispatch: ``exact`` maps
 the first piece of each case-sensitive literal-first alternative to those
 alternatives, ``folded`` does the same for case-folded literals (keyed by
-the lowercased piece), and ``rest`` holds every other alternative.  An
-alternative is a tuple of atoms:
+the lowercased piece), ``masked`` pairs each mask that begins an
+alternative with those alternatives, ``((mask, alternatives), ...)``, and
+``rest`` holds every other alternative.  An alternative is a tuple of
+atoms:
 
 * ``("lit", pieces, ci)`` -- pieces are the literal's token surfaces
   (lowercased when ci is true);
@@ -151,14 +153,20 @@ def sentence_boundaries(toks, abbreviations):
 
 
 def _lookup_keys(surface):
-    """The keys a lexicon lookup of ``surface`` reads: the surface and, for
-    a capitalized one, its lower()."""
-    return (surface, surface.lower()) if surface[:1].isupper() else (surface,)
+    """The keys a lexicon lookup and ``_extends`` of ``surface`` read: the
+    surface and, for a capitalized one, its lower() and, where that holds
+    a "ς", its lower() before a cased letter."""
+    if not surface[:1].isupper():
+        return (surface,)
+    low = surface.lower()
+    if "ς" in low:
+        return (surface, low, (surface + "A").lower()[:-1])
+    return (surface, low)
 
 
 def _lex_symbol_sets(symindex, surface):
     """The symbol sets of ``surface`` and, for a capitalized one, of its
-    lower(): the lookups of ``_lookup_keys``, inlined."""
+    lower(): the first two keys of ``_lookup_keys``, inlined."""
     syms = symindex.get(surface, ())
     if surface[:1].isupper():
         low = symindex.get(surface.lower())
@@ -182,12 +190,13 @@ def _extends(prefixes, span):
     keeps every token end ("İ" -> "i" + U+0307 only adds one), so the
     lower() of an entry's shorter spans are its prefixes, unless a final
     sigma turns medial when more follows ("ΟΔΟΣ" -> "οδος" but "ΟΔΟΣ'Α"
-    -> "οδοσ'α"): a lower() that holds "ς" extends."""
+    -> "οδοσ'α"): that happens only where a cased letter follows, so the
+    span's lower() is also tested as if one did."""
     if span in prefixes:
         return True
     if span[:1].isupper():
         low = span.lower()
-        return low in prefixes or "ς" in low
+        return low in prefixes or ("ς" in low and (span + "A").lower()[:-1] in prefixes)
     return False
 
 
@@ -288,11 +297,12 @@ def _may_start(first, toks, text, symindex, prefix_index, i, entries):
 _offset = itemgetter(0)  # an event's text offset, the splice order
 
 
-def find_matches(cgs, text, toks, symindex, prefix_index, boundaries):
+def find_matches(cgs, text, toks, symindex, prefix_index, boundaries, longest=False):
     """All matches of the main graph, as sorted ``(start, end, events)``
-    tuples.  ``events`` are the ``(char_pos, output)`` pairs of the path's
-    box outputs in splice order: by offset, and in path order at one
-    offset.  Two paths with the same span and events are one match.
+    tuples; with ``longest``, only those of each start's largest end.
+    ``events`` are the ``(char_pos, output)`` pairs of the path's box
+    outputs in splice order: by offset, and in path order at one offset.
+    Two paths with the same span and events are one match.
 
     A match anchored at a start token is any initial-to-final path of the
     main graph whose atoms consume a contiguous token sequence that ends
@@ -317,9 +327,19 @@ def find_matches(cgs, text, toks, symindex, prefix_index, boundaries):
     the return frame of the innermost subgraph call.  A return frame
     ``(box, alternative, atom, entry, slot, visited, parent frame)`` is
     interned in a per-start table, so a state names it, and the whole
-    call stack, by its index.  A box entry already reached from the same
-    start with equal events, visited boxes and return frame has the same
-    continuations, so it is skipped.
+    call stack, by its index.
+
+    Entering a box decides the first atom of its literal-first and
+    mask-first alternatives: it pushes only the alternatives whose first
+    piece is the next token, and each mask-first group, past its mask, at
+    the token the mask returns.  A built-in mask reads only the surface,
+    so its verdict is kept per (mask, surface) in ``decided``.  An entry
+    that pushes nothing is dropped; a box entry already reached from the
+    same start with equal events, visited boxes and return frame has the
+    same continuations, so its pushes are taken back.  Each start keeps
+    the end token and unsorted events of its paths in ``found`` (with
+    ``longest``, of those that end at its largest end token alone) and
+    sorts them into matches when its walk ends.
     """
     table = cgs["table"]
     initial = cgs["initial"]
@@ -330,6 +350,8 @@ def find_matches(cgs, text, toks, symindex, prefix_index, boundaries):
     n = len(surfaces)
     results = set()
     entries = {}
+    decided = {}  # (built-in mask, surface) -> does the mask take the token
+    found = set()  # (end token, events) of the paths from one start
     rejected = set()
     limit = n  # tokens at or after limit lie past the sentence boundary
     for s in range(n - 1, -1, -1):
@@ -345,6 +367,7 @@ def find_matches(cgs, text, toks, symindex, prefix_index, boundaries):
         seen = set()
         frames = []  # return frame index -> frame
         frame_ids = {}  # frame -> its index
+        top = s + 1  # the shortest end kept; with longest, the largest end so far
         stack = [(root, (), 0, s, (), s, 0, root_bit, None)]
         push = stack.append
         while stack:
@@ -399,32 +422,54 @@ def find_matches(cgs, text, toks, symindex, prefix_index, boundaries):
                     events = events[:slot] + ((pos, out),) + events[slot:]
                 if i != entry:
                     vis = 0
-            for b, bit, alts, exact, folded in succs:
+            for b, bit, rest, exact, folded, masked in succs:
                 if b == final:
                     if ret is not None:
                         rnode, ralt, rk, rentry, rslot, rvis, rret = frames[ret]
                         push((rnode, ralt, rk, i, events, rentry, rslot, rvis, rret))
-                    elif i > s:
-                        # in splice order: by offset, stable
-                        ordered = tuple(sorted(events, key=_offset))
-                        results.add((starts[s], starts[i - 1] + len(surfaces[i - 1]), ordered))
+                    elif i >= top:
+                        if longest and i > top:
+                            top = i
+                            found.clear()
+                        found.add((i, events))
                     continue
                 if vis & bit:
+                    continue
+                bvis = vis | bit
+                at = len(events)
+                mark = len(stack)
+                for a in rest:
+                    push((b, a, 0, i, events, i, at, bvis, ret))
+                if i < limit:
+                    surf = surfaces[i]
+                    for a in exact.get(surf, ()):
+                        push((b, a, 0, i, events, i, at, bvis, ret))
+                    if folded:
+                        for a in folded.get(surf.lower(), ()):
+                            push((b, a, 0, i, events, i, at, bvis, ret))
+                    for atom, group in masked:
+                        if atom[2]:
+                            key = (atom, surf)
+                            ok = decided.get(key)
+                            if ok is None:
+                                ok = decided[key] = _match_mask(
+                                    atom, toks, text, symindex, prefix_index, entries, i, limit
+                                ) is not None
+                            j = i + 1 if ok else None
+                        else:
+                            j = _match_mask(atom, toks, text, symindex, prefix_index, entries, i, limit)
+                        if j is not None:
+                            for a in group:
+                                push((b, a, 1, j, events, i, at, bvis, ret))
+                if len(stack) == mark:  # nothing to enter
                     continue
                 size = len(seen)
                 seen.add((b, i, events, vis, ret))
                 if len(seen) == size:
-                    continue
-                bvis = vis | bit
-                at = len(events)
-                for a in alts:
-                    push((b, a, 0, i, events, i, at, bvis, ret))
-                # a literal-first alternative can only match if its first
-                # piece is the next token
-                if (exact or folded) and i < limit:
-                    surf = surfaces[i]
-                    for a in exact.get(surf, ()):
-                        push((b, a, 0, i, events, i, at, bvis, ret))
-                    for a in folded.get(surf.lower(), ()):
-                        push((b, a, 0, i, events, i, at, bvis, ret))
+                    del stack[mark:]
+        for i, events in found:
+            # in splice order: by offset, stable
+            results.add((starts[s], starts[i - 1] + len(surfaces[i - 1]),
+                         tuple(sorted(events, key=_offset))))
+        found.clear()
     return sorted(results)

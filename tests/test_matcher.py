@@ -578,6 +578,20 @@ def test_a_call_cycle_is_not_inlined():
     assert _all_matches(GrammarSet({"G": g, "H": h}, "G"), "x y") == {(0, 1, "x")}
 
 
+# --- LongestOnly inside the walk ---------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(cyclic_grammars(), pure_call_grammars()), _cycle_texts)
+# the starts before the boundary end before those after it
+@example(_WORD_LOOP, "ana bela. Rui de")
+def test_longest_in_the_walk_equals_the_longest_filter(gs, text):
+    lex = parse_lexicon("")
+    want = filter_longest(apply_grammar(gs, text, lex, ALL_MATCHES, frozenset()))
+    # Occurrences compare every field, events included
+    assert apply_grammar(gs, text, lex, LONGEST_ONLY, frozenset()) == want
+
+
 def _doubling_dag(levels):
     """G0 ... G<levels>: each graph calls the next from two pure call boxes
     in parallel, one of them followed by an output; the last reads "Ana".
@@ -621,12 +635,12 @@ def _reachable_alternatives(cgs):
             continue
         seen.add(node)
         _, final, succs = table[node]
-        for b, _, rest, exact, folded in succs:
+        for b, _, rest, exact, folded, masked in succs:
             if b == final:
                 continue
             todo.append(b)
-            for alt in [*rest, *(a for index in (exact, folded) for group in index.values()
-                                 for a in group)]:
+            groups = [*exact.values(), *folded.values(), *(group for _, group in masked)]
+            for alt in [*rest, *(a for group in groups for a in group)]:
                 alts.append(alt)
                 todo.extend(initial[atom[1]][0] for atom in alt if atom[0] == "call")
     return alts
@@ -742,6 +756,19 @@ def test_entries_at_stops_at_the_first_span_no_entry_extends():
     assert got == ((1, "Hugo", (frozenset({"N", "PR"}),)),)
     # "Hugo" and "Hugo foi", each looked up as itself and as its lower()
     assert symindex.gets <= 2 * 2
+
+
+@pytest.mark.parametrize("word", ["ΟΔΟΣ", "RUA"])
+def test_a_final_sigma_extends_only_where_a_longer_entry_could_follow(word):
+    # a final sigma turns medial only before a cased letter, so "ΟΔΟΣ" is
+    # read past only if "οδοσ" is a prefix, as "RUA" only if "rua" is
+    lex = parse_lexicon(" ".join(["ana"] * 12) + ",.N+PR")
+    text = " ".join([word] * 20)
+    toks = _pure.tokenize_raw(text)
+    symindex = _CountingIndex(lex.symbol_index())
+    assert _pure._entries_at(toks, text, symindex, lex.prefix_index(), 0) == ()
+    # the first span, looked up as itself and as its lower()
+    assert symindex.gets == 2
 
 
 def _generated_lexicon(rng, n):
@@ -1122,14 +1149,14 @@ def test_literal_compilation_follows_the_tokenizer_rule(literals):
     alts = " ; ".join(f'"{lit}"' for lit in literals)
     gs = load_grammar_set([("G", f"graph G\nbox b {alts}\ninit i\nfinal f\nedge i b\nedge b f\n")])
     cgs = compile_grammar_set(gs)
-    (_, _, rest, exact, folded), = cgs["table"][cgs["initial"]["G"][0]][2]
+    (_, _, rest, exact, folded, masked), = cgs["table"][cgs["initial"]["G"][0]][2]
     want = ({}, {})
     for lit in literals:
         ci = not any(c.isupper() for c in lit)
         pieces = tuple(s.lower() if ci else s for s, _, _, kind in brute_tokenize(lit)
                        if kind != "space")
         want[ci].setdefault(pieces[0], []).append((("lit", pieces, ci),))
-    assert rest == ()
+    assert rest == masked == ()
     assert (exact, folded) == want
 
 
@@ -1141,15 +1168,20 @@ def test_literal_dispatch_splits_alternatives():
             (InputAtom.lit("rio de"),),
             (InputAtom.lit("Rio Branco"),),
             (InputAtom.masked(LexicalMask(builtin="MOT")),),
+            (InputAtom.masked(LexicalMask(builtin="MOT")), InputAtom.lit("de")),
+            (InputAtom.eps(), InputAtom.lit("Rio")),
         ),
     )
     gs = GrammarSet({"G": _graph("G", [box], [("i", "b"), ("b", "f")])}, "G")
     cgs = compile_grammar_set(gs)
     # the initial box's one successor carries box b's alternatives
-    (_, _, rest, exact, folded), = cgs["table"][cgs["initial"]["G"][0]][2]
-    assert [alt[0][0] for alt in rest] == ["mask"]
+    (_, _, rest, exact, folded, masked), = cgs["table"][cgs["initial"]["G"][0]][2]
+    assert [alt[0][0] for alt in rest] == ["eps"]
     assert {k: len(v) for k, v in exact.items()} == {"Rio": 2}
     assert {k: len(v) for k, v in folded.items()} == {"rio": 1}
+    # both <MOT>-first alternatives, in one group under their mask
+    mot = ("mask", frozenset(), "MOT", None)
+    assert masked == ((mot, [(mot,), (mot, ("lit", ("de",), True))]),)
 
 
 # --- the walk: output order, long chains, ambiguity, recursion --------------

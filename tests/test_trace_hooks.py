@@ -19,14 +19,20 @@ def _load_trace():
     return module
 
 
-def test_traced_apply_records_the_layer_spans(tmp_path):
-    argv = ["apply", "--out", str(tmp_path / "out")]
+def _apply_argv(directory, corpus, *options):
+    """``lgw apply`` of the shipped g1 grammars and Portuguese lexicon on
+    ``corpus``, all written into ``directory``, the outputs into its out/."""
+    argv = ["apply", "--out", str(directory / "out"), *options]
     for name in G1_FILES:
-        (tmp_path / f"{name}.lg").write_text(data.grammar_text(name), encoding="utf-8")
-        argv += ["--grammar", str(tmp_path / f"{name}.lg")]
-    (tmp_path / "portugues.dic").write_text(data.lexicon_text("portugues"), encoding="utf-8")
-    (tmp_path / "corpus.txt").write_text("A Sra. Joana da Silva falou.\n", encoding="utf-8")
-    argv += ["--lexicon", str(tmp_path / "portugues.dic"), str(tmp_path / "corpus.txt")]
+        (directory / f"{name}.lg").write_text(data.grammar_text(name), encoding="utf-8")
+        argv += ["--grammar", str(directory / f"{name}.lg")]
+    (directory / "portugues.dic").write_text(data.lexicon_text("portugues"), encoding="utf-8")
+    (directory / "corpus.txt").write_text(corpus, encoding="utf-8")
+    return argv + ["--lexicon", str(directory / "portugues.dic"), str(directory / "corpus.txt")]
+
+
+def test_traced_apply_records_the_layer_spans(tmp_path):
+    argv = _apply_argv(tmp_path, "A Sra. Joana da Silva falou.\n")
 
     # the first apply tokenizes the corpus and writes its sidecar, the
     # second reads it: both reach apply_grammar through the traced wrapper
@@ -50,3 +56,26 @@ def test_traced_apply_records_the_layer_spans(tmp_path):
         else:
             assert parses == []
     assert len(list((tmp_path / "__lgwcache__").glob("corpus.txt.*.lgc"))) == 1
+
+
+def test_traced_apply_writes_what_an_untraced_apply_writes(tmp_path):
+    # the trace runs ALL mode and then filter_longest, where an untraced
+    # apply keeps each start's longest matches inside the walk; the shorter
+    # names here ("Joana", "Rui de Sousa") are the matches it drops
+    corpus = "A Sra. Joana da Silva falou com o Dr. Rui de Sousa Lima e a Profa. Ana.\n"
+    written = []
+    for traced in (False, True):
+        directory = tmp_path / ("traced" if traced else "untraced")
+        directory.mkdir()
+        argv = _apply_argv(directory, corpus, "--xml", "sys.xml")
+        tracer = _load_trace().Tracer()
+        if traced:
+            tracer.install()
+        try:
+            assert tracer.command("apply", main, argv) == 0
+        finally:
+            tracer.uninstall()
+        written.append({p.name: p.read_bytes() for p in (directory / "out").iterdir()})
+    assert written[0] == written[1]
+    assert sorted(written[0]) == ["ReconheceFormasDeTratamento.cnc", "sys.xml"]
+    assert written[0]["sys.xml"].count(b"<EM ") == 3
