@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or unparsable input
 or an unwritable output path, 3 semantic mismatch (e.g. concordances from
-different texts), 4 empty-result error.
+different texts).
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from bisect import bisect_left
 from functools import cache
@@ -20,7 +19,7 @@ from . import concorddiff, evaluator, matcher, sidecar
 from .composer import compose_main, select_keep_set
 from .concordance import build_concordance, parse_concordance, write_concordance
 from .concorddiff import Action, DiffCounts, Relation, RelationReport
-from .errors import EmptyKeepSet, LgwError, TextMismatch, UsageError, located
+from .errors import LgwError, TextMismatch, UsageError, located
 # parse_graph is not called here: perfbench/trace.py wraps lgw.cli.parse_graph
 from .grammar import _ID, load_grammar_set, parse_graph, render_graph, validate_set
 # perfbench/trace.py wraps lgw.cli.parse_lexicon and lgw.cli.merge_lexicons
@@ -344,9 +343,9 @@ def cmd_compose(args) -> int:
     for path in args.report:
         rep = _read_report(path)
         reports[(rep.grammar_x, rep.grammar_y)] = rep
+    # every report names two grammars (see _read_report), and
+    # select_keep_set keeps at least one of them
     grammars = sorted({g for pair in reports for g in pair})
-    if not grammars:
-        raise EmptyKeepSet("no grammars named in the relation reports")
     if args.name in grammars:
         raise UsageError(f"--name {args.name} is a grammar of the relation reports")
     decisions = select_keep_set(grammars, reports)
@@ -365,8 +364,7 @@ def cmd_eval(args) -> int:
     if sys_plain != gold_plain:
         raise TextMismatch("system and gold files have different underlying texts")
     report = evaluator.score(sys_anns, gold_anns, args.categ, args.tipo)
-    bold = sys.stdout.isatty() and os.environ.get("LGW_COLOR") != "0"
-    print(evaluator.format_report(report, args.categ, args.tipo, bold=bold))
+    print(evaluator.format_report(report, args.categ, args.tipo, bold=sys.stdout.isatty()))
     if args.out:
         print(f"report -> {_write(args.out, args.json, _json(report.to_json_dict()))}")
     return 0

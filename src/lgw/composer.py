@@ -3,18 +3,17 @@ assemble the kept ones into a single main graph."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .concorddiff import Action
 from .errors import EmptyKeepSet, MissingPair
 from .grammar import Graph, GraphBox, InputAtom
 
 
-@dataclass
-class KeepDecision:
+class KeepDecision(NamedTuple):
     grammar: str
     kept: bool
-    reasons: list = field(default_factory=list)
+    reasons: tuple = ()
 
     def to_json_dict(self) -> dict:
         return {"grammar": self.grammar, "kept": self.kept, "reasons": self.reasons}
@@ -41,8 +40,8 @@ def select_keep_set(grammars, reports) -> list:
     by_pair = {}
     for key, rep in reports.items():
         by_pair[tuple(sorted(key))] = rep
-    dropped = {}
-    decisions = {g: KeepDecision(g, True) for g in grammars}
+    dropped = set()
+    reasons = {g: [] for g in grammars}
     for i, a in enumerate(grammars):
         for b in grammars[i + 1 :]:
             rep = by_pair.get((a, b))
@@ -53,21 +52,16 @@ def select_keep_set(grammars, reports) -> list:
             gx = rep.grammar_x or a
             gy = rep.grammar_y or b
             loser = _dropped_by(rep.action, gx, gy)
+            label = f"{rep.relation.value} ({rep.action.value})"
             if loser is not None:
                 winner = gy if loser == gx else gx
-                dropped[loser] = winner
-                decisions[loser].kept = False
-                decisions[loser].reasons.append(
-                    f"dropped vs {winner}: {rep.relation.value} ({rep.action.value})"
-                )
-                decisions[winner].reasons.append(
-                    f"kept vs {loser}: {rep.relation.value} ({rep.action.value})"
-                )
+                dropped.add(loser)
+                reasons[loser].append(f"dropped vs {winner}: {label}")
+                reasons[winner].append(f"kept vs {loser}: {label}")
             else:
-                label = f"{rep.relation.value} ({rep.action.value})"
-                decisions[a].reasons.append(f"vs {b}: {label}")
-                decisions[b].reasons.append(f"vs {a}: {label}")
-    return [decisions[g] for g in grammars]
+                reasons[a].append(f"vs {b}: {label}")
+                reasons[b].append(f"vs {a}: {label}")
+    return [KeepDecision(g, g not in dropped, tuple(reasons[g])) for g in grammars]
 
 
 def compose_main(kept, name: str = "Main") -> Graph:

@@ -14,7 +14,6 @@ or text id is written as ``-``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -28,9 +27,8 @@ _UNESCAPE = {"t": "\t", "n": "\n", "r": "\r"}
 class ConcordanceLine(NamedTuple):
     """One occurrence: its span in the text, ``match`` (the matched text
     with the grammar's outputs spliced in) and up to the concordance's
-    widths of context on each side.  A named tuple: one small object,
-    built at about half the cost of a dataclass instance; lines compare
-    and hash by their five fields."""
+    widths of context on each side.  Lines compare and hash by their five
+    fields."""
 
     start: int
     end: int
@@ -44,8 +42,7 @@ class ConcordanceLine(NamedTuple):
 line_key = itemgetter(0, 1, 3)
 
 
-@dataclass
-class Concordance:
+class Concordance(NamedTuple):
     lines: list
     source_grammar: str = ""
     source_text_id: str = ""

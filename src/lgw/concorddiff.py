@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import html
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
 from operator import itemgetter
@@ -79,8 +78,7 @@ _UNIQUE_X, _UNIQUE_Y = DiffClass.UNIQUE_X, DiffClass.UNIQUE_Y
 _span = itemgetter(0, 1)  # (start, end) of a ConcordanceLine
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     relation: Relation
     action: Action
     counts: DiffCounts

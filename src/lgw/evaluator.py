@@ -10,7 +10,6 @@ positive needs an exact span match after filtering both sides by category
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
@@ -24,8 +23,7 @@ _NOME_OPEN, _NOME_CLOSE = "<NOME>", "</NOME>"
 
 
 class GoldAnnotation(NamedTuple):
-    """One <EM> annotation; a named tuple, built at under half the cost of
-    a frozen dataclass instance."""
+    """One <EM> annotation."""
 
     start: int  # offsets in the tag-stripped text
     end: int
@@ -33,8 +31,7 @@ class GoldAnnotation(NamedTuple):
     subtype: str = ""
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     tp: int
     n_sys: int
     n_gold: int

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import graphlib
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -70,8 +69,7 @@ _UNTERMINATED = {
 _FILTER_ATOM = re.compile(r"(\.|\[[^\[\]]*\]|[^*+{}\[\]])([*+]|\{[0-9]+(?:,[0-9]+)?\})?")
 
 
-@dataclass(frozen=True)
-class MorphFilter:
+class MorphFilter(NamedTuple):
     """Restricted regular expression over a token's characters, anchored at
     both ends.  A trailing unquantified literal or ``.`` atom gets an
     implicit ``.*`` appended, so ``..`` means "at least two characters";
@@ -102,8 +100,7 @@ def compile_filter(pattern: str):
         raise ValueError(f"bad filter {pattern!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class LexicalMask:
+class LexicalMask(NamedTuple):
     pos: str = None
     codes: frozenset = frozenset()
     builtin: str = None  # "PRE" | "MOT" | None
@@ -121,11 +118,8 @@ class InputAtom(NamedTuple):
     uses: a ``"literal"`` its ``literal``, the text to match; a ``"mask"``
     its ``mask`` and its ``filter`` (a MorphFilter or None); a ``"call"``
     its ``graph_name``; an ``"epsilon"``, which consumes no token, none.
-    Build one with ``lit``, ``masked``, ``call`` or ``eps``.
-
-    A grammar holds one atom per alternative or more, and a named tuple is
-    the cheapest of them to build.  Like any tuple, an atom equals a plain
-    tuple of the same five values."""
+    Build one with ``lit``, ``masked``, ``call`` or ``eps``.  Like any
+    tuple, an atom equals a plain tuple of the same five values."""
 
     kind: str  # "literal" | "mask" | "epsilon" | "call"
     literal: str = None
@@ -153,15 +147,13 @@ class InputAtom(NamedTuple):
 _EPSILON = InputAtom("epsilon")
 
 
-@dataclass(frozen=True)
-class GraphBox:
+class GraphBox(NamedTuple):
     id: str
     alternatives: tuple  # tuple of tuples of InputAtom
     output: str = None
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     name: str
     boxes: tuple  # tuple of GraphBox, file order preserved
     edges: frozenset  # of (from_id, to_id)
@@ -178,14 +170,12 @@ class Graph:
         return succ
 
 
-@dataclass
-class GrammarSet:
+class GrammarSet(NamedTuple):
     graphs: dict  # name -> Graph
     main: str
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     code: str
     detail: str

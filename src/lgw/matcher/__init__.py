@@ -29,7 +29,7 @@ LONGEST_ONLY = "longest"
 
 
 class Occurrence(NamedTuple):
-    """One match; a named tuple, built at about a third of a dataclass's cost."""
+    """One match."""
 
     start: int  # character offsets of the matched text, text[start:end]
     end: int

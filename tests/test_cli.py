@@ -511,6 +511,32 @@ def test_bad_grammar_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _apply_graph(tmp_path, graph):
+    """``lgw apply`` of the one-graph grammar ``graph`` to a small corpus,
+    with no lexicon and the outputs in tmp_path/out."""
+    (tmp_path / "g.lg").write_text(graph, encoding="utf-8")
+    (tmp_path / "c.txt").write_text("A Joana falou.\n", encoding="utf-8")
+    return main(["apply", "--grammar", str(tmp_path / "g.lg"),
+                 "--out", str(tmp_path / "out"), str(tmp_path / "c.txt")])
+
+
+def test_apply_warns_of_an_unreachable_box_and_runs(tmp_path, capsys):
+    graph = 'graph W\nbox b "Joana"\nbox orphan "x"\ninit i\nfinal f\nedge i b\nedge b f\n'
+    assert _apply_graph(tmp_path, graph) == 0
+    captured = capsys.readouterr()
+    assert "warning: Unreachable: W: box 'orphan' is unreachable from init" in captured.err
+    assert "1 occurrence(s)" in captured.out
+
+
+def test_apply_refuses_a_final_box_with_a_successor(tmp_path, capsys):
+    graph = 'graph F\nbox b "Joana"\ninit i\nfinal f\nedge i b\nedge b f\nedge f b\n'
+    assert _apply_graph(tmp_path, graph) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: FinalHasSuccessor: F: final box 'f' has outgoing edges"
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "__lgwcache__").exists()
+
+
 def test_filter_re_cannot_compile_exits_2(tmp_path, capsys):
     (tmp_path / "bad.lg").write_text(
         "graph B\nbox x <MOT><<[z-a]>>\ninit i\nfinal f\nedge i x\nedge x f\n",

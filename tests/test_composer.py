@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lgw.composer import compose_main, select_keep_set
-from lgw.concorddiff import infer_relation
+from lgw.concorddiff import Action, DiffCounts, Relation, RelationReport, infer_relation
 from lgw.errors import EmptyKeepSet, MissingPair
 from lgw.grammar import GrammarSet, render_graph, validate_set
 from lgw.lexicon import parse_lexicon
@@ -104,6 +105,20 @@ def test_selection_deterministic_under_report_dict_order():
         assert select_keep_set(list(concs), shuffled) == select_keep_set(
             list(concs), reports
         )
+
+
+@given(st.data())
+def test_some_grammar_is_always_kept(data):
+    # the winner of the last rule that drops a grammar is never dropped
+    # later, so lgw compose always has a grammar to call
+    names = data.draw(st.lists(st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True),
+                               min_size=2, max_size=5, unique=True))
+    reports = {}
+    for pair in itertools.combinations(names, 2):
+        x, y = data.draw(st.permutations(pair))
+        action = data.draw(st.sampled_from(Action))
+        reports[x, y] = RelationReport(Relation.INTERSECTING, action, DiffCounts(0, 0, 0, 0, 0), x, y)
+    assert _kept(select_keep_set(names, reports))
 
 
 # --- composition -------------------------------------------------------------

@@ -15,6 +15,7 @@ from lgw.errors import (
     UnresolvedSubgraph,
 )
 from lgw.grammar import (
+    Diagnostic,
     Graph,
     GraphBox,
     InputAtom,
@@ -331,6 +332,19 @@ def test_validate_final_has_successor():
     assert "FinalHasSuccessor" in [d.code for d in validate(g)]
 
 
+def test_validate_box_that_cannot_reach_final():
+    g = parse_graph('graph G\nbox b "x"\nbox beco "y"\ninit i\nfinal f\nedge i b\nedge b f\nedge i beco')
+    assert validate(g) == [Diagnostic("warning", "NotCoReachable", "box 'beco' cannot reach final")]
+
+
+def test_validate_unreachable_final():
+    g = parse_graph('graph G\nbox b "x"\ninit i\nfinal f\nedge i b')
+    assert validate(g) == [
+        Diagnostic("warning", "NotCoReachable", "box 'b' cannot reach final"),
+        Diagnostic("error", "FinalUnreachable", "final box 'f' is unreachable"),
+    ]
+
+
 def test_validate_rejects_empty_match():
     g = parse_graph("graph G\nbox b <E>\ninit i\nfinal f\nedge i b\nedge b f")
     assert "EmptyMatch" in [d.code for d in validate(g)]
@@ -347,10 +361,12 @@ _literal = st.text(
 _codes = st.frozensets(
     st.sampled_from(["PR", "Hum", "Abrev", "Conc", "XY"]), min_size=1, max_size=3
 )
+# every field is given: st.builds draws a named tuple's defaulted fields too
 _mask = st.one_of(
-    st.builds(LexicalMask, builtin=st.sampled_from(["PRE", "MOT"])),
-    st.builds(LexicalMask, pos=st.sampled_from(["N", "V", "A"]), codes=_codes),
-    st.builds(LexicalMask, codes=_codes),
+    st.builds(LexicalMask, pos=st.none(), codes=st.just(frozenset()),
+              builtin=st.sampled_from(["PRE", "MOT"])),
+    st.builds(LexicalMask, pos=st.sampled_from(["N", "V", "A"]), codes=_codes, builtin=st.none()),
+    st.builds(LexicalMask, pos=st.none(), codes=_codes, builtin=st.none()),
 )
 _filter = st.one_of(st.none(), st.sampled_from([MorphFilter(".."), MorphFilter(".{1,1}"), MorphFilter("[AB].*")]))
 _atom = st.one_of(

@@ -1,7 +1,12 @@
 """No module under src/lgw/ imports a name it does not use.  No linter is
-installed, so this reads each module's syntax tree with ``ast``."""
+installed, so this reads each module's syntax tree with ``ast``.  And
+``import lgw.cli``, which every ``lgw`` command pays for, loads no
+standard module that src/lgw/ does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +39,14 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_import_cli_loads_neither_dataclasses_nor_inspect():
+    # -S: no site-packages, whose .pth files could import either module
+    code = "import sys, lgw.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert proc.stdout == "[]\n"
