@@ -19,6 +19,7 @@ from . import concorddiff, evaluator, matcher, sidecar
 from .composer import compose_main, select_keep_set
 from .concordance import build_concordance, parse_concordance, write_concordance
 from .concorddiff import Action, DiffCounts, Relation, RelationReport
+from .data import default_abbreviations
 from .errors import LgwError, TextMismatch, UsageError, located
 # parse_graph is not called here: perfbench/trace.py wraps lgw.cli.parse_graph
 from .grammar import _ID, load_grammar_set, parse_graph, render_graph, validate_set
@@ -197,29 +198,41 @@ def _load_lexicons(paths, data) -> Lexicon:
 def _read_corpus(paths, texts, lexicons, found, full) -> tuple:
     """(the ``Tokenized`` joined text, its text lexicon) of the corpus
     files at ``paths``, whose ``_read_text`` pairs are ``texts``, for the
-    ``sidecar.lexicon_set`` ``lexicons``.  A file's tokens and text
-    lexicon are those ``found`` in its sidecar; a file whose sidecar
-    missed (None) is tokenized, its text lexicon is cut from the ``full``
-    lexicon, and both are kept in its sidecar.  The texts are joined with
-    "\n", which no token spans and no lexicon key holds, so the files'
-    tokens, their starts shifted by where their texts start, and the merge
-    of their text lexicons are those of the joined text."""
-    tokens, cut, offset = None, [], 0
+    ``sidecar.lexicon_set`` ``lexicons``.  A file's tokens, sentence
+    boundaries and text lexicon are those ``found`` in its sidecar; a file
+    whose sidecar missed (None) is tokenized, its boundaries are found,
+    its text lexicon is cut from the ``full`` lexicon, and all three are
+    kept in its sidecar.  The texts are joined with "\n", which no token
+    spans and no lexicon key holds, so the files' tokens, their starts
+    shifted by where their texts start, and the merge of their text
+    lexicons are those of the joined text.  So are the files' boundaries,
+    shifted by the tokens before them, plus the one a file cannot see: its
+    final '.' token, which the joined text may follow with a capital."""
+    tokens, bounds, cut, offset = None, None, [], 0
     for p, (text, digest), hit in zip(paths, texts, found):
         if hit is None:
             toks = matcher._impl.tokenize_raw(text)
-            hit = toks, text_lexicon(full, toks, text)
+            stops = matcher._impl.sentence_boundaries(toks, default_abbreviations())
+            hit = toks, stops, text_lexicon(full, toks, text)
             sidecar.write(p, lexicons, digest, *hit)
-        toks, lex = hit
+        toks, stops, lex = hit
         cut.append(lex)
         if offset:
             surfaces, starts = tokens
+            n = len(surfaces)
+            if n and toks[0] and surfaces[-1] == ".":
+                # the last two tokens so far and this file's first one
+                seam = surfaces[-2:] + toks[0][:1], (*starts[-2:], toks[1][0] + offset)
+                if len(seam[0]) - 2 in matcher._engine.sentence_boundaries(
+                        seam, default_abbreviations()):
+                    bounds.add(n - 1)
+            bounds.update(b + n for b in stops)
             surfaces += toks[0]
             starts.extend(a + offset for a in toks[1])
         else:
-            tokens = toks
+            tokens, bounds = toks, stops
         offset += len(text) + 1
-    return Tokenized("\n".join(text for text, _ in texts), tokens), merge_lexicons(cut)
+    return Tokenized("\n".join(text for text, _ in texts), tokens, bounds), merge_lexicons(cut)
 
 
 def cmd_apply(args) -> int:
@@ -253,8 +266,8 @@ def cmd_apply(args) -> int:
     text_id = "+".join(Path(p).name for p in corpus)
     tokenized, lex = _read_corpus(corpus, texts, lexicons, found, full)
     del found, full  # the walk needs only the text lexicon
-    # the tokens ride in the text argument: perfbench/trace.py forwards
-    # exactly apply_grammar's five parameters
+    # the tokens and boundaries ride in the text argument:
+    # perfbench/trace.py forwards exactly apply_grammar's five parameters
     occs = apply_grammar(gs, tokenized, lex, mode=args.mode)
     text = tokenized.text
     del tokenized  # keeping the tokens through annotate and the concordance raised peak memory

@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .concorddiff import Action
-from .errors import EmptyKeepSet, MissingPair
+from .errors import EmptyKeepSet, LgwError, MissingPair
 from .grammar import Graph, GraphBox, InputAtom
 
 
@@ -34,7 +34,8 @@ def select_keep_set(grammars, reports) -> list:
 
     ``reports`` maps an (unordered) grammar-name pair to its
     RelationReport.  A grammar dropped by any applied rule stays dropped;
-    pairs involving an already-dropped grammar are skipped.
+    pairs involving an already-dropped grammar are skipped.  A report that
+    names a grammar outside its pair raises LgwError.
     """
     grammars = sorted(grammars)
     by_pair = {}
@@ -47,10 +48,13 @@ def select_keep_set(grammars, reports) -> list:
             rep = by_pair.get((a, b))
             if rep is None:
                 raise MissingPair((a, b))
-            if a in dropped or b in dropped:
-                continue
             gx = rep.grammar_x or a
             gy = rep.grammar_y or b
+            for g in (gx, gy):
+                if g not in (a, b):
+                    raise LgwError(f"relation report for pair {a!r}/{b!r} names grammar {g!r}")
+            if a in dropped or b in dropped:
+                continue
             loser = _dropped_by(rep.action, gx, gy)
             label = f"{rep.relation.value} ({rep.action.value})"
             if loser is not None:

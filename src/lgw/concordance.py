@@ -58,6 +58,10 @@ def build_concordance(
     bounds and newlines normalized to spaces."""
     if grammar is None:
         grammar = occs[0].grammar if occs else ""
+    # in a text without "\r" each newline is one character, so its contexts
+    # are slices of one copy with a space for each; "\r\n" is one newline of
+    # two characters, so a text with "\r" normalizes each context as sliced
+    flat = text.replace("\n", " ") if "\r" not in text else None
     seen = set()
     lines = []
     for o in occs:
@@ -67,8 +71,12 @@ def build_concordance(
         if key in seen:
             continue
         seen.add(key)
-        before = _NEWLINE_RE.sub(" ", text[max(0, o.start - left) : o.start])
-        after = _NEWLINE_RE.sub(" ", text[o.end : o.end + right])
+        if flat is not None:
+            before = flat[max(0, o.start - left) : o.start]
+            after = flat[o.end : o.end + right]
+        else:
+            before = _NEWLINE_RE.sub(" ", text[max(0, o.start - left) : o.start])
+            after = _NEWLINE_RE.sub(" ", text[o.end : o.end + right])
         lines.append(ConcordanceLine(o.start, o.end, before, o.merged, after))
     lines.sort(key=line_key)
     return Concordance(
@@ -81,12 +89,16 @@ def build_concordance(
 
 
 def _esc(s: str) -> str:
-    return (
-        s.replace("\\", "\\\\")
-        .replace("\t", "\\t")
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-    )
+    """``s`` with its backslashes, TABs, LFs and CRs escaped, without the
+    four replace passes when it holds none of them."""
+    if "\\" in s or "\t" in s or "\n" in s or "\r" in s:
+        return (
+            s.replace("\\", "\\\\")
+            .replace("\t", "\\t")
+            .replace("\n", "\\n")
+            .replace("\r", "\\r")
+        )
+    return s
 
 
 def _unesc(s: str) -> str:

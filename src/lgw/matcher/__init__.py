@@ -3,9 +3,9 @@
 The matching kernel lives in ``_engine``; it reports where each output
 goes, and this module splices the outputs into the matched text.
 
-``lgw apply`` keeps a corpus file's kernel tokens in the file's sidecar
-(``lgw.sidecar``), so that a later apply of the same text skips
-tokenizing it.
+``lgw apply`` keeps a corpus file's kernel tokens and sentence
+boundaries in the file's sidecar (``lgw.sidecar``), so that a later apply
+of the same text skips finding them.
 """
 
 from __future__ import annotations
@@ -42,10 +42,13 @@ class Occurrence(NamedTuple):
 class Tokenized(NamedTuple):
     """A text and its kernel tokens, the ``(surfaces, starts)`` columns
     of ``_engine.tokenize_raw``, which ``apply_grammar`` takes in place of
-    the text alone and then does not tokenize again."""
+    the text alone and then does not tokenize again; with ``boundaries``,
+    the set that ``_engine.sentence_boundaries`` gives for those tokens and
+    the default abbreviations, it does not find those again either."""
 
     text: str
     tokens: tuple
+    boundaries: set = None
 
 
 def _compile_atom(atom):
@@ -302,7 +305,10 @@ def apply_grammar(
 ) -> list:
     """Every initial-to-final path match of the main graph in ``text``, a
     str or a ``Tokenized`` text, as Occurrences, one per (start, end,
-    merged), sorted by that key.  LongestOnly keeps, per start offset, only
+    merged), sorted by that key.  No match crosses a sentence boundary
+    (``_engine.sentence_boundaries`` with ``abbreviations``, by default
+    the shipped list); a ``Tokenized`` text's ``boundaries``, when set, are
+    used for the default list.  LongestOnly keeps, per start offset, only
     the longest occurrences, and splices the outputs of those alone.
     Paths whose outputs splice to the same text give one Occurrence, with
     the first of their events in sorted order."""
@@ -310,13 +316,14 @@ def apply_grammar(
         raise ValueError(f"unknown mode {mode!r}")
     cgs = compile_grammar_set(gs)
     if isinstance(text, Tokenized):
-        text, toks = text
+        text, toks, bounds = text
     else:
-        toks = _impl.tokenize_raw(text)
-    abbrevs = frozenset(
-        abbreviations if abbreviations is not None else default_abbreviations()
-    )
-    bounds = _impl.sentence_boundaries(toks, abbrevs)
+        toks, bounds = _impl.tokenize_raw(text), None
+    if bounds is None or abbreviations is not None:
+        abbrevs = frozenset(
+            abbreviations if abbreviations is not None else default_abbreviations()
+        )
+        bounds = _impl.sentence_boundaries(toks, abbrevs)
     raw = _impl.find_matches(
         cgs, text, toks, lex.symbol_index(), lex.prefix_index(), bounds, mode == LONGEST_ONLY
     )

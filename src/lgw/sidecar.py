@@ -8,9 +8,11 @@ set.  A corpus file keeps its ``KEEP`` newest sidecars, by modification
 time.  A sidecar begins with its key: the format number, the Python
 ``major.minor`` that wrote it, and a blake2b digest of the digests of
 the lexicon files' bytes and of the corpus text.  The digest of the
-payload follows, then the payload: one marshal tuple of the five values
+payload follows, then the payload: one marshal tuple of the six values
 ``lgw apply`` uses, the file's kernel token columns (``lgw.matcher``),
-its surfaces and its start offsets as bytes, and its text lexicon's
+its surfaces and its start offsets as bytes, the indices of its
+sentence-ending tokens (``sentence_boundaries`` with the default
+abbreviations) as bytes, and its text lexicon's
 (``lgw.lexicon.text_lexicon``) symbol index, set of entry prefixes and
 longest entry.  Marshal writes a surface or a symbol set that several
 tokens or entries share once, and reads it back as one object.
@@ -19,8 +21,10 @@ A sidecar with any other key, whose payload does not have its digest
 (checked before marshal reads it: a damaged size could make marshal
 allocate gigabytes), or that cannot be decoded into values the matcher
 can use, is a miss.  Bump ``FORMAT`` whenever these values, what
-``tokenize_raw`` makes of a text, what ``parse_lexicon`` makes of a
-lexicon or what ``text_lexicon`` keeps change.
+``tokenize_raw`` makes of a text, what ``sentence_boundaries`` or the
+default abbreviation list (``lgw.data``) makes of its tokens, what
+``parse_lexicon`` makes of a lexicon or what ``text_lexicon`` keeps
+change.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from pathlib import Path
 from .lexicon import Lexicon
 from .matcher._engine import OFFSETS
 
-FORMAT = 5
+FORMAT = 6
 DIGEST_SIZE = 64  # bytes of a blake2b digest
 KEEP = 4  # sidecars per corpus file: one per lexicon list an author alternates
 
@@ -70,11 +74,11 @@ def key(lexicons: tuple, text_digest: bytes) -> bytes:
 
 
 def read(path, lexicons: tuple, text_digest: bytes):
-    """(token columns, text lexicon) of the corpus file at ``path``, whose
-    text has the digest ``text_digest``, for the ``lexicon_set``
-    ``lexicons``, from its sidecar; None when there is none for this text
-    and these lexicons, or when it cannot be read or holds values the
-    matcher could not use."""
+    """(token columns, set of sentence boundaries, text lexicon) of the
+    corpus file at ``path``, whose text has the digest ``text_digest``,
+    for the ``lexicon_set`` ``lexicons``, from its sidecar; None when there
+    is none for this text and these lexicons, or when it cannot be read or
+    holds values the matcher could not use."""
     k = key(lexicons, text_digest)
     try:
         blob = _path(path, lexicons).read_bytes()
@@ -85,32 +89,41 @@ def read(path, lexicons: tuple, text_digest: bytes):
     if not blob.startswith(k) or blob[len(k):start] != digest(payload):
         return None
     try:
-        surfaces, offsets, symidx, prefixes, longest = marshal.loads(payload)
+        surfaces, offsets, breaks, symidx, prefixes, longest = marshal.loads(payload)
         starts = array(OFFSETS)
         starts.frombytes(offsets)
+        bounds = array(OFFSETS)
+        bounds.frombytes(breaks)
         distinct = set(surfaces)  # a few hundred objects to check, not one per token
     except (EOFError, ValueError, TypeError, MemoryError):
         return None  # truncated, not written by write, or claiming a size past memory
     # what the walk indexes: a token's surface by its first character, a
-    # surface's symbol sets as a tuple of sets, the prefixes as a set of str
+    # surface's symbol sets as a tuple of sets, the prefixes as a set of
+    # str; and a boundary is the index of a '.' token
     if not (type(surfaces) is list and len(surfaces) == len(starts)
             and {*map(type, distinct)} <= {str} and "" not in distinct
             and type(symidx) is dict and {*map(type, symidx.values())} <= {tuple}
             and {type(s) for sets in symidx.values() for s in sets} <= {set, frozenset}
             and type(prefixes) in (set, frozenset) and {*map(type, prefixes)} <= {str}
-            and type(longest) is int):
+            and type(longest) is int
+            and max(bounds, default=-1) < len(surfaces)
+            and {*map(surfaces.__getitem__, bounds)} <= {"."}):
         return None
-    return (surfaces, starts), Lexicon(symidx, (prefixes, longest))
+    return (surfaces, starts), set(bounds), Lexicon(symidx, (prefixes, longest))
 
 
-def write(path, lexicons: tuple, text_digest: bytes, tokens: tuple, lex: Lexicon) -> None:
-    """Keep ``tokens``, the kernel token columns, and ``lex``, the text
-    lexicon for the ``lexicon_set`` ``lexicons``, of the corpus file at
-    ``path`` whose text has the digest ``text_digest``, in its sidecar,
-    replacing it whole, then delete all but the ``KEEP`` newest sidecars
-    of the file.  A directory that cannot be written gets none."""
+def write(path, lexicons: tuple, text_digest: bytes, tokens: tuple, boundaries,
+          lex: Lexicon) -> None:
+    """Keep ``tokens``, the kernel token columns, ``boundaries``, the
+    indices of their sentence-ending tokens, and ``lex``, the text lexicon
+    for the ``lexicon_set`` ``lexicons``, of the corpus file at ``path``
+    whose text has the digest ``text_digest``, in its sidecar, replacing
+    it whole, then delete all but the ``KEEP`` newest sidecars of the
+    file.  A directory that cannot be written gets none."""
     surfaces, starts = tokens
-    payload = marshal.dumps((surfaces, starts.tobytes(), lex.symbol_index(), *lex.prefix_index()))
+    breaks = array(OFFSETS, sorted(boundaries)).tobytes()
+    payload = marshal.dumps((surfaces, starts.tobytes(), breaks, lex.symbol_index(),
+                             *lex.prefix_index()))
     target = _path(path, lexicons)
     # a process writes only its own temporary file; os.replace makes the
     # whole new sidecar appear at once

@@ -748,7 +748,7 @@ def test_sidecar_hit_writes_the_same_files_as_a_miss(ws, monkeypatch):
     assert not (ws / "lex" / "__lgwcache__").exists()
     # a hit's surfaces, as the tokenizer's, are one str per distinct surface
     listed = lexicon_set(lexicons, [p.read_bytes() for p in lexicons])
-    (surfaces, _), _ = read(ws / "corpus.txt", listed, digest(CORPUS.encode("utf-8")))
+    (surfaces, _), _, _ = read(ws / "corpus.txt", listed, digest(CORPUS.encode("utf-8")))
     assert len(surfaces) > len(set(surfaces)) == len(set(map(id, surfaces)))
     _forbid_misses(monkeypatch)
     assert apply(ws / "hit") == 0
@@ -859,7 +859,7 @@ def test_token_sidecar_of_an_edited_corpus_is_not_used(named, capsys, monkeypatc
     assert "1 occurrence(s)" in capsys.readouterr().out
     # the rewritten sidecar keeps the edited text's tokens
     lexicons = sidecar.lexicon_set([named / "lex" / "n.dic"], [NAMES.encode("utf-8")])
-    tokens, _ = sidecar.read(corpus, lexicons, sidecar.digest(text.encode("utf-8")))
+    tokens, _, _ = sidecar.read(corpus, lexicons, sidecar.digest(text.encode("utf-8")))
     assert tokens == tokenize_raw(text)
     _forbid_misses(monkeypatch)
     assert _apply_named(named, "c") == 0  # a hit on the rewritten sidecar
@@ -884,18 +884,22 @@ def _damaged(named, damage):
     assert good.startswith(key) and version in key
     payload = good[len(key) + sidecar.DIGEST_SIZE:]
     assert good[len(key):len(key) + sidecar.DIGEST_SIZE] == sidecar.digest(payload)
-    surfaces, starts, *lexicon = marshal.loads(payload)
+    surfaces, starts, bounds, *lexicon = marshal.loads(payload)
     symidx, prefixes, longest = lexicon
     # the end offsets format 3 kept: each token's start plus its length
     ends = array(OFFSETS, map(sum, zip(array(OFFSETS, starts), map(len, surfaces)))).tobytes()
     assert list(symidx) == ["Ana", "Zeca"] and prefixes == set()
+    # the corpus is one sentence: no '.' ends one before the last token
+    assert bounds == b""
+    # the index of a '.' token that ends no sentence of the corpus, its last
+    period = array(OFFSETS, [surfaces.index(".")]).tobytes()
 
     def sealed(payload):
         # with its digest, so that read reaches marshal and the type checks
         return key + sidecar.digest(payload) + payload
 
-    def values(*tokens, lexicon=lexicon):
-        return sealed(marshal.dumps((*tokens, *lexicon)))
+    def values(surfaces, starts, bounds=bounds, lexicon=lexicon):
+        return sealed(marshal.dumps((surfaces, starts, bounds, *lexicon)))
 
     def damaged(at, replacement):
         # the good payload's digest stays: read must refuse before marshal
@@ -931,7 +935,13 @@ def _damaged(named, damage):
         "three-columns": values(surfaces, starts + ends),
         # the six values of format 3, with the end offsets, under this
         # format's key
-        "format-3-layout": values(surfaces, starts, ends),
+        "format-3-layout": sealed(marshal.dumps((surfaces, starts, ends, *lexicon))),
+        # the sentence boundaries
+        "ragged-boundaries": values(surfaces, starts, period[:-1]),
+        "non-bytes-boundaries": values(surfaces, starts, list(array(OFFSETS, period))),
+        "non-period-boundary": values(surfaces, starts, array(OFFSETS, [0]).tobytes()),
+        "boundary-past-tokens": values(surfaces, starts,
+                                       array(OFFSETS, [len(surfaces)]).tobytes()),
         # damage the payload's digest catches: a byte of the last start
         # offset (past the text, or a wrong span), and a first "(" that
         # claims 2**29 items, which marshal would allocate before reading
@@ -981,6 +991,16 @@ def _check_damaged_sidecar_is_rewritten(named, capsys, damage):
 ])
 def test_damaged_token_sidecar_is_rewritten(named, capsys, damage):
     # damage to the whole sidecar or to its token columns
+    _check_damaged_sidecar_is_rewritten(named, capsys, damage)
+
+
+@pytest.mark.parametrize("damage", [
+    "ragged-boundaries", "non-bytes-boundaries", "non-period-boundary", "boundary-past-tokens",
+])
+def test_damaged_boundaries_sidecar_is_rewritten(named, capsys, damage):
+    # damage to the sentence boundaries alone; "ragged-boundaries" and
+    # "non-bytes-boundaries" hold the index of a '.' token, which a good
+    # column may hold
     _check_damaged_sidecar_is_rewritten(named, capsys, damage)
 
 
@@ -1100,6 +1120,72 @@ def test_corpus_tokens_equal_the_joined_texts_tokens(texts):
         column_types = [(type(c), getattr(c, "typecode", None)) for c in tokenize_raw("")]
         for tokens in (hit.tokens, miss.tokens):
             assert [(type(c), getattr(c, "typecode", None)) for c in tokens] == column_types
+
+
+def _kernel_calls(m):
+    """Route the kernel that lgw apply reaches through ``matcher._impl``
+    in the MonkeyPatch ``m``, recording each ``sentence_boundaries`` call
+    and the boundaries each walk is given; (calls, walked)."""
+    from lgw import matcher
+
+    engine = matcher._engine
+    calls, walked = [], []
+
+    def boundaries(toks, abbreviations):
+        calls.append(toks)
+        return engine.sentence_boundaries(toks, abbreviations)
+
+    def find_matches(cgs, text, toks, symidx, prefix_index, bounds, *rest):
+        walked.append(set(bounds))
+        return engine.find_matches(cgs, text, toks, symidx, prefix_index, bounds, *rest)
+
+    kernel = {**vars(engine), "sentence_boundaries": boundaries, "find_matches": find_matches}
+    m.setattr(matcher, "_impl", types.SimpleNamespace(**kernel))
+    return calls, walked
+
+
+def test_warm_apply_finds_no_sentence_boundaries(named, capsys, monkeypatch):
+    (named / "c.txt").write_text("Ana viu Zeca. O Sr. Zeca viu Ana.\nFim.\n", encoding="utf-8")
+    calls, walked = _kernel_calls(monkeypatch)
+    assert _apply_named(named, "cold") == 0
+    assert len(calls) == 1  # the miss finds them once, and keeps them
+    assert _apply_named(named, "warm") == 0
+    assert len(calls) == 1
+    # the '.' after "Zeca" and after "Ana", not the one after "Sr"
+    assert walked == [{3, 10}, {3, 10}]
+    assert _outputs(named / "warm") == _outputs(named / "cold")
+
+
+@given(st.lists(st.sampled_from(["Ana", "fim", "o", "Sr", "D", "Silva", ".", " ", "\n", ". "]),
+                min_size=1, max_size=24).map("".join),
+       st.lists(st.integers(0, 1000), min_size=1, max_size=3))
+@example("Ela viu o fim.Ana saiu.", [14])  # a boundary only the joined text has
+@example("Ele viu o Sr.Silva ontem.", [13])  # an abbreviation's '.', which is none
+@example("fim.Ana", [4, 4])  # and an empty file between them
+@settings(max_examples=40, deadline=None)
+def test_several_corpus_files_walk_the_joined_texts_boundaries(text, cuts):
+    from lgw.data import default_abbreviations
+    from lgw.matcher._engine import sentence_boundaries, tokenize_raw
+
+    cuts = sorted(c % (len(text) + 1) for c in cuts)
+    parts = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    joined = "\n".join(parts)
+    want = sentence_boundaries(tokenize_raw(joined), default_abbreviations())
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as m:
+        d = pathlib.Path(directory)
+        grammar = d / "ReconheceNomesCompostos.lg"
+        grammar.write_text(data.grammar_text("ReconheceNomesCompostos"), encoding="utf-8")
+        paths = []
+        for i, part in enumerate(parts):
+            paths.append(d / f"c{i}.txt")
+            paths[-1].write_text(part, encoding="utf-8")
+        calls, walked = _kernel_calls(m)
+        for out in ("cold", "warm"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["apply", "--grammar", str(grammar), "--out", str(d / out),
+                             *map(str, paths)]) == 0
+        assert len(calls) == len(parts)  # each file's on the cold apply, none warm
+        assert walked == [want, want]
 
 
 def test_several_corpus_files_merge_their_text_lexicons(named, capsys, monkeypatch):

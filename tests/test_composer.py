@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from lgw.composer import compose_main, select_keep_set
 from lgw.concorddiff import Action, DiffCounts, Relation, RelationReport, infer_relation
-from lgw.errors import EmptyKeepSet, MissingPair
+from lgw.errors import EmptyKeepSet, LgwError, MissingPair
 from lgw.grammar import GrammarSet, render_graph, validate_set
 from lgw.lexicon import parse_lexicon
 from lgw.matcher import ALL_MATCHES, apply_grammar
@@ -89,6 +89,20 @@ def test_missing_pair_raises():
     }
     with pytest.raises(MissingPair):
         select_keep_set(["A", "B", "C"], _reports(concs))
+
+
+@pytest.mark.parametrize("action", [Action.KEEP_X, Action.KEEP_BOTH])
+@pytest.mark.parametrize("grammars", [["A", "B"], ["A", "B", "C"]])
+def test_report_naming_a_grammar_outside_its_pair_raises(action, grammars):
+    # "C" unknown, or a grammar the A/B report would drop
+    def report(x, y):
+        return RelationReport(Relation.EQUAL, action, DiffCounts(0, 0, 0, 0, 0), x, y)
+
+    reports = {(x, y): report(x, y) for x, y in itertools.combinations(grammars, 2)}
+    reports["A", "B"] = report("A", "C")
+    with pytest.raises(LgwError) as exc:
+        select_keep_set(grammars, reports)
+    assert str(exc.value) == "relation report for pair 'A'/'B' names grammar 'C'"
 
 
 def test_selection_deterministic_under_report_dict_order():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -42,6 +44,38 @@ def test_newlines_in_context_become_spaces():
     c = build_concordance([occ], text)
     assert c.lines[0].left == "um dois "
     assert c.lines[0].right == " tres quatro"
+    # one "\r\n" is one space; a context that starts just after its "\r",
+    # or ends just after it, holds one half of it, which is one space too
+    text = "ab\r\ncd alvo ef\r\ngh"
+    assert _contexts(text, 7, 11, 4, 4) == (" cd ", " ef ")
+    assert _contexts(text, 7, 11, 5, 5) == (" cd ", " ef ")
+    assert _contexts(text, 7, 11, 7, 7) == ("ab cd ", " ef gh")
+    # a lone "\r" is a newline
+    assert _contexts("x\ry alvo\rz", 4, 8, 40, 60) == ("x y ", " z")
+    # without "\r", a context that starts or ends at a "\n"
+    text = "ab\ncd alvo ef\ngh"
+    assert _contexts(text, 6, 10, 4, 4) == (" cd ", " ef ")
+    assert _contexts(text, 6, 10, 3, 3) == ("cd ", " ef")
+
+
+def _contexts(text, start, end, left, right):
+    (line,) = build_concordance([Occurrence(start, end, "m", "G")], text, left, right).lines
+    return line.left, line.right
+
+
+@given(
+    st.text(st.sampled_from("ab \r\n\t"), min_size=1, max_size=16),
+    st.data(),
+)
+def test_contexts_are_their_slices_with_each_newline_a_space(text, data):
+    # a newline is "\r\n", "\r" or "\n", read in a slice of the text
+    start = data.draw(st.integers(0, len(text) - 1))
+    end = data.draw(st.integers(start + 1, len(text)))
+    left, right = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    assert _contexts(text, start, end, left, right) == (
+        re.sub(r"\r\n|\r|\n", " ", text[max(0, start - left):start]),
+        re.sub(r"\r\n|\r|\n", " ", text[end:end + right]),
+    )
 
 
 def test_duplicate_occurrences_collapse():
@@ -89,6 +123,11 @@ def test_write_escapes_tabs_and_newlines():
     c = Concordance([ConcordanceLine(0, 2, "a\tb", "x\ny", "c\\d")], "G", "t")
     text = write_concordance(c)
     assert "a\\tb" in text and "x\\ny" in text and "c\\\\d" in text
+    assert parse_concordance(text).lines == c.lines
+    # a lone "\r", a "\r\n", and a field holding a TAB and a backslash
+    c = Concordance([ConcordanceLine(0, 2, "a\rb", "\t\\", "c\r\nd")], "G", "t")
+    text = write_concordance(c)
+    assert text.split("\n")[1] == "0\t2\ta\\rb\t\\t\\\\\tc\\r\\nd"
     assert parse_concordance(text).lines == c.lines
     # hand-written escapes: a lone trailing backslash stays, an unknown
     # escape drops its backslash, an escaped newline is a newline
@@ -199,6 +238,14 @@ _name = st.text(st.sampled_from("GgTt19_."), min_size=1, max_size=6)
         ConcordanceLine(1, 1001, "a\\b", "x\ty", "c\r"),
         ConcordanceLine(2, 1002, "no", "escape", "here"),
         ConcordanceLine(3, 1003, "", "\\", ""),
+    ],
+    "G",
+    "t",
+)
+@example(
+    [
+        ConcordanceLine(0, 1000, "\r", "a\tb\\", "\r\n"),
+        ConcordanceLine(1, 1001, "\t\\t", "\\\t", "x\ry"),
     ],
     "G",
     "t",

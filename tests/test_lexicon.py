@@ -262,10 +262,10 @@ def _hit_built(text, directory, name="x"):
     lexicons = sidecar.lexicon_set([Path(directory) / f"{name}.dic"], [text.encode("utf-8")])
     digest = sidecar.digest(corpus.encode("utf-8"))
     tokens = _engine.tokenize_raw(corpus)
-    sidecar.write(path, lexicons, digest, tokens, lex)
+    sidecar.write(path, lexicons, digest, tokens, set(), lex)
     hit = sidecar.read(path, lexicons, digest)
-    assert hit is not None and hit[0] == tokens
-    return hit[1]
+    assert hit is not None and hit[:2] == (tokens, set())
+    return hit[2]
 
 
 def _ordered(lex):
@@ -429,7 +429,7 @@ def test_text_lexicon_answers_as_the_full_lexicon(entries_and_texts):
         tokens = _engine.tokenize_raw(parts[0])
         one = text_lexicon(full, tokens, parts[0])
         digest = sidecar.digest(parts[0].encode("utf-8"))
-        sidecar.write(path, lexicons, digest, tokens, one)
-        assert _index(sidecar.read(path, lexicons, digest)[1]) == _index(one)
+        sidecar.write(path, lexicons, digest, tokens, set(), one)
+        assert _index(sidecar.read(path, lexicons, digest)[2]) == _index(one)
         edited = sidecar.lexicon_set(["x.dic"], [lines.encode("utf-8") + b"#\n"])
         assert sidecar.read(path, edited, digest) is None

@@ -47,6 +47,8 @@ def test_traced_apply_records_the_layer_spans(tmp_path):
         assert {("matcher", "apply"), ("matcher", "filter_longest"),
                 ("grammar", "load")} <= recorded
         assert (("matcher", "tokenize") in recorded) == (run == "miss")
+        # the miss finds the sentence boundaries and keeps them; the hit reads them
+        assert (("matcher", "boundaries") in recorded) == (run == "miss")
         # the miss parses the lexicon and counts its symbol sets; the hit
         # rebuilds it from its sidecar and parses nothing
         parses = [counts for _, _, _, name, layer, _, _, counts in tracer.spans
