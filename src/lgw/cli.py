@@ -155,13 +155,6 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _read_text(path: str) -> tuple:
-    """(text, digest) of the corpus file at ``path``: the digest of its
-    UTF-8 bytes, which the file's sidecar key holds."""
-    text = _read(path)
-    return text, sidecar.digest(text.encode("utf-8"))
-
-
 def _read_bytes(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
@@ -195,46 +188,6 @@ def _load_lexicons(paths, data) -> Lexicon:
     return merge_lexicons([_load_lexicon(p, d) for p, d in zip(paths, data)])
 
 
-def _read_corpus(paths, texts, lexicons, found, full) -> tuple:
-    """(the ``Tokenized`` joined text, its text lexicon) of the corpus
-    files at ``paths``, whose ``_read_text`` pairs are ``texts``, for the
-    ``sidecar.lexicon_set`` ``lexicons``.  A file's tokens, sentence
-    boundaries and text lexicon are those ``found`` in its sidecar; a file
-    whose sidecar missed (None) is tokenized, its boundaries are found,
-    its text lexicon is cut from the ``full`` lexicon, and all three are
-    kept in its sidecar.  The texts are joined with "\n", which no token
-    spans and no lexicon key holds, so the files' tokens, their starts
-    shifted by where their texts start, and the merge of their text
-    lexicons are those of the joined text.  So are the files' boundaries,
-    shifted by the tokens before them, plus the one a file cannot see: its
-    final '.' token, which the joined text may follow with a capital."""
-    tokens, bounds, cut, offset = None, None, [], 0
-    for p, (text, digest), hit in zip(paths, texts, found):
-        if hit is None:
-            toks = matcher._impl.tokenize_raw(text)
-            stops = matcher._impl.sentence_boundaries(toks, default_abbreviations())
-            hit = toks, stops, text_lexicon(full, toks, text)
-            sidecar.write(p, lexicons, digest, *hit)
-        toks, stops, lex = hit
-        cut.append(lex)
-        if offset:
-            surfaces, starts = tokens
-            n = len(surfaces)
-            if n and toks[0] and surfaces[-1] == ".":
-                # the last two tokens so far and this file's first one
-                seam = surfaces[-2:] + toks[0][:1], (*starts[-2:], toks[1][0] + offset)
-                if len(seam[0]) - 2 in matcher._engine.sentence_boundaries(
-                        seam, default_abbreviations()):
-                    bounds.add(n - 1)
-            bounds.update(b + n for b in stops)
-            surfaces += toks[0]
-            starts.extend(a + offset for a in toks[1])
-        else:
-            tokens, bounds = toks, stops
-        offset += len(text) + 1
-    return Tokenized("\n".join(text for text, _ in texts), tokens, bounds), merge_lexicons(cut)
-
-
 def cmd_apply(args) -> int:
     for p in args.corpus:
         # the concordance header holds the corpus file names as one field
@@ -243,16 +196,21 @@ def cmd_apply(args) -> int:
     stamp = _stamp(args)
     corpus = sorted(args.corpus, key=lambda p: Path(p).name)
     # the corpus and the lexicon bytes are read first, to look up the
-    # sidecars; when a file cannot be read, every sidecar misses and its
-    # read error is raised only where the file's load raises it
-    texts = [_attempt(_read_text, p) for p in corpus]
+    # sidecar; when a file cannot be read, the sidecar misses and its read
+    # error is raised only where the file's load raises it
+    texts = [_attempt(_read, p) for p in corpus]
     data = [_attempt(_read_bytes, p) for p in args.lexicon]
-    if any(isinstance(x, LgwError) for x in (*texts, *data)):
-        lexicons, found = None, [None] * len(corpus)
-    else:
+    unread = [x for x in (*texts, *data) if isinstance(x, LgwError)]
+    found = None
+    if not unread:
+        # the files are one text, joined with "\n"; its one sidecar is
+        # kept beside the first file
+        text = "\n".join(texts)
+        digest = sidecar.digest(text.encode("utf-8"))
         lexicons = sidecar.lexicon_set(args.lexicon, data)
-        found = [sidecar.read(p, lexicons, digest) for p, (_, digest) in zip(corpus, texts)]
-    full = _load_lexicons(args.lexicon, data) if None in found else None
+        found = sidecar.read(corpus[0], lexicons, digest)
+    del texts
+    full = _load_lexicons(args.lexicon, data) if found is None else None
     del data  # not kept through the walk: a 20k-entry lexicon file is about 330 kB
     gs = load_grammar_set([(p, _read(p)) for p in args.grammar], args.main)
     diags = validate_set(gs)
@@ -260,17 +218,20 @@ def cmd_apply(args) -> int:
         print(f"{d.severity}: {d.code}: {d.detail}", file=sys.stderr)
     if any(d.severity == "error" for d in diags):
         return 2
-    for text in texts:
-        if isinstance(text, LgwError):
-            raise text
+    if unread:
+        raise unread[0]  # a corpus file's: a lexicon's was raised by its load
     text_id = "+".join(Path(p).name for p in corpus)
-    tokenized, lex = _read_corpus(corpus, texts, lexicons, found, full)
+    if found is None:
+        toks = matcher._impl.tokenize_raw(text)
+        stops = matcher._impl.sentence_boundaries(toks, default_abbreviations())
+        found = toks, stops, text_lexicon(full, toks, text)
+        sidecar.write(corpus[0], lexicons, digest, *found)
+    tokens, bounds, lex = found
     del found, full  # the walk needs only the text lexicon
     # the tokens and boundaries ride in the text argument:
     # perfbench/trace.py forwards exactly apply_grammar's five parameters
-    occs = apply_grammar(gs, tokenized, lex, mode=args.mode)
-    text = tokenized.text
-    del tokenized  # keeping the tokens through annotate and the concordance raised peak memory
+    occs = apply_grammar(gs, Tokenized(text, tokens, bounds), lex, mode=args.mode)
+    del tokens, bounds  # keeping them through annotate and the concordance raised peak memory
     # annotate before writing anything: a text the XML refuses leaves no file
     if args.xml:
         annotated = evaluator.annotate(

@@ -15,8 +15,9 @@ from typing import NamedTuple
 
 from .errors import MalformedTag, NestedTag, OverlappingOccurrences
 
-_OPEN_RE = re.compile(r'<EM CATEG="([^"<>]*)" TIPO="([^"<>]*)">')
 _CLOSE = "</EM>"
+# an opening tag, a closing one, or the start of a malformed opening tag
+_TAG_RE = re.compile(r'<EM CATEG="([^"<>]*)" TIPO="([^"<>]*)">|</EM>|<EM')
 _TAG_IN_TEXT = re.compile("<EM|</EM>")  # what parse_gold would read as a tag
 # the output tags whose enclosed text an annotation marks
 _NOME_OPEN, _NOME_CLOSE = "<NOME>", "</NOME>"
@@ -73,37 +74,27 @@ def parse_gold(xml: str):
     annotations = []
     open_ann = None  # (plain_start, category, subtype)
     i = 0
-    n = len(xml)
-    while i < n:
-        j = xml.find("<", i)
-        if j < 0:
-            plain.append(xml[i:])
-            plain_len += n - i
-            break
+    for m in _TAG_RE.finditer(xml):
+        j = m.start()
         plain.append(xml[i:j])
         plain_len += j - i
-        if xml.startswith(_CLOSE, j):
+        i = m.end()
+        if m.group() == _CLOSE:
             if open_ann is None:
                 raise MalformedTag(j, "</EM> without opening tag")
             annotations.append(
                 GoldAnnotation(open_ann[0], plain_len, open_ann[1], open_ann[2])
             )
             open_ann = None
-            i = j + len(_CLOSE)
-        elif xml.startswith("<EM", j):
-            m = _OPEN_RE.match(xml, j)
-            if not m:
-                raise MalformedTag(j)
-            if open_ann is not None:
-                raise NestedTag(j)
-            open_ann = (plain_len, m.group(1), m.group(2))
-            i = m.end()
+        elif m.group() == "<EM":  # no whole opening tag begins here
+            raise MalformedTag(j)
+        elif open_ann is not None:
+            raise NestedTag(j)
         else:
-            plain.append("<")
-            plain_len += 1
-            i = j + 1
+            open_ann = (plain_len, m.group(1), m.group(2))
     if open_ann is not None:
-        raise MalformedTag(n, "unclosed <EM> tag")
+        raise MalformedTag(len(xml), "unclosed <EM> tag")
+    plain.append(xml[i:])
     return "".join(plain), annotations
 
 

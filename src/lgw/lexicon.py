@@ -12,9 +12,9 @@ matcher stops looking for longer entries.  The lemma of a line is
 checked but not kept, and lines that differ only in their lemma give one
 symbol set.
 
-A corpus file's text lexicon is the part of a lexicon that the matcher
-can look up on its text (``text_lexicon``); ``lgw apply`` keeps it in
-the file's sidecar (``lgw.sidecar``), so that a later apply with the same
+A corpus's text lexicon is the part of a lexicon that the matcher can
+look up on its text (``text_lexicon``); ``lgw apply`` keeps it in the
+corpus's sidecar (``lgw.sidecar``), so that a later apply with the same
 lexicon files does not parse them.
 """
 

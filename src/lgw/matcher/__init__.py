@@ -3,9 +3,9 @@
 The matching kernel lives in ``_engine``; it reports where each output
 goes, and this module splices the outputs into the matched text.
 
-``lgw apply`` keeps a corpus file's kernel tokens and sentence
-boundaries in the file's sidecar (``lgw.sidecar``), so that a later apply
-of the same text skips finding them.
+``lgw apply`` keeps a corpus's kernel tokens and sentence boundaries
+in the corpus's sidecar (``lgw.sidecar``), so that a later apply of the
+same text skips finding them.
 """
 
 from __future__ import annotations

@@ -1,15 +1,17 @@
-"""The corpus sidecar: what ``lgw apply`` computed from a corpus file,
-kept beside it.
+"""The corpus sidecar: what ``lgw apply`` computed from its corpus, kept
+beside the corpus's first file.
 
-The sidecar of the corpus file ``dir/name`` for a list of lexicon files
-is ``dir/__lgwcache__/name.<set>.lgc``, where ``<set>`` is named after
-the lexicon files' paths (``lexicon_set``); an empty list is one more
-set.  A corpus file keeps its ``KEEP`` newest sidecars, by modification
-time.  A sidecar begins with its key: the format number, the Python
+The corpus of an apply is the text of its files, sorted by name, joined
+with "\n"; one file's is that file's text.  Its sidecar for a list of
+lexicon files, when its first file is ``dir/name``, is
+``dir/__lgwcache__/name.<set>.lgc``, where ``<set>`` is named after the
+lexicon files' paths (``lexicon_set``); an empty list is one more set.
+A first file keeps its ``KEEP`` newest sidecars, by modification time.
+A sidecar begins with its key: the format number, the Python
 ``major.minor`` that wrote it, and a blake2b digest of the digests of
 the lexicon files' bytes and of the corpus text.  The digest of the
 payload follows, then the payload: one marshal tuple of the six values
-``lgw apply`` uses, the file's kernel token columns (``lgw.matcher``),
+``lgw apply`` uses, the text's kernel token columns (``lgw.matcher``),
 its surfaces and its start offsets as bytes, the indices of its
 sentence-ending tokens (``sentence_boundaries`` with the default
 abbreviations) as bytes, and its text lexicon's
@@ -45,7 +47,7 @@ from .matcher._engine import OFFSETS
 
 FORMAT = 6
 DIGEST_SIZE = 64  # bytes of a blake2b digest
-KEEP = 4  # sidecars per corpus file: one per lexicon list an author alternates
+KEEP = 4  # sidecars per first file: one per lexicon list an author alternates
 
 
 def digest(content: bytes) -> bytes:
@@ -67,7 +69,7 @@ def _path(path, lexicons: tuple) -> Path:
 
 def key(lexicons: tuple, text_digest: bytes) -> bytes:
     """The first bytes of the sidecar, for the ``lexicon_set``
-    ``lexicons``, of a corpus file whose text has the ``digest``
+    ``lexicons``, of a corpus whose text has the ``digest``
     ``text_digest``: the text itself is not digested again."""
     head = b"lgw corpus %d python %d.%d\n" % (FORMAT, *sys.version_info[:2])
     return head + digest(lexicons[1] + text_digest)
@@ -75,10 +77,10 @@ def key(lexicons: tuple, text_digest: bytes) -> bytes:
 
 def read(path, lexicons: tuple, text_digest: bytes):
     """(token columns, set of sentence boundaries, text lexicon) of the
-    corpus file at ``path``, whose text has the digest ``text_digest``,
-    for the ``lexicon_set`` ``lexicons``, from its sidecar; None when there
-    is none for this text and these lexicons, or when it cannot be read or
-    holds values the matcher could not use."""
+    corpus whose first file is at ``path`` and whose text has the digest
+    ``text_digest``, for the ``lexicon_set`` ``lexicons``, from its
+    sidecar; None when there is none for this text and these lexicons, or
+    when it cannot be read or holds values the matcher could not use."""
     k = key(lexicons, text_digest)
     try:
         blob = _path(path, lexicons).read_bytes()
@@ -116,10 +118,10 @@ def write(path, lexicons: tuple, text_digest: bytes, tokens: tuple, boundaries,
           lex: Lexicon) -> None:
     """Keep ``tokens``, the kernel token columns, ``boundaries``, the
     indices of their sentence-ending tokens, and ``lex``, the text lexicon
-    for the ``lexicon_set`` ``lexicons``, of the corpus file at ``path``
-    whose text has the digest ``text_digest``, in its sidecar, replacing
-    it whole, then delete all but the ``KEEP`` newest sidecars of the
-    file.  A directory that cannot be written gets none."""
+    for the ``lexicon_set`` ``lexicons``, of the corpus whose first file
+    is at ``path`` and whose text has the digest ``text_digest``, in its
+    sidecar, replacing it whole, then delete all but the ``KEEP`` newest
+    sidecars of that file.  A directory that cannot be written gets none."""
     surfaces, starts = tokens
     breaks = array(OFFSETS, sorted(boundaries)).tobytes()
     payload = marshal.dumps((surfaces, starts.tobytes(), breaks, lex.symbol_index(),

@@ -655,10 +655,11 @@ def test_console_script_help():
 
 
 # --- the corpus sidecar -----------------------------------------------------------
-# lgw apply writes nothing beside a lexicon file.  It keeps each corpus file's
+# lgw apply writes nothing beside a lexicon file.  It keeps its corpus's
 # tokens and text lexicon, for each list of lexicon files, in one sidecar,
-# __lgwcache__/<file>.<set>.lgc beside it; every case here must give what
-# tokenizing the corpus and loading the whole lexicon give.
+# __lgwcache__/<first file>.<set>.lgc beside the corpus's first file; every
+# case here must give what tokenizing the corpus and loading the whole
+# lexicon give.
 
 NAMES = "Ana,.N+PR\nZeca,.V+PR\n"
 
@@ -1088,33 +1089,35 @@ _corpus_file = st.builds(
 @given(st.lists(_corpus_file, min_size=1, max_size=4))
 @example(["", "Ana²", ""])
 @example(["a\r", "\rb", "½三\x85İς_"])
+@settings(deadline=None)
 def test_corpus_tokens_equal_the_joined_texts_tokens(texts):
-    from lgw import sidecar
-    from lgw.cli import _read_corpus, _read_text
-    from lgw.lexicon import merge_lexicons
+    from lgw import cli
     from lgw.matcher._engine import tokenize_raw
 
-    no_lexicons = sidecar.lexicon_set([], [])
-
-    def read(paths):
-        # as lgw apply reads a corpus without --lexicon
-        pairs = [_read_text(p) for p in paths]
-        found = [sidecar.read(p, no_lexicons, digest) for p, (_, digest) in zip(paths, pairs)]
-        return _read_corpus(paths, pairs, no_lexicons, found, merge_lexicons([]))[0]
-
-    with tempfile.TemporaryDirectory() as directory:
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as m:
+        d = pathlib.Path(directory)
+        grammar = d / "ReconheceNomesCompostos.lg"
+        grammar.write_text(data.grammar_text("ReconheceNomesCompostos"), encoding="utf-8")
         paths = []
         for i, text in enumerate(texts):
-            path = os.path.join(directory, f"c{i}.txt")
-            with open(path, "w", encoding="utf-8", newline="") as f:
+            paths.append(d / f"c{i}.txt")
+            with open(paths[-1], "w", encoding="utf-8", newline="") as f:
                 f.write(text)
-            paths.append(path)
-        miss = read(paths)
+        # the text each apply walks, as lgw apply reads a corpus without --lexicon
+        walked = []
+        apply = cli.apply_grammar
+        m.setattr(cli, "apply_grammar",
+                  lambda gs, text, *a, **k: walked.append(text) or apply(gs, text, *a, **k))
+        for out in ("miss", "hit"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["apply", "--grammar", str(grammar), "--out", str(d / out),
+                             *map(str, paths)]) == 0
+        miss, hit = walked
         assert miss.text == "\n".join(t.replace("\r\n", "\n").replace("\r", "\n")
                                       for t in texts)
         assert miss.tokens == tokenize_raw(miss.text)
-        assert len(os.listdir(os.path.join(directory, "__lgwcache__"))) == len(texts)
-        hit = read(paths)
+        (name,) = os.listdir(d / "__lgwcache__")
+        assert name.startswith("c0.txt.") and name.endswith(".lgc")
         assert hit == miss
         # and of the same types: an array never equals a list
         column_types = [(type(c), getattr(c, "typecode", None)) for c in tokenize_raw("")]
@@ -1184,7 +1187,7 @@ def test_several_corpus_files_walk_the_joined_texts_boundaries(text, cuts):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["apply", "--grammar", str(grammar), "--out", str(d / out),
                              *map(str, paths)]) == 0
-        assert len(calls) == len(parts)  # each file's on the cold apply, none warm
+        assert len(calls) == 1  # the joined text's on the cold apply, none warm
         assert walked == [want, want]
 
 
@@ -1209,21 +1212,23 @@ def test_several_corpus_files_merge_their_text_lexicons(named, capsys, monkeypat
         '<EM CATEG="PESSOA" TIPO="INDIVIDUAL">Zeca</EM> viu '
         '<EM CATEG="PESSOA" TIPO="INDIVIDUAL">Ana Zeca</EM>.\n'
     )
-    hit = _sidecar(named, "d.txt").read_bytes()
-    _sidecar(named, "c.txt").unlink()
+    # one sidecar, beside c.txt, the first file by name
+    path = _sidecar(named, "c.txt")
+    assert sorted(_sidecars(named)) == [path.name]
+    hit = path.read_bytes()
+    path.unlink()
     tokenized = []
     tokenize = matcher._engine.tokenize_raw
     kernel = {**vars(matcher._engine),
               "tokenize_raw": lambda text: tokenized.append(text) or tokenize(text)}
     with monkeypatch.context() as m:
         m.setattr(matcher, "_impl", types.SimpleNamespace(**kernel))
-        assert apply("one-miss") == 0  # c.txt misses, d.txt hits
-    assert tokenized == ["a rainha Ana"]
-    assert _sidecar(named, "c.txt").exists()
-    assert _sidecar(named, "d.txt").read_bytes() == hit
+        assert apply("rewritten") == 0  # the joined text misses
+    assert tokenized == ["a rainha Ana\nZeca viu Ana Zeca.\n"]
+    assert _sidecars(named) == {path.name: hit}
     _forbid_misses(monkeypatch)
     assert apply("hit") == 0
-    assert _outputs(named / "one-miss") == _outputs(named / "hit") == _outputs(named / "miss")
+    assert _outputs(named / "rewritten") == _outputs(named / "hit") == _outputs(named / "miss")
 
 
 def test_lexicon_with_a_byte_order_mark_loses_no_entry(named, capsys):
@@ -1263,13 +1268,27 @@ def test_apply_errors_come_in_command_order(named, capsys):
         2, f"lgw apply: error: {bad_grammar}: line 2: unexpected character '?'\n")
     rc, err = apply(good_grammar, good_lexicon)
     assert rc == 2 and err.startswith(f"lgw apply: error: cannot read {corpus}: ")
-    # a corpus that cannot be read leaves no sidecar, not even for the other file
+    # a corpus file that cannot be read leaves no sidecar
+    assert not (named / "__lgwcache__").exists()
+    assert not (named / "out").exists()
+
+
+def test_missing_lexicon_exits_2_before_a_bad_grammar(named, capsys):
+    missing = named / "lex" / "absent.dic"
+    bad_grammar = named / "bad.lg"
+    bad_grammar.write_text("graph B\nbox b ?\n", encoding="utf-8")
+    for grammar in (bad_grammar, named / "ReconheceNomesCompostos.lg"):
+        assert main(["apply", "--grammar", str(grammar), "--lexicon", str(missing),
+                     "--out", str(named / "out"), str(named / "c.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lgw apply: error: cannot read {missing}: ")
+        assert err.count("\n") == 1
     assert not (named / "__lgwcache__").exists()
     assert not (named / "out").exists()
 
 
 def test_warm_apply_digests_each_corpus_text_once(named, monkeypatch):
-    # the sidecar key holds one digest of the text
+    # the sidecar key holds one digest of the joined text
     from lgw import sidecar
 
     texts = {"c.txt": "Ana viu Zeca e a rainha Isabel. " * 8, "d.txt": "Zeca viu Ana. " * 30}
@@ -1284,12 +1303,12 @@ def test_warm_apply_digests_each_corpus_text_once(named, monkeypatch):
     monkeypatch.setattr(sidecar, "digest", lambda content: lengths.append(len(content)) or digest(content))
     _forbid_misses(monkeypatch)
     assert main(argv + [str(named / "warm")]) == 0
-    # every longer input is one corpus text or the payload of its sidecar,
-    # whose digest read checks: the keys, paths and the lexicon are short
-    sizes = [len(text.encode("utf-8")) for text in texts.values()]
-    for name in texts:
-        blob = _sidecar(named, name).read_bytes()
-        sizes.append(len(blob) - blob.index(b"\n") - 1 - 2 * sidecar.DIGEST_SIZE)
+    # every longer input is the joined text or the payload of its one
+    # sidecar, whose digest read checks: the keys, paths and the lexicon
+    # are short
+    blob = _sidecar(named, "c.txt").read_bytes()
+    sizes = [len("\n".join(texts.values()).encode("utf-8")),
+             len(blob) - blob.index(b"\n") - 1 - 2 * sidecar.DIGEST_SIZE]
     assert min(sizes) > 200 and len(NAMES) < 200
     assert sorted(n for n in lengths if n > 200) == sorted(sizes)
     assert _outputs(named / "warm") == _outputs(named / "cold")

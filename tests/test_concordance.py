@@ -111,6 +111,14 @@ def test_parse_skips_the_stamp_line():
     assert stamped == parse_concordance(body)
 
 
+def test_parse_reads_crlf_lines_and_skips_blank_ones():
+    lf = "#concordance v1 G t 4 6\n0\t2\tl\tm\tr\n3\t4\ta\tb\tc\n"
+    crlf = "#concordance v1 G t 4 6\r\n0\t2\tl\tm\tr\r\n\r\n3\t4\ta\tb\tc\r\n"
+    assert parse_concordance(crlf) == parse_concordance(lf)
+    assert parse_concordance(lf.replace("\n3", "\n\n3")) == parse_concordance(lf)
+    assert [l.match for l in parse_concordance(crlf).lines] == ["m", "b"]
+
+
 def test_write_header_and_sentinels():
     c = Concordance([], source_grammar="", source_text_id="", left_width=4, right_width=6)
     assert write_concordance(c) == "#concordance v1 - - 4 6\n"

@@ -180,6 +180,18 @@ def test_a_line_ends_only_at_a_line_break():
     assert e.value.line_no == 3
 
 
+def test_unterminated_output_literal_names_its_line():
+    with pytest.raises(GraphSyntaxError) as e:
+        parse_graph('graph G\nbox b out="<x <PRE>\ninit i\nfinal f')
+    assert str(e.value) == "line 2: unterminated string literal"
+
+
+def test_final_id_with_a_space_is_rejected():
+    with pytest.raises(GraphSyntaxError) as e:
+        parse_graph('graph G\nbox b "x"\ninit i\nfinal f g\nedge i b')
+    assert str(e.value) == "line 4: bad final id 'f g'"
+
+
 @pytest.mark.parametrize("literal", ['""', '" "', '"   "', '"\t"'])
 def test_literal_without_a_token_is_rejected(literal):
     # a literal must hold a token; a blank one could never match

@@ -1187,6 +1187,11 @@ def test_literal_dispatch_splits_alternatives():
 # --- the walk: output order, long chains, ambiguity, recursion --------------
 
 
+def test_unknown_mode_is_refused(g1, lexicon):
+    with pytest.raises(ValueError, match="unknown mode 'shortest'"):
+        apply_grammar(g1, "O Sr. Silva.", lexicon, "shortest")
+
+
 def test_output_of_a_box_that_consumes_nothing_follows_the_last_token():
     # ahead of the whitespace after the last consumed token; before the
     # first token when nothing has been consumed yet
